@@ -19,7 +19,6 @@ from .errors import (
     NotQuadratic,
     QuadfitError,
     RankDeficient,
-    Underdetermined,
     UndefinedRSquared,
 )
 from .fitting import (
@@ -28,12 +27,10 @@ from .fitting import (
     DomainWindow,
     PolynomialModel,
     Series,
-    build_design_matrix,
     convert_domain,
     eval_poly,
     fit_polynomial,
     sample_curve,
-    solve_least_squares,
 )
 from .ingest import CsvSchema, parse_csv, series_to_csv, validate_series
 from .metrics import (
@@ -84,10 +81,8 @@ __all__ = [
     "RankDeficient",
     "RootSet",
     "Series",
-    "Underdetermined",
     "UndefinedRSquared",
     "VertexForm",
-    "build_design_matrix",
     "convert_domain",
     "discriminant",
     "eval_poly",

@@ -13,7 +13,7 @@ from pathlib import Path
 from . import __version__
 from .errors import CsvError, QuadfitError
 from .fitting import DEFAULT_DEGREE, PolynomialModel, fit_polynomial
-from .ingest import CsvSchema, parse_csv, validate_series
+from .ingest import CsvSchema, parse_csv
 from .metrics import FitReport, fit_report
 from .plot import PlotSpec, format_equation, render_plot
 from .quadratic import discriminant, quadratic_roots, to_vertex_form
@@ -94,9 +94,6 @@ def run(args: argparse.Namespace) -> None:
     else:
         with open(args.input, "rb") as fh:
             series = parse_csv(fh, schema)
-    problem = validate_series(series, args.degree)
-    if problem is not None:
-        raise problem
     model, _ = fit_polynomial(series, args.degree)
     report = fit_report(model, series)
 

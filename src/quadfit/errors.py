@@ -18,12 +18,8 @@ class InvalidDegree(QuadfitError):
     """Polynomial degree is negative (or otherwise unusable)."""
 
 
-class Underdetermined(QuadfitError):
-    """Least-squares system has fewer rows than unknowns."""
-
-
 class RankDeficient(QuadfitError):
-    """Design matrix is numerically rank deficient."""
+    """x values are too clustered to resolve every term of the degree."""
 
 
 class InsufficientData(QuadfitError):

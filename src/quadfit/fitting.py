@@ -1,11 +1,14 @@
 """Least-squares polynomial fitting on a scaled domain.
 
-The fit pipeline is: map the abscissae affinely onto [-1, 1], build the
-Vandermonde design matrix there, solve the least-squares problem by
-Householder QR (never by explicit normal equations, which square the
-condition number), and convert the coefficients back to the original
-x domain.  Coefficients are always stored in ascending powers, so
-``coeffs[0]`` is the constant term.
+The fit pipeline is: map the abscissae affinely onto [-1, 1], fit there
+with Forsythe's orthogonal polynomials (G. E. Forsythe, "Generation and
+use of orthogonal polynomials for data-fitting with a digital computer",
+J. SIAM 5(2), 1957), and convert the coefficients back to the original
+x domain.  The polynomials come from a three-term recurrence and the
+residual is projected onto each in turn, so the fit takes O(n*d) time
+and a few length-n vectors, and never forms normal equations, which
+square the condition number.  Coefficients are always stored in
+ascending powers, so ``coeffs[0]`` is the constant term.
 
 All arithmetic is 64-bit binary floating point; no external math library
 is used anywhere in the package.
@@ -14,6 +17,7 @@ is used anywhere in the package.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -22,11 +26,12 @@ from .errors import (
     InvalidDegree,
     InvalidSampleCount,
     RankDeficient,
-    Underdetermined,
 )
 
-# A triangular-factor diagonal below this fraction of the largest diagonal
-# marks the design matrix as rank deficient.
+# An orthogonal polynomial whose norm over the data falls below this
+# fraction of the largest such norm marks the fit as rank deficient.  In
+# exact arithmetic the norms equal the R diagonal of a QR factorization of
+# the scaled Vandermonde matrix, so the test is the classical one.
 RANK_TOLERANCE = 1e-10
 
 DEFAULT_DEGREE = 2
@@ -102,71 +107,50 @@ def eval_poly(model: PolynomialModel, x: float) -> float:
     return result
 
 
-def build_design_matrix(xs, degree: int) -> list[list[float]]:
-    """Vandermonde matrix: row i, column k holds xs[i]**k for k = 0..degree.
+def _orthogonal_fit(ts: list[float], ys, degree: int) -> list[float]:
+    """Least-squares coefficients in ascending powers of t, by Forsythe's method.
 
-    The power is accumulated multiplicatively, so the k = 0 column is all
-    ones even at x = 0.
-    """
-    if degree < 0:
-        raise InvalidDegree(f"degree must be nonnegative, got {degree}")
-    rows = []
-    for x in xs:
-        row = [1.0]
-        for _ in range(degree):
-            row.append(row[-1] * x)
-        rows.append(row)
-    return rows
-
-
-def solve_least_squares(design: list[list[float]], ys) -> list[float]:
-    """Minimize ||design @ c - ys||_2 via Householder QR.
-
-    The design matrix must have at least as many rows as columns and full
-    column rank (checked against RANK_TOLERANCE on the triangular factor's
-    diagonal).
+    Builds the monic polynomials orthogonal over the points,
+    p_{k+1} = (t - a_k) p_k - b_k p_{k-1}, projects the running residual
+    onto each (modified Gram-Schmidt), and accumulates c_k p_k in powers
+    of t.  Each p_k is held both as its values at the points and as its
+    power-in-t coefficients.
 
     Raises:
-        Underdetermined: fewer rows than columns.
-        RankDeficient: a diagonal of R falls below tolerance.
+        RankDeficient: some ||p_k|| falls below RANK_TOLERANCE times the
+            largest, so the points cannot resolve a degree-k term.
     """
-    m = len(design)
-    if m == 0:
-        raise Underdetermined("empty design matrix")
-    n = len(design[0])
-    if m != len(ys):
-        raise ValueError(f"design has {m} rows but ys has {len(ys)} entries")
-    if m < n:
-        raise Underdetermined(f"{m} rows cannot determine {n} coefficients")
-
-    r = [list(map(float, row)) for row in design]
-    rhs = [float(y) for y in ys]
-
-    for j in range(n):
-        # Householder reflector annihilating r[j+1:][j].
-        norm = math.sqrt(math.fsum(r[i][j] * r[i][j] for i in range(j, m)))
-        if norm == 0.0:
-            continue  # column already zero; caught by the rank check below
-        sign = 1.0 if r[j][j] >= 0.0 else -1.0
-        v = [r[i][j] for i in range(j, m)]
-        v[0] += sign * norm
-        vtv = math.fsum(w * w for w in v)
-        for col in range(j, n):
-            s = 2.0 * math.fsum(v[i] * r[j + i][col] for i in range(len(v))) / vtv
-            for i in range(len(v)):
-                r[j + i][col] -= s * v[i]
-        s = 2.0 * math.fsum(v[i] * rhs[j + i] for i in range(len(v))) / vtv
-        for i in range(len(v)):
-            rhs[j + i] -= s * v[i]
-
-    diag_max = max(abs(r[k][k]) for k in range(n))
-    if diag_max == 0.0 or min(abs(r[k][k]) for k in range(n)) < RANK_TOLERANCE * diag_max:
-        raise RankDeficient("design matrix is rank deficient within tolerance")
-
-    coeffs = [0.0] * n
-    for k in range(n - 1, -1, -1):
-        acc = rhs[k] - math.fsum(r[k][i] * coeffs[i] for i in range(k + 1, n))
-        coeffs[k] = acc / r[k][k]
+    residual = list(ys)
+    p_prev, p = [0.0] * len(ts), [1.0] * len(ts)
+    poly_prev, poly = [], [1.0]
+    coeffs = [0.0] * (degree + 1)
+    norm2_prev = norm2_max = 0.0
+    for k in range(degree + 1):
+        # Compared squared, and before any division: p_0 = 1 makes
+        # norm2_max positive, so a zero norm2 always raises here.
+        norm2 = math.fsum(map(operator.mul, p, p))
+        norm2_max = max(norm2_max, norm2)
+        if norm2 < RANK_TOLERANCE * RANK_TOLERANCE * norm2_max:
+            raise RankDeficient(
+                f"x values cannot resolve a degree-{k} term within tolerance"
+            )
+        c = math.fsum(map(operator.mul, residual, p)) / norm2
+        for j, q in enumerate(poly):
+            coeffs[j] += c * q
+        if k == degree:
+            break
+        residual = [r - c * v for r, v in zip(residual, p)]
+        tp = list(map(operator.mul, ts, p))
+        a = math.fsum(map(operator.mul, tp, p)) / norm2
+        b = norm2 / norm2_prev if k else 0.0
+        p_prev, p = p, [u - a * v - b * w for u, v, w in zip(tp, p, p_prev)]
+        nxt = [0.0] + poly
+        for j, q in enumerate(poly):
+            nxt[j] -= a * q
+        for j, q in enumerate(poly_prev):
+            nxt[j] -= b * q
+        poly_prev, poly = poly, nxt
+        norm2_prev = norm2
     return coeffs
 
 
@@ -192,13 +176,14 @@ def fit_polynomial(series: Series, degree: int = DEFAULT_DEGREE) -> tuple[Polyno
     """Least-squares polynomial fit with domain scaling for conditioning.
 
     The abscissae are mapped affinely into [-1, 1] over the data window,
-    the scaled problem is solved by QR, and the coefficients are converted
-    back to the original domain, so the returned model is expressed in
-    plain powers of x.
+    the scaled problem is solved by Forsythe's orthogonal-polynomial
+    recurrence, and the coefficients are converted back to the original
+    domain, so the returned model is expressed in plain powers of x.
 
     Raises:
         InvalidDegree, InsufficientData, DegenerateAbscissa: unfittable input.
-        RankDeficient: scaled design loses rank (pathological spacing).
+        RankDeficient: x values too clustered for the degree (pathological
+            spacing).
     """
     err = _validation_error(series, degree)
     if err is not None:
@@ -207,8 +192,7 @@ def fit_polynomial(series: Series, degree: int = DEFAULT_DEGREE) -> tuple[Polyno
     window = DomainWindow(min(series.xs), max(series.xs))
     span = window.x_max - window.x_min
     ts = [(2.0 * x - window.x_min - window.x_max) / span for x in series.xs]
-    design = build_design_matrix(ts, degree)
-    scaled = solve_least_squares(design, series.ys)
+    scaled = _orthogonal_fit(ts, series.ys, degree)
     return PolynomialModel(tuple(convert_domain(scaled, window))), window
 
 

@@ -45,6 +45,17 @@ def total_sum_of_squares(ys) -> float:
     return math.fsum((d - mean) ** 2 for d in shifted)
 
 
+def _r_squared_from_sums(ss_res: float, ss_tot: float, n: int) -> float:
+    """1 - ss_res/ss_tot, or the constant-data rule when ss_tot is zero."""
+    if ss_tot == 0.0:
+        if ss_res <= CONSTANT_DATA_RESIDUAL_TOLERANCE * n:
+            return 1.0
+        raise UndefinedRSquared(
+            f"constant data with nonzero residual mass ({ss_res:.3e})"
+        )
+    return 1.0 - ss_res / ss_tot
+
+
 def r_squared(series: Series, fitted) -> float:
     """1 - ss_res/ss_tot, the proportion of variance explained.
 
@@ -55,25 +66,18 @@ def r_squared(series: Series, fitted) -> float:
     if len(fitted) != len(series):
         raise ValueError(f"{len(fitted)} fitted values for {len(series)} observations")
     ss_res = math.fsum((y - f) ** 2 for y, f in zip(series.ys, fitted))
-    ss_tot = total_sum_of_squares(series.ys)
-    if ss_tot == 0.0:
-        if ss_res <= CONSTANT_DATA_RESIDUAL_TOLERANCE * len(series):
-            return 1.0
-        raise UndefinedRSquared(
-            f"constant data with nonzero residual mass ({ss_res:.3e})"
-        )
-    return 1.0 - ss_res / ss_tot
+    return _r_squared_from_sums(ss_res, total_sum_of_squares(series.ys), len(series))
 
 
 def fit_report(model: PolynomialModel, series: Series) -> FitReport:
     """Bundle ss_res, ss_tot and R^2 for a model on its data."""
-    fitted = [eval_poly(model, x) for x in series.xs]
-    ss_res = math.fsum((y - f) ** 2 for y, f in zip(series.ys, fitted))
+    ss_res = math.fsum((y - eval_poly(model, x)) ** 2
+                       for x, y in zip(series.xs, series.ys))
     ss_tot = total_sum_of_squares(series.ys)
     return FitReport(
         model=model,
         ss_res=ss_res,
         ss_tot=ss_tot,
-        r_squared=r_squared(series, fitted),
+        r_squared=_r_squared_from_sums(ss_res, ss_tot, len(series)),
         n=len(series),
     )

@@ -1,4 +1,4 @@
-"""Independent least-squares oracle used to check the QR solver.
+"""Independent least-squares oracle used to check the fitting solver.
 
 Forms the normal equations X^T X c = X^T y with exact rational arithmetic
 (fractions.Fraction is exact on binary floats) and solves them by exact

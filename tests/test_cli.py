@@ -7,6 +7,7 @@ from oracle import normal_equations_fit
 from conftest import DERIVED_XS, DERIVED_YS
 
 from quadfit import FitReport, PolynomialModel, Series, eval_poly
+from quadfit import cli
 from quadfit.cli import build_parser, format_report, main, parse_args
 
 DERIVED_CSV = "Month,Values\n1,1\n2,4\n3,9\n4,17\n"
@@ -202,6 +203,26 @@ class TestFailureModes:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["-i", str(tmp_path / "absent.csv")]) == 1
         assert capsys.readouterr().err != ""
+
+    @pytest.mark.parametrize("csv_text, line", [
+        ("Month,Values\n1,10\n2,12\n",
+         "quadfit: InsufficientData: degree 2 needs 3 observations, got 2\n"),
+        ("Month,Values\n1,10\n1,11\n2,12\n2,13\n",
+         "quadfit: DegenerateAbscissa: degree 2 needs 3 distinct x values, got 2\n"),
+    ], ids=["too-few-points", "repeated-x"])
+    def test_unfittable_data(self, tmp_path, capsys, csv_text, line):
+        assert main(["-i", write_csv(tmp_path, csv_text)]) == 1
+        assert capsys.readouterr().err == line
+
+    def test_bad_degree(self, tmp_path, capsys, monkeypatch):
+        # --degree rejects this itself (exit 2), so hand run() the value
+        # directly to check that the fit's own check reaches the user.
+        args = parse_args(["-i", write_csv(tmp_path, DERIVED_CSV)])
+        args.degree = -1
+        monkeypatch.setattr(cli, "parse_args", lambda argv: args)
+        assert main([]) == 1
+        assert capsys.readouterr().err == \
+            "quadfit: InvalidDegree: degree must be nonnegative, got -1\n"
 
     def test_diagnostic_is_single_line(self, tmp_path, capsys):
         path = write_csv(tmp_path, "Month,Values\n1,10\n2,12\n")

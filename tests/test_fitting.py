@@ -17,13 +17,10 @@ from quadfit import (
     PolynomialModel,
     RankDeficient,
     Series,
-    Underdetermined,
-    build_design_matrix,
     convert_domain,
     eval_poly,
     fit_polynomial,
     sample_curve,
-    solve_least_squares,
 )
 
 
@@ -68,54 +65,65 @@ class TestEvalPoly:
         assert abs(got - naive) <= 1e-12 * max(1.0, abs(naive))
 
 
-class TestDesignMatrix:
-    def test_definition(self):
-        assert build_design_matrix([1, 2], 2) == [[1, 1, 1], [1, 2, 4]]
-
-    def test_zero_to_the_zero_is_one(self):
-        assert build_design_matrix([0], 1) == [[1, 0]]
-
-    def test_degree_zero(self):
-        assert build_design_matrix([3], 0) == [[1]]
-
-    def test_negative_degree(self):
-        with pytest.raises(InvalidDegree):
-            build_design_matrix([1, 2], -1)
-
-
 class TestSolveLeastSquares:
+    """The least-squares solve, checked through fit_polynomial."""
+
     def test_line_interpolation(self):
-        got = solve_least_squares([[1, 0], [1, 1]], [2, 5])
-        assert got == pytest.approx([2.0, 3.0], abs=1e-12)
+        # x = 0 is a data point, so the constant term is read off directly.
+        model, _ = fit_polynomial(Series((0, 1), (2, 5)), 1)
+        assert model.coeffs == pytest.approx([2.0, 3.0], abs=1e-12)
 
     def test_exact_parabola(self):
-        design = build_design_matrix([0, 1, 2], 2)
-        got = solve_least_squares(design, [0, 1, 4])
-        assert got == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
+        model, _ = fit_polynomial(Series((0, 1, 2), (0, 1, 4)), 2)
+        assert model.coeffs == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
 
     def test_matches_oracle_on_fixed_dataset(self):
-        design = build_design_matrix(DERIVED_XS, 2)
-        got = solve_least_squares(design, DERIVED_YS)
+        model, _ = fit_polynomial(Series(DERIVED_XS, DERIVED_YS), 2)
         want = normal_equations_fit(DERIVED_XS, DERIVED_YS, 2)
-        assert got == pytest.approx([float(w) for w in want], abs=1e-9)
-        assert got == pytest.approx(list(DERIVED_COEFFS), abs=1e-9)
+        assert model.coeffs == pytest.approx([float(w) for w in want], abs=1e-9)
+        assert model.coeffs == pytest.approx(list(DERIVED_COEFFS), abs=1e-9)
+
+    def test_degree_ten_matches_oracle(self):
+        xs = tuple(1.0 + 0.75 * i for i in range(15))
+        ys = tuple(math.sin(x) + 0.1 * x for x in xs)
+        model, _ = fit_polynomial(Series(xs, ys), 10)
+        assert max_rel_err(model.coeffs, normal_equations_fit(xs, ys, 10)) <= 1e-8
 
     def test_underdetermined(self):
-        with pytest.raises(Underdetermined):
-            solve_least_squares([[1, 2, 4]], [3])
+        # One observation cannot determine three coefficients.
+        with pytest.raises(InsufficientData):
+            fit_polynomial(Series((3,), (3,)), 2)
 
     def test_empty(self):
-        with pytest.raises(Underdetermined):
-            solve_least_squares([], [])
-
-    def test_rank_deficient(self):
-        # Two identical columns can never have full column rank.
-        with pytest.raises(RankDeficient):
-            solve_least_squares([[1, 1], [2, 2], [3, 3]], [1, 2, 3])
+        with pytest.raises(ValueError):
+            fit_polynomial(Series((), ()), 1)
 
     def test_rhs_length_mismatch(self):
         with pytest.raises(ValueError):
-            solve_least_squares([[1], [1]], [1, 2, 3])
+            fit_polynomial(Series((0, 1), (1, 2, 3)), 1)
+
+    def test_rank_deficient(self):
+        # Two x values 1e-13 apart cannot resolve both the slope and the curvature.
+        with pytest.raises(RankDeficient):
+            fit_polynomial(Series((0, 1e-13, 1), (0.0, 1.0, 2.0)), 2)
+
+    @pytest.mark.parametrize("xs, degree", [
+        ((0, 1e-12, 2e-12, 1), 3),
+        (tuple(i * 1e-6 for i in range(10)) + (1,), 10),
+    ], ids=["three-in-a-cluster", "ten-in-a-cluster"])
+    def test_rank_deficient_cluster(self, xs, degree):
+        ys = tuple(float(i % 3) for i in range(len(xs)))
+        with pytest.raises(RankDeficient):
+            fit_polynomial(Series(xs, ys), degree)
+
+    @pytest.mark.parametrize("xs, degree", [
+        (tuple(range(11)), 10),
+        ((0, 1, 2, 3, 4, 4 + 1e-9), 5),
+    ], ids=["eleven-spaced", "near-pair-within-tolerance"])
+    def test_near_degenerate_still_fits(self, xs, degree):
+        ys = tuple(float(i % 3) for i in range(len(xs)))
+        model, _ = fit_polynomial(Series(xs, ys), degree)
+        assert model.degree == degree
 
 
 class TestFitPolynomial:
