@@ -12,41 +12,19 @@ from .errors import (
     InsufficientData,
     InvalidDegree,
     InvalidEncoding,
-    InvalidSampleCount,
     MalformedRow,
     MissingColumn,
     NonNumericValue,
     NotQuadratic,
+    NumericalOverflow,
     QuadfitError,
     RankDeficient,
     UndefinedRSquared,
 )
-from .fitting import (
-    DEFAULT_DEGREE,
-    RANK_TOLERANCE,
-    DomainWindow,
-    PolynomialModel,
-    Series,
-    convert_domain,
-    eval_poly,
-    fit_polynomial,
-    sample_curve,
-)
-from .ingest import CsvSchema, parse_csv, series_to_csv, validate_series
-from .metrics import (
-    FitReport,
-    fit_report,
-    r_squared,
-    residuals,
-    total_sum_of_squares,
-)
-from .plot import (
-    PlotSpec,
-    format_equation,
-    month_ticks,
-    plot_geometry,
-    render_plot,
-)
+from .fitting import DomainWindow, PolynomialModel, Series, eval_poly, fit_polynomial
+from .ingest import CsvSchema, parse_csv
+from .metrics import FitReport, fit_report, r_squared
+from .plot import PlotSpec, format_equation, render_plot
 from .quadratic import (
     RootSet,
     VertexForm,
@@ -61,7 +39,6 @@ __version__ = "1.0.0"
 __all__ = [
     "CsvError",
     "CsvSchema",
-    "DEFAULT_DEGREE",
     "DegenerateAbscissa",
     "DomainWindow",
     "EmptyData",
@@ -69,38 +46,28 @@ __all__ = [
     "InsufficientData",
     "InvalidDegree",
     "InvalidEncoding",
-    "InvalidSampleCount",
     "MalformedRow",
     "MissingColumn",
     "NonNumericValue",
     "NotQuadratic",
+    "NumericalOverflow",
     "PlotSpec",
     "PolynomialModel",
     "QuadfitError",
-    "RANK_TOLERANCE",
     "RankDeficient",
     "RootSet",
     "Series",
     "UndefinedRSquared",
     "VertexForm",
-    "convert_domain",
     "discriminant",
     "eval_poly",
     "fit_polynomial",
     "fit_report",
     "format_equation",
     "from_vertex_form",
-    "month_ticks",
     "parse_csv",
-    "plot_geometry",
     "quadratic_roots",
     "r_squared",
     "render_plot",
-    "residuals",
-    "sample_curve",
-    "series_to_csv",
     "to_vertex_form",
-    "total_sum_of_squares",
-    "validate_series",
-    "__version__",
 ]

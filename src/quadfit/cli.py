@@ -29,7 +29,7 @@ def _degree(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="quadfit",
         description="Fit a low-degree polynomial to two-column CSV data, "
@@ -55,11 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="y column name (default: %(default)s)")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
-    return parser
-
-
-def parse_args(argv=None) -> argparse.Namespace:
-    return build_parser().parse_args(argv)
+    return parser.parse_args(argv)
 
 
 def format_report(model: PolynomialModel, report: FitReport) -> str:

@@ -30,8 +30,8 @@ class DegenerateAbscissa(QuadfitError):
     """Too few distinct x values (or all x equal, so no data window)."""
 
 
-class InvalidSampleCount(QuadfitError):
-    """Curve sampling needs at least two points."""
+class NumericalOverflow(QuadfitError):
+    """Finite input whose x span, coefficients or sums of squares overflow a float."""
 
 
 # -- quadratic analysis ----------------------------------------------------

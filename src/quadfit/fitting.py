@@ -11,7 +11,8 @@ square the condition number.  Coefficients are always stored in
 ascending powers, so ``coeffs[0]`` is the constant term.
 
 All arithmetic is 64-bit binary floating point; no external math library
-is used anywhere in the package.
+is used anywhere in the package.  Finite input that the fit cannot hold
+in floats raises NumericalOverflow.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     DegenerateAbscissa,
     InsufficientData,
     InvalidDegree,
-    InvalidSampleCount,
+    NumericalOverflow,
     RankDeficient,
 )
 
@@ -167,7 +168,7 @@ def _validation_error(series: Series, degree: int):
         return DegenerateAbscissa(
             f"degree {degree} needs {degree + 1} distinct x values, got {distinct}"
         )
-    if min(series.xs) == max(series.xs):
+    if distinct == 1:
         return DegenerateAbscissa("all x values are equal; data window is undefined")
     return None
 
@@ -184,6 +185,7 @@ def fit_polynomial(series: Series, degree: int = DEFAULT_DEGREE) -> tuple[Polyno
         InvalidDegree, InsufficientData, DegenerateAbscissa: unfittable input.
         RankDeficient: x values too clustered for the degree (pathological
             spacing).
+        NumericalOverflow: the x span, a sum or a coefficient overflows a float.
     """
     err = _validation_error(series, degree)
     if err is not None:
@@ -192,8 +194,16 @@ def fit_polynomial(series: Series, degree: int = DEFAULT_DEGREE) -> tuple[Polyno
     window = DomainWindow(min(series.xs), max(series.xs))
     span = window.x_max - window.x_min
     ts = [(2.0 * x - window.x_min - window.x_max) / span for x in series.xs]
-    scaled = _orthogonal_fit(ts, series.ys, degree)
-    return PolynomialModel(tuple(convert_domain(scaled, window))), window
+    try:
+        scaled = _orthogonal_fit(ts, series.ys, degree)
+        return PolynomialModel(tuple(convert_domain(scaled, window))), window
+    except (OverflowError, ValueError):
+        # An infinite span makes ts NaN, and so the coefficients, which
+        # PolynomialModel rejects with ValueError.  math.fsum raises
+        # OverflowError past the float range and ValueError on inf - inf.
+        raise NumericalOverflow(
+            "the fit overflows a float; the x or y values are too large"
+        ) from None
 
 
 def convert_domain(scaled_coeffs, window: DomainWindow) -> list[float]:
@@ -218,19 +228,3 @@ def convert_domain(scaled_coeffs, window: DomainWindow) -> list[float]:
         out = nxt
     return out
 
-
-def sample_curve(model: PolynomialModel, x_min: float, x_max: float, n: int = 200) -> list[tuple[float, float]]:
-    """n points on the fitted curve, x equally spaced over [x_min, x_max].
-
-    Both endpoints are hit exactly.
-    """
-    if n < 2:
-        raise InvalidSampleCount(f"need at least 2 samples, got {n}")
-    if not x_min < x_max:
-        raise ValueError(f"empty sampling interval [{x_min}, {x_max}]")
-    step = (x_max - x_min) / (n - 1)
-    points = []
-    for i in range(n):
-        x = x_max if i == n - 1 else x_min + i * step
-        points.append((x, eval_poly(model, x)))
-    return points

@@ -107,19 +107,6 @@ def parse_csv(data, schema: CsvSchema = CsvSchema()) -> Series:
     return Series(tuple(xs), tuple(ys))
 
 
-def series_to_csv(series: Series, schema: CsvSchema = CsvSchema()) -> str:
-    """Serialize a Series back to CSV text (round-trips through parse_csv).
-
-    Values are written with repr, which is exact for floats.
-    """
-    out = io.StringIO()
-    writer = csv.writer(out, delimiter=schema.delimiter, lineterminator="\n")
-    writer.writerow([schema.x_column, schema.y_column])
-    for x, y in zip(series.xs, series.ys):
-        writer.writerow([repr(x), repr(y)])
-    return out.getvalue()
-
-
 def validate_series(series: Series, degree: int) -> QuadfitError | None:
     """Check that a series can support a degree-d fit.
 

@@ -1,8 +1,9 @@
-"""Residual diagnostics and the coefficient of determination.
+"""Sums of squares and the coefficient of determination.
 
 Sums of squares use math.fsum (exact compensated summation), and the total
 sum of squares is computed on deviations from the first observation so that
-constant data yields ss_tot == 0.0 exactly, not rounding dust.
+constant data yields ss_tot == 0.0 exactly, not rounding dust.  A sum that
+leaves the float range raises NumericalOverflow.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import UndefinedRSquared
+from .errors import NumericalOverflow, UndefinedRSquared
 from .fitting import PolynomialModel, Series, eval_poly
 
 # With constant data, residual mass up to this bound per observation still
@@ -20,18 +21,23 @@ CONSTANT_DATA_RESIDUAL_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class FitReport:
-    """Model plus its residual diagnostics on the data it was fitted to."""
+    """Residual diagnostics of a model on the data it was fitted to."""
 
-    model: PolynomialModel
     ss_res: float
     ss_tot: float
     r_squared: float
     n: int
 
 
-def residuals(model: PolynomialModel, series: Series) -> list[float]:
-    """Observed minus predicted, per observation."""
-    return [y - eval_poly(model, x) for x, y in zip(series.xs, series.ys)]
+def _finite_fsum(values) -> float:
+    """math.fsum of values, or NumericalOverflow when it is not finite."""
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise NumericalOverflow("a sum of squares overflows a float; the values are too large")
+    return total
 
 
 def total_sum_of_squares(ys) -> float:
@@ -41,8 +47,8 @@ def total_sum_of_squares(ys) -> float:
     invariant), which makes the result exactly zero for constant input.
     """
     shifted = [y - ys[0] for y in ys]
-    mean = math.fsum(shifted) / len(shifted)
-    return math.fsum((d - mean) ** 2 for d in shifted)
+    mean = _finite_fsum(shifted) / len(shifted)
+    return _finite_fsum((d - mean) ** 2 for d in shifted)
 
 
 def _r_squared_from_sums(ss_res: float, ss_tot: float, n: int) -> float:
@@ -65,17 +71,21 @@ def r_squared(series: Series, fitted) -> float:
     """
     if len(fitted) != len(series):
         raise ValueError(f"{len(fitted)} fitted values for {len(series)} observations")
-    ss_res = math.fsum((y - f) ** 2 for y, f in zip(series.ys, fitted))
+    ss_res = _finite_fsum((y - f) ** 2 for y, f in zip(series.ys, fitted))
     return _r_squared_from_sums(ss_res, total_sum_of_squares(series.ys), len(series))
 
 
 def fit_report(model: PolynomialModel, series: Series) -> FitReport:
-    """Bundle ss_res, ss_tot and R^2 for a model on its data."""
-    ss_res = math.fsum((y - eval_poly(model, x)) ** 2
-                       for x, y in zip(series.xs, series.ys))
+    """Bundle ss_res, ss_tot and R^2 for a model on its data.
+
+    Raises:
+        NumericalOverflow: a sum of squares leaves the float range.
+        UndefinedRSquared: constant data that the model does not reproduce.
+    """
+    ss_res = _finite_fsum((y - eval_poly(model, x)) ** 2
+                          for x, y in zip(series.xs, series.ys))
     ss_tot = total_sum_of_squares(series.ys)
     return FitReport(
-        model=model,
         ss_res=ss_res,
         ss_tot=ss_tot,
         r_squared=_r_squared_from_sums(ss_res, ss_tot, len(series)),

@@ -3,9 +3,11 @@
 The layout mirrors the usual monthly-series chart: black data markers, a
 purple fitted curve, month names on the x axis when the data covers (part
 of) a calendar year, a two-line title, and a legend carrying the fitted
-equation and R^2.  Output depends only on the inputs: fixed colors, fixed
-fonts by family name, and fixed 2-decimal coordinate formatting, so equal
-inputs give byte-identical documents.
+equation and R^2.  The curve is sampled once per figure, and the axes
+and data-to-pixel transform come from those samples and the data.  Output
+depends only on the inputs: fixed colors, fixed fonts by family name, and
+fixed 2-decimal coordinate formatting, so equal inputs give byte-identical
+documents.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
-from .fitting import PolynomialModel, Series, sample_curve
+from .fitting import PolynomialModel, Series, eval_poly
 from .metrics import FitReport
 
 MONTH_LABELS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
@@ -70,11 +72,6 @@ class PlotGeometry:
         px = self.left + (x - self.x_lo) / (self.x_hi - self.x_lo) * self.width
         py = self.top + self.height - (y - self.y_lo) / (self.y_hi - self.y_lo) * self.height
         return px, py
-
-    def to_data(self, px: float, py: float) -> tuple[float, float]:
-        x = self.x_lo + (px - self.left) / self.width * (self.x_hi - self.x_lo)
-        y = self.y_lo + (self.top + self.height - py) / self.height * (self.y_hi - self.y_lo)
-        return x, y
 
 
 def format_equation(model: PolynomialModel, r_squared: float) -> str:
@@ -135,16 +132,24 @@ def _padded(lo: float, hi: float) -> tuple[float, float]:
     return lo - AXIS_PADDING * span, hi + AXIS_PADDING * span
 
 
-def plot_geometry(series: Series, model: PolynomialModel, spec: PlotSpec) -> PlotGeometry:
+def sample_curve(model: PolynomialModel, x_min: float, x_max: float, n: int) -> list[tuple[float, float]]:
+    """n >= 2 points on the curve, x equally spaced over [x_min, x_max].
+
+    Both endpoints are hit exactly.
+    """
+    step = (x_max - x_min) / (n - 1)
+    xs = [x_min + i * step for i in range(n - 1)] + [x_max]
+    return [(x, eval_poly(model, x)) for x in xs]
+
+
+def plot_geometry(series: Series, curve: list[tuple[float, float]], spec: PlotSpec) -> PlotGeometry:
     """Axis bounds and transform used by render_plot for these inputs.
 
-    Axes cover the data and the sampled curve (the curve can leave the
-    data's y range), padded by AXIS_PADDING on each side.
+    Axes cover the data and the curve from sample_curve, whose end points
+    are the data's x range, padded by AXIS_PADDING on each side.
     """
-    x_min, x_max = min(series.xs), max(series.xs)
-    curve = sample_curve(model, x_min, x_max, spec.curve_samples)
     y_values = list(series.ys) + [y for _, y in curve]
-    x_lo, x_hi = _padded(x_min, x_max)
+    x_lo, x_hi = _padded(curve[0][0], curve[-1][0])
     y_lo, y_hi = _padded(min(y_values), max(y_values))
     return PlotGeometry(
         x_lo=x_lo, x_hi=x_hi, y_lo=y_lo, y_hi=y_hi,
@@ -160,9 +165,9 @@ def _fmt(v: float) -> str:
 
 def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec: PlotSpec) -> str:
     """Render the figure to a standalone SVG 1.1 document (as a string)."""
-    geo = plot_geometry(series, model, spec)
     x_min, x_max = min(series.xs), max(series.xs)
     curve = sample_curve(model, x_min, x_max, spec.curve_samples)
+    geo = plot_geometry(series, curve, spec)
     right = geo.left + geo.width
     bottom = geo.top + geo.height
 
@@ -191,8 +196,7 @@ def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec:
                f'width="{_fmt(geo.width)}" height="{_fmt(geo.height)}" '
                f'fill="none" stroke="{FRAME_COLOR}" stroke-width="1"/>')
 
-    points = " ".join(f"{_fmt(geo.to_px(x, y)[0])},{_fmt(geo.to_px(x, y)[1])}"
-                      for x, y in curve)
+    points = " ".join(",".join(map(_fmt, geo.to_px(x, y))) for x, y in curve)
     out.append(f'<polyline id="fitted-curve" fill="none" stroke="{CURVE_COLOR}" '
                f'stroke-width="2" points="{points}"/>')
 

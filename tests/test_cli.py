@@ -8,7 +8,7 @@ from conftest import DERIVED_XS, DERIVED_YS
 
 from quadfit import FitReport, PolynomialModel, Series, eval_poly
 from quadfit import cli
-from quadfit.cli import build_parser, format_report, main, parse_args
+from quadfit.cli import format_report, main, parse_args
 
 DERIVED_CSV = "Month,Values\n1,1\n2,4\n3,9\n4,17\n"
 
@@ -60,16 +60,14 @@ class TestParseArgs:
         assert capsys.readouterr().err != ""
 
     def test_degree_bounds_accepted(self):
-        parser = build_parser()
-        assert parser.parse_args(["-i", "f", "--degree", "1"]).degree == 1
-        assert parser.parse_args(["-i", "f", "--degree", "10"]).degree == 10
+        assert parse_args(["-i", "f", "--degree", "1"]).degree == 1
+        assert parse_args(["-i", "f", "--degree", "10"]).degree == 10
 
 
 class TestFormatReport:
     def _report(self, coeffs):
         model = PolynomialModel(coeffs)
-        return model, FitReport(model=model, ss_res=0.25, ss_tot=4.0,
-                                r_squared=0.9375, n=5)
+        return model, FitReport(ss_res=0.25, ss_tot=4.0, r_squared=0.9375, n=5)
 
     def test_degree_two_field_order(self):
         model, report = self._report((6.0, -5.0, 1.0))
@@ -106,8 +104,7 @@ class TestFormatReport:
 
     def test_degree_one_has_no_quadratic_fields(self):
         model = PolynomialModel((1.0, 2.0))
-        report = FitReport(model=model, ss_res=0.0, ss_tot=1.0,
-                           r_squared=1.0, n=3)
+        report = FitReport(ss_res=0.0, ss_tot=1.0, r_squared=1.0, n=3)
         keys = [line.partition("=")[0]
                 for line in format_report(model, report).splitlines()]
         assert keys == ["degree", "coeff[0]", "coeff[1]",
@@ -223,6 +220,19 @@ class TestFailureModes:
         assert main([]) == 1
         assert capsys.readouterr().err == \
             "quadfit: InvalidDegree: degree must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize("csv_text", [
+        "Month,Values\n-1e308,1\n0,3\n1e308,2\n5e307,7\n",
+        "Month,Values\n1,1e200\n2,-1e200\n3,1e200\n4,-1e200\n",
+        "Month,Values\n1,1e300\n2,-1e300\n3,1e300\n4,-1e300\n",
+    ], ids=["x-1e308", "y-1e200", "y-1e300"])
+    def test_huge_finite_input(self, tmp_path, capsys, csv_text):
+        # Every value is a finite float, but the x span or the sums of
+        # squares leave the float range.
+        assert main(["-i", write_csv(tmp_path, csv_text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("quadfit: NumericalOverflow: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_diagnostic_is_single_line(self, tmp_path, capsys):
         path = write_csv(tmp_path, "Month,Values\n1,10\n2,12\n")

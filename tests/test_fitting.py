@@ -13,15 +13,13 @@ from quadfit import (
     DomainWindow,
     InsufficientData,
     InvalidDegree,
-    InvalidSampleCount,
     PolynomialModel,
     RankDeficient,
     Series,
-    convert_domain,
     eval_poly,
     fit_polynomial,
-    sample_curve,
 )
+from quadfit.fitting import convert_domain
 
 
 class TestSeries:
@@ -257,31 +255,6 @@ class TestConvertDomain:
         want = eval_poly(PolynomialModel(tuple(scaled)), t_of_x)
         got = eval_poly(PolynomialModel(tuple(q)), x)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
-
-
-class TestSampleCurve:
-    def test_three_point_identity_line(self):
-        got = sample_curve(PolynomialModel((0, 1)), 1, 12, 3)
-        assert got == [(1.0, 1.0), (6.5, 6.5), (12.0, 12.0)]
-
-    def test_default_200_points(self):
-        pts = sample_curve(PolynomialModel((0, 1)), 1, 12)
-        assert len(pts) == 200
-        assert pts[0][0] == 1.0 and pts[-1][0] == 12.0
-        spacing = 11.0 / 199.0
-        for i in range(1, 199):
-            assert pts[i][0] == pytest.approx(1.0 + i * spacing, abs=1e-12)
-
-    def test_two_points_square(self):
-        assert sample_curve(PolynomialModel((0, 0, 1)), 0, 1, 2) == [(0.0, 0.0), (1.0, 1.0)]
-
-    def test_too_few_samples(self):
-        with pytest.raises(InvalidSampleCount):
-            sample_curve(PolynomialModel((1,)), 0, 1, 1)
-
-    def test_empty_interval(self):
-        with pytest.raises(ValueError):
-            sample_curve(PolynomialModel((1,)), 2, 2, 5)
 
 
 class TestDomainWindow:

@@ -24,29 +24,8 @@ from quadfit import (
     fit_polynomial,
     fit_report,
     r_squared,
-    residuals,
-    total_sum_of_squares,
 )
-
-
-class TestResiduals:
-    def test_perfect_fit_all_zero(self):
-        xs = (1.0, 2.0, 3.0)
-        model = PolynomialModel((1.0, 2.0))  # y = 1 + 2x
-        series = Series(xs, tuple(eval_poly(model, x) for x in xs))
-        assert residuals(model, series) == [0.0, 0.0, 0.0]
-
-    def test_zero_model(self):
-        series = Series((1, 2, 3), (1, 2, 3))
-        assert residuals(PolynomialModel((0,)), series) == [1.0, 2.0, 3.0]
-
-    def test_fixed_dataset_matches_oracle(self, derived_series):
-        model, _ = fit_polynomial(derived_series, 2)
-        _, want, _, _, _ = exact_report(DERIVED_XS, DERIVED_YS, 2)
-        got = residuals(model, derived_series)
-        assert got == pytest.approx([float(w) for w in want], abs=1e-9)
-        # Frozen from the oracle: (-1/20, 3/20, -3/20, 1/20).
-        assert got == pytest.approx([-0.05, 0.15, -0.15, 0.05], abs=1e-9)
+from quadfit.metrics import total_sum_of_squares
 
 
 class TestTotalSumOfSquares:

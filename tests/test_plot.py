@@ -13,12 +13,10 @@ from quadfit import (
     fit_polynomial,
     fit_report,
     format_equation,
-    month_ticks,
     parse_csv,
-    plot_geometry,
     render_plot,
-    sample_curve,
 )
+from quadfit.plot import month_ticks, plot_geometry, sample_curve
 
 SPEC = PlotSpec(description="Kyiv, Shcherbakovskaya St.",
                 metric_name="PM2.5",
@@ -31,6 +29,12 @@ def quadratic_year():
     series = Series(xs, ys)
     model, _ = fit_polynomial(series, 2)
     return series, model, fit_report(model, series)
+
+
+def geometry(series: Series, model: PolynomialModel, spec: PlotSpec):
+    """The curve samples and transform render_plot uses for these inputs."""
+    curve = sample_curve(model, min(series.xs), max(series.xs), spec.curve_samples)
+    return curve, plot_geometry(series, curve, spec)
 
 
 def render_sample(path) -> tuple[str, Series, PolynomialModel]:
@@ -70,6 +74,23 @@ class TestFormatEquation:
         got = format_equation(PolynomialModel((1.0, 2.0, 3.0, 4.0)), 0.0)
         assert got.splitlines()[0] == \
             "Fitted curve: 4.0000x^3 + 3.0000x^2 + 2.0000x + 1.0000"
+
+
+class TestSampleCurve:
+    def test_three_point_identity_line(self):
+        got = sample_curve(PolynomialModel((0, 1)), 1, 12, 3)
+        assert got == [(1.0, 1.0), (6.5, 6.5), (12.0, 12.0)]
+
+    def test_default_200_points(self):
+        pts = sample_curve(PolynomialModel((0, 1)), 1, 12, SPEC.curve_samples)
+        assert len(pts) == 200
+        assert pts[0][0] == 1.0 and pts[-1][0] == 12.0
+        spacing = 11.0 / 199.0
+        for i in range(1, 199):
+            assert pts[i][0] == pytest.approx(1.0 + i * spacing, abs=1e-12)
+
+    def test_two_points_square(self):
+        assert sample_curve(PolynomialModel((0, 0, 1)), 0, 1, 2) == [(0.0, 0.0), (1.0, 1.0)]
 
 
 class TestMonthTicks:
@@ -123,11 +144,11 @@ class TestRenderPlot:
         polyline = dom.getElementsByTagName("polyline")[0]
         points = polyline.getAttribute("points").split()
         assert len(points) == SPEC.curve_samples
-        geo = plot_geometry(series, model, SPEC)
+        _, geo = geometry(series, model, SPEC)
         first_px = float(points[0].split(",")[0])
         last_px = float(points[-1].split(",")[0])
-        assert abs(geo.to_data(first_px, 0)[0] - 1.0) < 0.01
-        assert abs(geo.to_data(last_px, 0)[0] - 12.0) < 0.01
+        assert abs(first_px - geo.to_px(1.0, 0)[0]) < 0.01
+        assert abs(last_px - geo.to_px(12.0, 0)[0]) < 0.01
 
     def test_legend_r_squared_line(self):
         series, model, report = quadratic_year()
@@ -160,7 +181,7 @@ class TestRenderPlot:
                  if g.getAttribute("id") == "data-points"][0]
         circles = group.getElementsByTagName("circle")
         assert len(circles) == len(series)
-        geo = plot_geometry(series, model, SPEC)
+        _, geo = geometry(series, model, SPEC)
         for circle, x, y in zip(circles, series.xs, series.ys):
             px, py = geo.to_px(x, y)
             assert circle.getAttribute("cx") == f"{px:.2f}"
@@ -169,18 +190,10 @@ class TestRenderPlot:
             assert abs(float(circle.getAttribute("cx")) - px) <= 0.5
             assert abs(float(circle.getAttribute("cy")) - py) <= 0.5
 
-    def test_transform_round_trip(self):
-        series, model, _ = quadratic_year()
-        geo = plot_geometry(series, model, SPEC)
-        for x, y in zip(series.xs, series.ys):
-            gx, gy = geo.to_data(*geo.to_px(x, y))
-            assert abs(gx - x) <= 1e-9 and abs(gy - y) <= 1e-6
-
     def test_everything_inside_plot_area(self):
         series, model, report = quadratic_year()
-        geo = plot_geometry(series, model, SPEC)
-        for x, y in list(zip(series.xs, series.ys)) + sample_curve(
-                model, min(series.xs), max(series.xs), SPEC.curve_samples):
+        curve, geo = geometry(series, model, SPEC)
+        for x, y in list(zip(series.xs, series.ys)) + curve:
             px, py = geo.to_px(x, y)
             assert geo.left - 0.01 <= px <= geo.left + geo.width + 0.01
             assert geo.top - 0.01 <= py <= geo.top + geo.height + 0.01
@@ -219,10 +232,18 @@ class TestRenderPlot:
         series = Series((1.0, 2.0, 3.0, 4.0), (5.0, 5.0, 5.0, 5.0))
         model, _ = fit_polynomial(series, 2)
         report = fit_report(model, series)
-        geo = plot_geometry(series, model, PlotSpec("", "", ""))
+        _, geo = geometry(series, model, PlotSpec("", "", ""))
         assert geo.y_lo < 5.0 < geo.y_hi
         xml.dom.minidom.parseString(render_plot(series, model, report,
                                                 PlotSpec("", "", "")))
+
+    def test_all_x_equal_raises(self):
+        # No fit accepts such a series, but render_plot takes any model.
+        series = Series((3.0, 3.0, 3.0), (1.0, 2.0, 3.0))
+        model = PolynomialModel((2.0,))
+        report = fit_report(model, series)
+        with pytest.raises(ValueError):
+            render_plot(series, model, report, SPEC)
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):
