@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import __version__
 from .errors import CsvError, QuadfitError
@@ -97,14 +96,16 @@ def run(args: argparse.Namespace) -> None:
     if args.report == "-":
         sys.stdout.write(text)
     else:
-        Path(args.report).write_text(text, encoding="utf-8")
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
     if args.svg is not None:
         spec = PlotSpec(description=args.description,
                         metric_name=args.metric,
                         y_label=args.y_label)
-        Path(args.svg).write_text(render_plot(series, model, report, spec),
-                                  encoding="utf-8")
+        svg = render_plot(series, model, report, spec)
+        with open(args.svg, "w", encoding="utf-8") as fh:
+            fh.write(svg)
 
 
 def main(argv=None) -> int:

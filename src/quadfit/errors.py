@@ -61,13 +61,16 @@ class MissingColumn(CsvError):
 
 
 class MalformedRow(CsvError):
-    """A data row has the wrong number of fields."""
+    """A data row has the wrong number of fields, or the csv module cannot
+    split the header (row 0) or a data row into fields, for ``reason``."""
 
-    def __init__(self, row: int, expected: int, got: int):
+    def __init__(self, row: int, expected: int | None = None, got: int | None = None,
+                 reason: str | None = None):
         self.row = row
         self.expected = expected
         self.got = got
-        super().__init__(f"row {row}: expected {expected} fields, got {got}")
+        where = f"row {row}" if row else "header"
+        super().__init__(f"{where}: {reason or f'expected {expected} fields, got {got}'}")
 
 
 class NonNumericValue(CsvError):

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import (
     DegenerateAbscissa,
     InsufficientData,
@@ -38,7 +38,7 @@ RANK_TOLERANCE = 1e-10
 DEFAULT_DEGREE = 2
 
 
-@dataclass(frozen=True)
+@record
 class Series:
     """Paired observation vectors: abscissa (e.g. month index) and value.
 
@@ -66,7 +66,7 @@ class Series:
         return len(self.xs)
 
 
-@dataclass(frozen=True)
+@record
 class PolynomialModel:
     """Polynomial in ascending-power coefficient order.
 
@@ -88,7 +88,7 @@ class PolynomialModel:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
+@record
 class DomainWindow:
     """Abscissa bounds of the data a model was fitted on."""
 

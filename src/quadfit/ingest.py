@@ -10,8 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import (
     EmptyData,
     InvalidEncoding,
@@ -23,7 +23,7 @@ from .errors import (
 from .fitting import Series, _validation_error
 
 
-@dataclass(frozen=True)
+@record
 class CsvSchema:
     """Which columns hold the abscissa and the value, and the delimiter."""
 
@@ -61,7 +61,8 @@ def parse_csv(data, schema: CsvSchema = CsvSchema()) -> Series:
         InvalidEncoding: input is not UTF-8.
         MissingColumn: a schema column is absent from the header.
         EmptyData: no header or no data rows.
-        MalformedRow: a row's field count differs from the header's.
+        MalformedRow: a row's field count differs from the header's, or
+            the csv module cannot split the header or a row into fields.
         NonNumericValue: a selected cell is blank, non-numeric or non-finite.
     """
     if hasattr(data, "read"):
@@ -77,7 +78,7 @@ def parse_csv(data, schema: CsvSchema = CsvSchema()) -> Series:
     except StopIteration:
         raise EmptyData("input has no header row") from None
     except csv.Error as exc:
-        raise MalformedRow(0, 0, 0) from exc
+        raise MalformedRow(0, reason=str(exc)) from exc
 
     names = [cell.strip() for cell in header]
     for column in (schema.x_column, schema.y_column):
@@ -95,7 +96,7 @@ def parse_csv(data, schema: CsvSchema = CsvSchema()) -> Series:
         except StopIteration:
             break
         except csv.Error as exc:
-            raise MalformedRow(row_num + 1, len(names), 0) from exc
+            raise MalformedRow(row_num + 1, reason=str(exc)) from exc
         row_num += 1
         if len(row) != len(names):
             raise MalformedRow(row_num, len(names), len(row))

@@ -9,8 +9,8 @@ leaves the float range raises NumericalOverflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import NumericalOverflow, UndefinedRSquared
 from .fitting import PolynomialModel, Series, eval_poly
 
@@ -19,7 +19,7 @@ from .fitting import PolynomialModel, Series, eval_poly
 CONSTANT_DATA_RESIDUAL_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class FitReport:
     """Residual diagnostics of a model on the data it was fitted to."""
 

@@ -13,9 +13,8 @@ documents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
+from ._record import record
 from .fitting import PolynomialModel, Series, eval_poly
 from .metrics import FitReport
 
@@ -37,7 +36,7 @@ _MARGIN_TOP = 70.0
 _MARGIN_BOTTOM = 60.0
 
 
-@dataclass(frozen=True)
+@record
 class PlotSpec:
     """User-facing labels and render parameters for the figure."""
 
@@ -55,7 +54,7 @@ class PlotSpec:
             raise ValueError("curve_samples must be at least 2")
 
 
-@dataclass(frozen=True)
+@record
 class PlotGeometry:
     """Axis bounds plus the affine data-to-pixel transform of a figure."""
 
@@ -163,6 +162,11 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _escape(text: str) -> str:
+    """Escape &, < and > for SVG text content, as xml.sax.saxutils.escape does."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec: PlotSpec) -> str:
     """Render the figure to a standalone SVG 1.1 document (as a string)."""
     x_min, x_max = min(series.xs), max(series.xs)
@@ -213,7 +217,7 @@ def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec:
         out.append(f'<line x1="{_fmt(px)}" y1="{_fmt(bottom)}" '
                    f'x2="{_fmt(px)}" y2="{_fmt(bottom + 5)}" stroke="black"/>')
         out.append(f'<text x="{_fmt(px)}" y="{_fmt(bottom + 20)}" '
-                   f'text-anchor="middle">{escape(label)}</text>')
+                   f'text-anchor="middle">{_escape(label)}</text>')
     for pos in yticks:
         _px, py = geo.to_px(geo.x_lo, pos)
         out.append(f'<line x1="{_fmt(geo.left - 5)}" y1="{_fmt(py)}" '
@@ -229,11 +233,11 @@ def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec:
                f'text-anchor="middle">Month</text>')
     out.append(f'<text x="22" y="{_fmt(geo.top + geo.height / 2.0)}" font-size="15" '
                f'text-anchor="middle" transform="rotate(-90 22 '
-               f'{_fmt(geo.top + geo.height / 2.0)})">{escape(spec.y_label)}</text>')
+               f'{_fmt(geo.top + geo.height / 2.0)})">{_escape(spec.y_label)}</text>')
     out.append(f'<text x="{_fmt(cx)}" y="28" font-size="18" '
-               f'text-anchor="middle">{escape(spec.metric_name)} by Month in</text>')
+               f'text-anchor="middle">{_escape(spec.metric_name)} by Month in</text>')
     out.append(f'<text x="{_fmt(cx)}" y="50" font-size="18" '
-               f'text-anchor="middle">{escape(spec.description)}</text>')
+               f'text-anchor="middle">{_escape(spec.description)}</text>')
     out.append('</g>')
 
     out.append(_legend(model, report, geo))
@@ -262,6 +266,6 @@ def _legend(model: PolynomialModel, report: FitReport, geo: PlotGeometry) -> str
                f'stroke="{CURVE_COLOR}" stroke-width="2"/>')
     for text, ry in zip(rows, rows_y):
         out.append(f'<text x="{_fmt(x0 + 42)}" y="{_fmt(ry + 5)}" '
-                   f'fill="black">{escape(text)}</text>')
+                   f'fill="black">{_escape(text)}</text>')
     out.append('</g>')
     return "\n".join(out)

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import pytest
 
@@ -233,6 +234,16 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith("quadfit: NumericalOverflow: ")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_quadratic_structure_overflow(self, tmp_path, capsys):
+        # The fit and its sums of squares are finite, but b*b in the
+        # discriminant and the vertex k is not.
+        csv_text = "Month,Values\n0,1e152\n0.01,-2e152\n0.03,1e152\n"
+        assert main(["-i", write_csv(tmp_path, csv_text)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("quadfit: NumericalOverflow: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert re.search(r"\b(nan|inf)\b", out) is None
 
     def test_diagnostic_is_single_line(self, tmp_path, capsys):
         path = write_csv(tmp_path, "Month,Values\n1,10\n2,12\n")

@@ -68,6 +68,18 @@ class TestParseCsv:
         assert exc.value.row == 2
         assert (exc.value.expected, exc.value.got) == (2, 1)
 
+    @pytest.mark.parametrize("text, row, where", [
+        (f'"{"M" * 131073}",Values\n1,2\n', 0, "header: "),
+        (f'Month,Values\n"{"1" * 131073}",2\n', 1, "row 1: "),
+    ], ids=["header", "data-row"])
+    def test_csv_error_names_row_and_reason(self, text, row, where):
+        # A quoted field past csv.field_size_limit() is a csv.Error, which
+        # must reach the user with csv's own reason, not a field count.
+        with pytest.raises(MalformedRow) as exc:
+            parse(text)
+        assert exc.value.row == row
+        assert str(exc.value) == where + "field larger than field limit (131072)"
+
     def test_empty_input(self):
         with pytest.raises(EmptyData):
             parse("")

@@ -1,7 +1,10 @@
 import os
 import xml.dom.minidom
+from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracle import exact_report
 from conftest import DERIVED_XS, DERIVED_YS
@@ -16,7 +19,7 @@ from quadfit import (
     parse_csv,
     render_plot,
 )
-from quadfit.plot import month_ticks, plot_geometry, sample_curve
+from quadfit.plot import _escape, month_ticks, plot_geometry, sample_curve
 
 SPEC = PlotSpec(description="Kyiv, Shcherbakovskaya St.",
                 metric_name="PM2.5",
@@ -221,6 +224,10 @@ class TestRenderPlot:
         svg = render_plot(series, model, report, spec)
         dom = xml.dom.minidom.parseString(svg)  # would fail on raw & or <
         assert "A & B <Street>" in texts_of(dom)
+
+    @given(text=st.text() | st.text(alphabet="&<>;\"'amp#lt"))
+    def test_escape_matches_saxutils(self, text):
+        assert _escape(text) == escape(text)
 
     def test_colors(self):
         series, model, report = quadratic_year()

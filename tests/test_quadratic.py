@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from quadfit import (
     NotQuadratic,
+    NumericalOverflow,
     VertexForm,
     discriminant,
     from_vertex_form,
@@ -28,6 +29,12 @@ class TestDiscriminant:
         assert discriminant(1, 0, 1) == -4.0
 
 
+    def test_overflow_raises(self):
+        # b*b and 4ac both overflow; inf - inf would be nan.
+        with pytest.raises(NumericalOverflow):
+            discriminant(1.5e156, -4.5e154, 1e152)
+
+
 class TestQuadraticRoots:
     def test_factorable(self):
         got = quadratic_roots(1, -5, 6)
@@ -46,6 +53,11 @@ class TestQuadraticRoots:
     def test_rejects_linear(self):
         with pytest.raises(NotQuadratic):
             quadratic_roots(0, 2, 1)
+
+    def test_overflow_raises(self):
+        # Finite discriminant, but the root q/a = -1/1e-320 is not.
+        with pytest.raises(NumericalOverflow):
+            quadratic_roots(1e-320, 1.0, 0.0)
 
     def test_symmetric_pair(self):
         # b = 0 exercises the sign convention in the stable formula.
@@ -110,6 +122,14 @@ class TestVertexForm:
             to_vertex_form(0, 1, 2)
         with pytest.raises(NotQuadratic):
             VertexForm(0.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("a, b, c", [
+        (1.5e156, -4.5e154, 1e152),  # b*b overflows in k
+        (1e-320, 1e-10, 0.0),  # -b/(2a) overflows in h
+    ], ids=["k", "h"])
+    def test_overflow_raises(self, a, b, c):
+        with pytest.raises(NumericalOverflow):
+            to_vertex_form(a, b, c)
 
     @settings(max_examples=200)
     @given(a=nonzero_lead, b=small, c=small)
