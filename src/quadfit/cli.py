@@ -58,14 +58,18 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def format_report(model: PolynomialModel, report: FitReport) -> str:
-    """Line-oriented key=value report; quadratic structure when degree is 2."""
+    """Line-oriented key=value report; quadratic structure when degree is 2.
+
+    The structure lines need a nonzero x^2 coefficient: exactly linear data
+    fits with a zero one, and then there is no parabola to describe.
+    """
     lines = [f"degree={model.degree}"]
     for k, coeff in enumerate(model.coeffs):
         lines.append(f"coeff[{k}]={coeff:.10e}")
     lines.append(f"ss_res={report.ss_res:.10e}")
     lines.append(f"ss_tot={report.ss_tot:.10e}")
     lines.append(f"r_squared={report.r_squared:.6f}")
-    if model.degree == 2:
+    if model.degree == 2 and model.coeffs[2] != 0.0:
         a, b, c = model.coeffs[2], model.coeffs[1], model.coeffs[0]
         roots = quadratic_roots(a, b, c)
         vertex = to_vertex_form(a, b, c)

@@ -1,8 +1,10 @@
 """Two-column CSV ingestion for monthly (or generic) time series.
 
-Accepts RFC-4180-style quoting, LF or CRLF line endings and an optional
-UTF-8 BOM.  Extra columns are ignored; blank or non-numeric cells in the
-selected columns fail loudly rather than being dropped.
+Reads comma-delimited text with RFC-4180-style quoting, LF or CRLF line
+endings and an optional UTF-8 BOM; a quote left open is an error, not a
+cell that runs to the end of the file.  Extra columns are ignored; blank
+or non-numeric cells in the selected columns fail loudly rather than
+being dropped.
 """
 
 from __future__ import annotations
@@ -25,19 +27,16 @@ from .fitting import Series, _validation_error
 
 @record
 class CsvSchema:
-    """Which columns hold the abscissa and the value, and the delimiter."""
+    """Which columns hold the abscissa and the value."""
 
     x_column: str = "Month"
     y_column: str = "Values"
-    delimiter: str = ","
 
     def __post_init__(self):
         if not self.x_column or not self.y_column:
             raise ValueError("column names must be nonempty")
         if self.x_column == self.y_column:
             raise ValueError("x and y columns must be distinct")
-        if len(self.delimiter) != 1:
-            raise ValueError("delimiter must be a single character")
 
 
 def _parse_cell(text: str, row: int, column: str) -> float:
@@ -72,7 +71,7 @@ def parse_csv(data, schema: CsvSchema = CsvSchema()) -> Series:
     except UnicodeDecodeError as exc:
         raise InvalidEncoding(f"input is not valid UTF-8: {exc}") from None
 
-    reader = csv.reader(io.StringIO(text, newline=""), delimiter=schema.delimiter)
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
     try:
         header = next(reader)
     except StopIteration:

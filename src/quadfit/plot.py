@@ -3,16 +3,18 @@
 The layout mirrors the usual monthly-series chart: black data markers, a
 purple fitted curve, month names on the x axis when the data covers (part
 of) a calendar year, a two-line title, and a legend carrying the fitted
-equation and R^2.  The curve is sampled once per figure, and the axes
-and data-to-pixel transform come from those samples and the data.  Output
-depends only on the inputs: fixed colors, fixed fonts by family name, and
-fixed 2-decimal coordinate formatting, so equal inputs give byte-identical
-documents.
+equation and R^2.  Every figure is WIDTH x HEIGHT pixels with a
+CURVE_SAMPLES-point curve.  The curve is sampled once per figure, and the
+axes and data-to-pixel transform come from those samples and the data.
+Output depends only on the inputs: fixed colors, fixed fonts by family
+name, and fixed 2-decimal coordinate formatting, so equal inputs give
+byte-identical documents.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from ._record import record
 from .fitting import PolynomialModel, Series, eval_poly
@@ -27,6 +29,11 @@ GRID_COLOR = "#d9d9d9"
 FRAME_COLOR = "#444444"
 FONT_FAMILY = "sans-serif"
 
+# Figure size in pixels, and the number of points drawn on the curve.
+WIDTH = 1200
+HEIGHT = 700
+CURVE_SAMPLES = 200
+
 # Fraction of the combined data+curve range added on each side of an axis.
 AXIS_PADDING = 0.05
 
@@ -34,43 +41,17 @@ _MARGIN_LEFT = 80.0
 _MARGIN_RIGHT = 40.0
 _MARGIN_TOP = 70.0
 _MARGIN_BOTTOM = 60.0
+_PLOT_WIDTH = WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+_PLOT_HEIGHT = HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
 
 @record
 class PlotSpec:
-    """User-facing labels and render parameters for the figure."""
+    """The chart's texts: second title line, metric name and y axis label."""
 
     description: str
     metric_name: str
     y_label: str
-    width: int = 1200
-    height: int = 700
-    curve_samples: int = 200
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("figure dimensions must be positive")
-        if self.curve_samples < 2:
-            raise ValueError("curve_samples must be at least 2")
-
-
-@record
-class PlotGeometry:
-    """Axis bounds plus the affine data-to-pixel transform of a figure."""
-
-    x_lo: float
-    x_hi: float
-    y_lo: float
-    y_hi: float
-    left: float
-    top: float
-    width: float
-    height: float
-
-    def to_px(self, x: float, y: float) -> tuple[float, float]:
-        px = self.left + (x - self.x_lo) / (self.x_hi - self.x_lo) * self.width
-        py = self.top + self.height - (y - self.y_lo) / (self.y_hi - self.y_lo) * self.height
-        return px, py
 
 
 def format_equation(model: PolynomialModel, r_squared: float) -> str:
@@ -127,7 +108,13 @@ def month_ticks(x_min: float, x_max: float) -> list[tuple[float, str]]:
 def _padded(lo: float, hi: float) -> tuple[float, float]:
     span = hi - lo
     if span == 0.0:
-        return lo - 0.5, hi + 0.5
+        lo, hi = lo - 0.5, hi + 0.5
+        if lo == hi:
+            # Beyond 2**53 the half unit rounds away: step one float
+            # towards zero instead, which cannot overflow.
+            inner = math.nextafter(lo, 0.0)
+            lo, hi = min(lo, inner), max(hi, inner)
+        return lo, hi
     return lo - AXIS_PADDING * span, hi + AXIS_PADDING * span
 
 
@@ -141,23 +128,6 @@ def sample_curve(model: PolynomialModel, x_min: float, x_max: float, n: int) -> 
     return [(x, eval_poly(model, x)) for x in xs]
 
 
-def plot_geometry(series: Series, curve: list[tuple[float, float]], spec: PlotSpec) -> PlotGeometry:
-    """Axis bounds and transform used by render_plot for these inputs.
-
-    Axes cover the data and the curve from sample_curve, whose end points
-    are the data's x range, padded by AXIS_PADDING on each side.
-    """
-    y_values = list(series.ys) + [y for _, y in curve]
-    x_lo, x_hi = _padded(curve[0][0], curve[-1][0])
-    y_lo, y_hi = _padded(min(y_values), max(y_values))
-    return PlotGeometry(
-        x_lo=x_lo, x_hi=x_hi, y_lo=y_lo, y_hi=y_hi,
-        left=_MARGIN_LEFT, top=_MARGIN_TOP,
-        width=spec.width - _MARGIN_LEFT - _MARGIN_RIGHT,
-        height=spec.height - _MARGIN_TOP - _MARGIN_BOTTOM,
-    )
-
-
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
@@ -168,91 +138,101 @@ def _escape(text: str) -> str:
 
 
 def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec: PlotSpec) -> str:
-    """Render the figure to a standalone SVG 1.1 document (as a string)."""
+    """Render the figure to a standalone SVG 1.1 document (as a string).
+
+    Axes cover the data and the sampled curve, whose end points are the
+    data's x range, padded by AXIS_PADDING on each side.
+    """
     x_min, x_max = min(series.xs), max(series.xs)
-    curve = sample_curve(model, x_min, x_max, spec.curve_samples)
-    geo = plot_geometry(series, curve, spec)
-    right = geo.left + geo.width
-    bottom = geo.top + geo.height
+    curve = sample_curve(model, x_min, x_max, CURVE_SAMPLES)
+    curve_ys = [y for _, y in curve]
+    x_lo, x_hi = _padded(x_min, x_max)
+    y_lo, y_hi = _padded(min(chain(series.ys, curve_ys)), max(chain(series.ys, curve_ys)))
+    left, top, width, height = _MARGIN_LEFT, _MARGIN_TOP, _PLOT_WIDTH, _PLOT_HEIGHT
+    right = left + width
+    bottom = top + height
+
+    def to_px(x: float, y: float) -> tuple[float, float]:
+        px = left + (x - x_lo) / (x_hi - x_lo) * width
+        py = top + height - (y - y_lo) / (y_hi - y_lo) * height
+        return px, py
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{spec.width}" height="{spec.height}" '
-        f'viewBox="0 0 {spec.width} {spec.height}">',
-        f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" fill="white"/>',
+        f'width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
 
+    # Each tick with its pixel position, drawn as a grid line and a label.
+    xticks = [(to_px(pos, y_lo)[0], label) for pos, label in month_ticks(x_min, x_max)]
+    yticks = [(to_px(x_lo, pos)[1], pos) for pos in _nice_ticks(y_lo, y_hi, 10)]
+
     # Grid under everything else, clipped to the plotting area.
-    xticks = month_ticks(x_min, x_max)
-    yticks = _nice_ticks(geo.y_lo, geo.y_hi, 10)
     out.append('<g stroke="%s" stroke-width="1">' % GRID_COLOR)
-    for pos, _ in xticks:
-        px, _py = geo.to_px(pos, geo.y_lo)
-        out.append(f'<line x1="{_fmt(px)}" y1="{_fmt(geo.top)}" '
+    for px, _ in xticks:
+        out.append(f'<line x1="{_fmt(px)}" y1="{_fmt(top)}" '
                    f'x2="{_fmt(px)}" y2="{_fmt(bottom)}"/>')
-    for pos in yticks:
-        _px, py = geo.to_px(geo.x_lo, pos)
-        out.append(f'<line x1="{_fmt(geo.left)}" y1="{_fmt(py)}" '
+    for py, _ in yticks:
+        out.append(f'<line x1="{_fmt(left)}" y1="{_fmt(py)}" '
                    f'x2="{_fmt(right)}" y2="{_fmt(py)}"/>')
     out.append('</g>')
 
-    out.append(f'<rect x="{_fmt(geo.left)}" y="{_fmt(geo.top)}" '
-               f'width="{_fmt(geo.width)}" height="{_fmt(geo.height)}" '
+    out.append(f'<rect x="{_fmt(left)}" y="{_fmt(top)}" '
+               f'width="{_fmt(width)}" height="{_fmt(height)}" '
                f'fill="none" stroke="{FRAME_COLOR}" stroke-width="1"/>')
 
-    points = " ".join(",".join(map(_fmt, geo.to_px(x, y))) for x, y in curve)
+    points = " ".join(",".join(map(_fmt, to_px(x, y))) for x, y in curve)
     out.append(f'<polyline id="fitted-curve" fill="none" stroke="{CURVE_COLOR}" '
                f'stroke-width="2" points="{points}"/>')
 
     out.append('<g id="data-points">')
     for x, y in zip(series.xs, series.ys):
-        px, py = geo.to_px(x, y)
+        px, py = to_px(x, y)
         out.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" fill="{DATA_COLOR}"/>')
     out.append('</g>')
 
     # Tick marks and labels.
     out.append(f'<g font-family="{FONT_FAMILY}" font-size="13" fill="black">')
-    for pos, label in xticks:
-        px, _py = geo.to_px(pos, geo.y_lo)
+    for px, label in xticks:
         out.append(f'<line x1="{_fmt(px)}" y1="{_fmt(bottom)}" '
                    f'x2="{_fmt(px)}" y2="{_fmt(bottom + 5)}" stroke="black"/>')
         out.append(f'<text x="{_fmt(px)}" y="{_fmt(bottom + 20)}" '
                    f'text-anchor="middle">{_escape(label)}</text>')
-    for pos in yticks:
-        _px, py = geo.to_px(geo.x_lo, pos)
-        out.append(f'<line x1="{_fmt(geo.left - 5)}" y1="{_fmt(py)}" '
-                   f'x2="{_fmt(geo.left)}" y2="{_fmt(py)}" stroke="black"/>')
-        out.append(f'<text x="{_fmt(geo.left - 9)}" y="{_fmt(py + 4)}" '
+    for py, pos in yticks:
+        out.append(f'<line x1="{_fmt(left - 5)}" y1="{_fmt(py)}" '
+                   f'x2="{_fmt(left)}" y2="{_fmt(py)}" stroke="black"/>')
+        out.append(f'<text x="{_fmt(left - 9)}" y="{_fmt(py + 4)}" '
                    f'text-anchor="end">{pos:g}</text>')
     out.append('</g>')
 
     # Axis labels and the two-line title.
-    cx = geo.left + geo.width / 2.0
+    cx = left + width / 2.0
     out.append(f'<g font-family="{FONT_FAMILY}" fill="black">')
     out.append(f'<text x="{_fmt(cx)}" y="{_fmt(bottom + 45)}" font-size="15" '
                f'text-anchor="middle">Month</text>')
-    out.append(f'<text x="22" y="{_fmt(geo.top + geo.height / 2.0)}" font-size="15" '
+    out.append(f'<text x="22" y="{_fmt(top + height / 2.0)}" font-size="15" '
                f'text-anchor="middle" transform="rotate(-90 22 '
-               f'{_fmt(geo.top + geo.height / 2.0)})">{_escape(spec.y_label)}</text>')
+               f'{_fmt(top + height / 2.0)})">{_escape(spec.y_label)}</text>')
     out.append(f'<text x="{_fmt(cx)}" y="28" font-size="18" '
                f'text-anchor="middle">{_escape(spec.metric_name)} by Month in</text>')
     out.append(f'<text x="{_fmt(cx)}" y="50" font-size="18" '
                f'text-anchor="middle">{_escape(spec.description)}</text>')
     out.append('</g>')
 
-    out.append(_legend(model, report, geo))
+    out.append(_legend(model, report))
     out.append('</svg>')
     return "\n".join(out) + "\n"
 
 
-def _legend(model: PolynomialModel, report: FitReport, geo: PlotGeometry) -> str:
+def _legend(model: PolynomialModel, report: FitReport) -> str:
     equation_line, r2_line = format_equation(model, report.r_squared).split("\n")
     rows = ["Actual Data", equation_line, r2_line]
     char_w = 7.3  # crude sans-serif advance at font-size 14; deterministic
     width = 48 + char_w * max(len(r) for r in rows)
     row_h = 22.0
-    x0 = geo.left + geo.width - width - 12
-    y0 = geo.top + 12
+    x0 = _MARGIN_LEFT + _PLOT_WIDTH - width - 12
+    y0 = _MARGIN_TOP + 12
 
     out = [f'<g id="legend" font-family="{FONT_FAMILY}" font-size="14">']
     out.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(width)}" '

@@ -1,8 +1,13 @@
+import contextlib
 import io
 import math
+import os
 import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import normal_equations_fit
 from conftest import DERIVED_XS, DERIVED_YS
@@ -180,6 +185,19 @@ class TestEndToEnd:
         assert main(["-i", path, "--x-col", "t", "--y-col", "v"]) == 0
         assert "degree=2" in capsys.readouterr().out
 
+    def test_linear_data_at_degree_two(self, tmp_path, capsys):
+        # The fit's x^2 coefficient is exactly 0, so there is no parabola
+        # to describe: the report stops after r_squared.
+        path = write_csv(tmp_path, "Month,Values\n-1,0\n0,1\n1,2\n")
+        assert main(["-i", path]) == 0
+        out, err = capsys.readouterr()
+        fields = parse_report(out)
+        assert list(fields) == ["degree", "coeff[0]", "coeff[1]", "coeff[2]",
+                                "ss_res", "ss_tot", "r_squared"]
+        assert fields["coeff[2]"] == "0.0000000000e+00"
+        assert fields["r_squared"] == "1.000000"
+        assert err == ""
+
 
 class TestFailureModes:
     def test_truncated_csv(self, tmp_path, capsys):
@@ -250,3 +268,26 @@ class TestFailureModes:
         main(["-i", path])
         err = capsys.readouterr().err
         assert err.endswith("\n") and err.count("\n") == 1
+
+
+# Any finite float, with the extremes and subnormals drawn often.
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    (1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308, 0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(FINITE, FINITE), min_size=3, max_size=8),
+       degree=st.integers(1, 3))
+def test_any_finite_csv_gives_report_or_one_error(rows, degree):
+    text = "Month,Values\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["-i", path, "--degree", str(degree)])
+    assert code in (0, 1)
+    assert (out.getvalue() == "") == (code == 1)
+    assert (err.getvalue() == "") == (code == 0)
+    assert re.search(r"\b(nan|inf)\b", out.getvalue() + err.getvalue()) is None

@@ -13,13 +13,14 @@ from quadfit import (
     PlotSpec,
     PolynomialModel,
     Series,
+    eval_poly,
     fit_polynomial,
     fit_report,
     format_equation,
     parse_csv,
     render_plot,
 )
-from quadfit.plot import _escape, month_ticks, plot_geometry, sample_curve
+from quadfit.plot import AXIS_PADDING, CURVE_SAMPLES, _escape, month_ticks, sample_curve
 
 SPEC = PlotSpec(description="Kyiv, Shcherbakovskaya St.",
                 metric_name="PM2.5",
@@ -34,10 +35,37 @@ def quadratic_year():
     return series, model, fit_report(model, series)
 
 
-def geometry(series: Series, model: PolynomialModel, spec: PlotSpec):
-    """The curve samples and transform render_plot uses for these inputs."""
-    curve = sample_curve(model, min(series.xs), max(series.xs), spec.curve_samples)
-    return curve, plot_geometry(series, curve, spec)
+def plot_area(dom) -> tuple[float, float, float, float]:
+    """Left, top, width and height of the frame drawn around the plot area."""
+    frame = [r for r in dom.getElementsByTagName("rect")
+             if r.getAttribute("fill") == "none"][0]
+    return tuple(float(frame.getAttribute(k)) for k in ("x", "y", "width", "height"))
+
+
+def data_to_px(series: Series, dom):
+    """The data-to-pixel map a figure of these data should use: the data's
+    x and y ranges, padded by AXIS_PADDING on each side, onto the frame."""
+    left, top, width, height = plot_area(dom)
+
+    def padded(lo, hi):
+        return lo - AXIS_PADDING * (hi - lo), hi + AXIS_PADDING * (hi - lo)
+
+    x_lo, x_hi = padded(min(series.xs), max(series.xs))
+    y_lo, y_hi = padded(min(series.ys), max(series.ys))
+    return lambda x, y: (left + (x - x_lo) / (x_hi - x_lo) * width,
+                         top + height - (y - y_lo) / (y_hi - y_lo) * height)
+
+
+def drawn_points(dom) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
+    """Pixel positions of the data markers, and of the curve's vertices."""
+    group = [g for g in dom.getElementsByTagName("g")
+             if g.getAttribute("id") == "data-points"][0]
+    markers = [(float(c.getAttribute("cx")), float(c.getAttribute("cy")))
+               for c in group.getElementsByTagName("circle")]
+    polyline = dom.getElementsByTagName("polyline")[0]
+    curve = [tuple(map(float, p.split(",")))
+             for p in polyline.getAttribute("points").split()]
+    return markers, curve
 
 
 def render_sample(path) -> tuple[str, Series, PolynomialModel]:
@@ -85,7 +113,7 @@ class TestSampleCurve:
         assert got == [(1.0, 1.0), (6.5, 6.5), (12.0, 12.0)]
 
     def test_default_200_points(self):
-        pts = sample_curve(PolynomialModel((0, 1)), 1, 12, SPEC.curve_samples)
+        pts = sample_curve(PolynomialModel((0, 1)), 1, 12, CURVE_SAMPLES)
         assert len(pts) == 200
         assert pts[0][0] == 1.0 and pts[-1][0] == 12.0
         spacing = 11.0 / 199.0
@@ -141,17 +169,16 @@ class TestRenderPlot:
         assert dom.documentElement.tagName == "svg"
 
     def test_curve_covers_data_endpoints(self):
+        # The curve rises over [1, 12], so its y range is the data's.
         series, model, report = quadratic_year()
-        svg = render_plot(series, model, report, SPEC)
-        dom = xml.dom.minidom.parseString(svg)
-        polyline = dom.getElementsByTagName("polyline")[0]
-        points = polyline.getAttribute("points").split()
-        assert len(points) == SPEC.curve_samples
-        _, geo = geometry(series, model, SPEC)
-        first_px = float(points[0].split(",")[0])
-        last_px = float(points[-1].split(",")[0])
-        assert abs(first_px - geo.to_px(1.0, 0)[0]) < 0.01
-        assert abs(last_px - geo.to_px(12.0, 0)[0]) < 0.01
+        dom = xml.dom.minidom.parseString(render_plot(series, model, report, SPEC))
+        _, curve = drawn_points(dom)
+        assert len(curve) == CURVE_SAMPLES
+        to_px = data_to_px(series, dom)
+        for (px, py), x in ((curve[0], 1.0), (curve[-1], 12.0)):
+            want_px, want_py = to_px(x, eval_poly(model, x))
+            assert abs(px - want_px) < 0.01
+            assert abs(py - want_py) < 0.01
 
     def test_legend_r_squared_line(self):
         series, model, report = quadratic_year()
@@ -178,28 +205,28 @@ class TestRenderPlot:
 
     def test_marker_geometry_matches_transform(self):
         series, model, report = quadratic_year()
-        svg = render_plot(series, model, report, SPEC)
-        dom = xml.dom.minidom.parseString(svg)
-        group = [g for g in dom.getElementsByTagName("g")
-                 if g.getAttribute("id") == "data-points"][0]
-        circles = group.getElementsByTagName("circle")
-        assert len(circles) == len(series)
-        _, geo = geometry(series, model, SPEC)
-        for circle, x, y in zip(circles, series.xs, series.ys):
-            px, py = geo.to_px(x, y)
-            assert circle.getAttribute("cx") == f"{px:.2f}"
-            assert circle.getAttribute("cy") == f"{py:.2f}"
-            # printed (2-decimal) coordinates stay within half a pixel
-            assert abs(float(circle.getAttribute("cx")) - px) <= 0.5
-            assert abs(float(circle.getAttribute("cy")) - py) <= 0.5
+        dom = xml.dom.minidom.parseString(render_plot(series, model, report, SPEC))
+        markers, _ = drawn_points(dom)
+        assert len(markers) == len(series)
+        to_px = data_to_px(series, dom)
+        for (px, py), x, y in zip(markers, series.xs, series.ys):
+            want_px, want_py = to_px(x, y)
+            # printed with 2 decimals, so within half a hundredth of a pixel
+            assert abs(px - want_px) < 0.006
+            assert abs(py - want_py) < 0.006
 
     def test_everything_inside_plot_area(self):
-        series, model, report = quadratic_year()
-        curve, geo = geometry(series, model, SPEC)
-        for x, y in list(zip(series.xs, series.ys)) + curve:
-            px, py = geo.to_px(x, y)
-            assert geo.left - 0.01 <= px <= geo.left + geo.width + 0.01
-            assert geo.top - 0.01 <= py <= geo.top + geo.height + 0.01
+        # The second model's curve rises far above the data, and the y axis
+        # must cover it too.
+        series, model, _ = quadratic_year()
+        for model in (model, PolynomialModel((0.0, 0.0, 10.0))):
+            report = fit_report(model, series)
+            dom = xml.dom.minidom.parseString(render_plot(series, model, report, SPEC))
+            left, top, width, height = plot_area(dom)
+            markers, curve = drawn_points(dom)
+            for px, py in markers + curve:
+                assert left <= px <= left + width
+                assert top <= py <= top + height
 
     def test_title_and_axis_labels(self):
         series, model, report = quadratic_year()
@@ -239,10 +266,27 @@ class TestRenderPlot:
         series = Series((1.0, 2.0, 3.0, 4.0), (5.0, 5.0, 5.0, 5.0))
         model, _ = fit_polynomial(series, 2)
         report = fit_report(model, series)
-        _, geo = geometry(series, model, PlotSpec("", "", ""))
-        assert geo.y_lo < 5.0 < geo.y_hi
-        xml.dom.minidom.parseString(render_plot(series, model, report,
-                                                PlotSpec("", "", "")))
+        dom = xml.dom.minidom.parseString(render_plot(series, model, report, SPEC))
+        y_labels = [float(t.firstChild.data) for t in dom.getElementsByTagName("text")
+                    if t.getAttribute("text-anchor") == "end"]
+        assert min(y_labels) < 5.0 < max(y_labels)
+
+    @pytest.mark.parametrize("level", [1e16, -1.7976931348623157e308])
+    def test_flat_data_beyond_half_unit_resolution(self, level):
+        # From 2**53 up a half-unit pad rounds away, and at the largest
+        # float a pad away from zero would overflow.
+        series = Series((1.0, 2.0, 3.0, 4.0), (level,) * 4)
+        model = PolynomialModel((level,))
+        report = fit_report(model, series)
+        dom = xml.dom.minidom.parseString(render_plot(series, model, report, SPEC))
+        left, top, width, height = plot_area(dom)
+        markers, curve = drawn_points(dom)
+        assert len({py for _, py in markers + curve}) == 1
+        assert top <= markers[0][1] <= top + height
+        grid = dom.getElementsByTagName("g")[0]
+        grid_ys = {line.getAttribute("y1") for line in grid.getElementsByTagName("line")
+                   if line.getAttribute("y1") == line.getAttribute("y2")}
+        assert len(grid_ys) >= 2
 
     def test_all_x_equal_raises(self):
         # No fit accepts such a series, but render_plot takes any model.
@@ -251,12 +295,6 @@ class TestRenderPlot:
         report = fit_report(model, series)
         with pytest.raises(ValueError):
             render_plot(series, model, report, SPEC)
-
-    def test_rejects_bad_spec(self):
-        with pytest.raises(ValueError):
-            PlotSpec("d", "m", "y", width=0)
-        with pytest.raises(ValueError):
-            PlotSpec("d", "m", "y", curve_samples=1)
 
 
 class TestGoldenFigure:

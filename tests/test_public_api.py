@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import quadfit
-from quadfit.plot import PlotGeometry
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
@@ -73,14 +72,10 @@ VALUE_CLASSES = [
     (quadfit.PolynomialModel, {"coeffs": (1.0, -2.0, 3.0)}, {}),
     (quadfit.DomainWindow, {"x_min": 1.0, "x_max": 12.0}, {}),
     (quadfit.CsvSchema, {},
-     {"x_column": "Month", "y_column": "Values", "delimiter": ","}),
+     {"x_column": "Month", "y_column": "Values"}),
     (quadfit.FitReport,
      {"ss_res": 1.0, "ss_tot": 4.0, "r_squared": 0.75, "n": 12}, {}),
-    (quadfit.PlotSpec, {"description": "d", "metric_name": "m", "y_label": "y"},
-     {"width": 1200, "height": 700, "curve_samples": 200}),
-    (PlotGeometry,
-     {"x_lo": 0.0, "x_hi": 1.0, "y_lo": -1.0, "y_hi": 1.0,
-      "left": 80.0, "top": 70.0, "width": 1080.0, "height": 570.0}, {}),
+    (quadfit.PlotSpec, {"description": "d", "metric_name": "m", "y_label": "y"}, {}),
     (quadfit.VertexForm, {"a": 2.0, "h": 1.0, "k": 3.0}, {}),
     (quadfit.RootSet, {"roots": (2.0, 3.0), "multiplicity": 1}, {}),
 ]
