@@ -97,12 +97,9 @@ def run(args: argparse.Namespace) -> None:
     report = fit_report(model, series)
 
     text = format_report(model, report)
-    if args.report == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
+    # Render before writing anything, so a render that fails leaves
+    # stdout empty and no report file.
     if args.svg is not None:
         spec = PlotSpec(description=args.description,
                         metric_name=args.metric,
@@ -110,6 +107,12 @@ def run(args: argparse.Namespace) -> None:
         svg = render_plot(series, model, report, spec)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
+
+    if args.report == "-":
+        sys.stdout.write(text)
+    else:
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def main(argv=None) -> int:

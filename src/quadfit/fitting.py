@@ -51,13 +51,13 @@ class Series:
     ys: tuple[float, ...]
 
     def __post_init__(self):
-        xs = tuple(float(x) for x in self.xs)
-        ys = tuple(float(y) for y in self.ys)
+        xs = tuple(map(float, self.xs))
+        ys = tuple(map(float, self.ys))
         if len(xs) != len(ys):
             raise ValueError(f"xs and ys differ in length ({len(xs)} vs {len(ys)})")
         if not xs:
             raise ValueError("series must contain at least one observation")
-        if not all(math.isfinite(v) for v in xs + ys):
+        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
             raise ValueError("series values must be finite")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
@@ -115,20 +115,26 @@ def _orthogonal_fit(ts: list[float], ys, degree: int) -> list[float]:
     p_{k+1} = (t - a_k) p_k - b_k p_{k-1}, projects the running residual
     onto each (modified Gram-Schmidt), and accumulates c_k p_k in powers
     of t.  Each p_k is held both as its values at the points and as its
-    power-in-t coefficients.
+    power-in-t coefficients.  The first two are written in closed form:
+    p_0 = 1, whose squared norm is n, and p_1 = t - mean(t); the
+    recurrence takes over from k = 1.
 
     Raises:
         RankDeficient: some ||p_k|| falls below RANK_TOLERANCE times the
             largest, so the points cannot resolve a degree-k term.
     """
-    residual = list(ys)
-    p_prev, p = [0.0] * len(ts), [1.0] * len(ts)
-    poly_prev, poly = [], [1.0]
+    n = len(ts)
     coeffs = [0.0] * (degree + 1)
-    norm2_prev = norm2_max = 0.0
-    for k in range(degree + 1):
-        # Compared squared, and before any division: p_0 = 1 makes
-        # norm2_max positive, so a zero norm2 always raises here.
+    c = math.fsum(ys) / n
+    coeffs[0] += c
+    residual = [y - c for y in ys]
+    a = math.fsum(ts) / n
+    p_prev, p = [1.0] * n, [t - a for t in ts]
+    poly_prev, poly = [1.0], [-a, 1.0]
+    norm2_prev = norm2_max = float(n)
+    for k in range(1, degree + 1):
+        # Compared squared, and before any division: norm2_max >= n > 0,
+        # so a zero norm2 always raises here.
         norm2 = math.fsum(map(operator.mul, p, p))
         norm2_max = max(norm2_max, norm2)
         if norm2 < RANK_TOLERANCE * RANK_TOLERANCE * norm2_max:
@@ -143,7 +149,7 @@ def _orthogonal_fit(ts: list[float], ys, degree: int) -> list[float]:
         residual = [r - c * v for r, v in zip(residual, p)]
         tp = list(map(operator.mul, ts, p))
         a = math.fsum(map(operator.mul, tp, p)) / norm2
-        b = norm2 / norm2_prev if k else 0.0
+        b = norm2 / norm2_prev
         p_prev, p = p, [u - a * v - b * w for u, v, w in zip(tp, p, p_prev)]
         nxt = [0.0] + poly
         for j, q in enumerate(poly):
@@ -163,14 +169,20 @@ def _validation_error(series: Series, degree: int):
         return InsufficientData(
             f"degree {degree} needs {degree + 1} observations, got {len(series)}"
         )
-    distinct = len(set(series.xs))
+    # Stop counting distinct x values once there are enough; only an
+    # error message needs the full count, and then the loop ran to the end.
+    needed = max(degree + 1, 2)
+    seen = set()
+    for x in series.xs:
+        seen.add(x)
+        if len(seen) == needed:
+            return None
+    distinct = len(seen)
     if distinct < degree + 1:
         return DegenerateAbscissa(
             f"degree {degree} needs {degree + 1} distinct x values, got {distinct}"
         )
-    if distinct == 1:
-        return DegenerateAbscissa("all x values are equal; data window is undefined")
-    return None
+    return DegenerateAbscissa("all x values are equal; data window is undefined")
 
 
 def fit_polynomial(series: Series, degree: int = DEFAULT_DEGREE) -> tuple[PolynomialModel, DomainWindow]:
@@ -192,8 +204,9 @@ def fit_polynomial(series: Series, degree: int = DEFAULT_DEGREE) -> tuple[Polyno
         raise err
 
     window = DomainWindow(min(series.xs), max(series.xs))
-    span = window.x_max - window.x_min
-    ts = [(2.0 * x - window.x_min - window.x_max) / span for x in series.xs]
+    lo, hi = window.x_min, window.x_max
+    span = hi - lo
+    ts = [(2.0 * x - lo - hi) / span for x in series.xs]
     try:
         scaled = _orthogonal_fit(ts, series.ys, degree)
         return PolynomialModel(tuple(convert_domain(scaled, window))), window

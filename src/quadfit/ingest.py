@@ -86,25 +86,36 @@ def parse_csv(data, schema: CsvSchema = CsvSchema()) -> Series:
     x_idx = names.index(schema.x_column)
     y_idx = names.index(schema.y_column)
 
+    # A row goes through _parse_cell, which names a bad cell, only when
+    # float() rejects a cell as it stands or reads it as non-finite.  Its
+    # values are the ones kept: str.strip() also removes U+001C to U+001F,
+    # which float() rejects.
+    isfinite = math.isfinite
+    width = len(names)
     xs: list[float] = []
     ys: list[float] = []
     row_num = 0
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            break
-        except csv.Error as exc:
-            raise MalformedRow(row_num + 1, reason=str(exc)) from exc
-        row_num += 1
-        if len(row) != len(names):
-            raise MalformedRow(row_num, len(names), len(row))
-        xs.append(_parse_cell(row[x_idx], row_num, schema.x_column))
-        ys.append(_parse_cell(row[y_idx], row_num, schema.y_column))
+    try:
+        for row in reader:
+            row_num += 1
+            if len(row) != width:
+                raise MalformedRow(row_num, width, len(row))
+            try:
+                x = float(row[x_idx])
+                y = float(row[y_idx])
+            except ValueError:
+                x = y = math.nan
+            if not (isfinite(x) and isfinite(y)):
+                x = _parse_cell(row[x_idx], row_num, schema.x_column)
+                y = _parse_cell(row[y_idx], row_num, schema.y_column)
+            xs.append(x)
+            ys.append(y)
+    except csv.Error as exc:
+        raise MalformedRow(row_num + 1, reason=str(exc)) from exc
 
     if not xs:
         raise EmptyData("input has a header row but no data rows")
-    return Series(tuple(xs), tuple(ys))
+    return Series(xs, ys)
 
 
 def validate_series(series: Series, degree: int) -> QuadfitError | None:

@@ -9,10 +9,11 @@ leaves the float range raises NumericalOverflow.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 from ._record import record
 from .errors import NumericalOverflow, UndefinedRSquared
-from .fitting import PolynomialModel, Series, eval_poly
+from .fitting import PolynomialModel, Series
 
 # With constant data, residual mass up to this bound per observation still
 # counts as a perfect fit (R^2 = 1); anything larger is undefined.
@@ -46,7 +47,8 @@ def total_sum_of_squares(ys) -> float:
     Deviations are taken around ys[0] first (the sum is translation
     invariant), which makes the result exactly zero for constant input.
     """
-    shifted = [y - ys[0] for y in ys]
+    first = ys[0]
+    shifted = [y - first for y in ys]
     mean = _finite_fsum(shifted) / len(shifted)
     return _finite_fsum((d - mean) ** 2 for d in shifted)
 
@@ -82,9 +84,22 @@ def fit_report(model: PolynomialModel, series: Series) -> FitReport:
         NumericalOverflow: a sum of squares leaves the float range.
         UndefinedRSquared: constant data that the model does not reproduce.
     """
-    ss_res = _finite_fsum((y - eval_poly(model, x)) ** 2
-                          for x, y in zip(series.xs, series.ys))
+    # ss_tot first, so that its deviations are freed before the fitted
+    # column is built; both sums raise the same NumericalOverflow.
     ss_tot = total_sum_of_squares(series.ys)
+    # eval_poly's Horner steps, taken a coefficient at a time over all
+    # points.  The fitted values equal eval_poly's up to the sign of a
+    # zero, which squaring drops, so each square is bit for bit the same.
+    # The last step and the squares run inside _finite_fsum, which turns
+    # an OverflowError from ** into NumericalOverflow.  A constant starts
+    # from 0.0, since 0.0 * x + c0 is eval_poly's own first step.
+    xs = series.xs
+    c0, *higher = model.coeffs
+    fitted = repeat(higher.pop() if higher else 0.0)
+    for c in reversed(higher):
+        fitted = [f * x + c for f, x in zip(fitted, xs)]
+    ss_res = _finite_fsum((y - (f * x + c0)) ** 2
+                          for x, y, f in zip(xs, series.ys, fitted))
     return FitReport(
         ss_res=ss_res,
         ss_tot=ss_tot,

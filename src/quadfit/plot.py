@@ -60,11 +60,13 @@ def format_equation(model: PolynomialModel, r_squared: float) -> str:
     Coefficients render in descending powers with 4 decimal places and
     literal " + " separators, so negative coefficients appear as "+ -1.2345",
     and for a quadratic the first line is exactly
-    "Fitted curve: Ax^2 + Bx + C".
+    "Fitted curve: Ax^2 + Bx + C".  A coefficient of magnitude 1e6 or
+    more renders as 1.2345e+06 instead, which keeps each term short.
     """
     terms = []
     for k in range(model.degree, -1, -1):
-        coeff = f"{model.coeffs[k]:.4f}"
+        value = model.coeffs[k]
+        coeff = f"{value:.4e}" if abs(value) >= 1e6 else f"{value:.4f}"
         if k == 0:
             terms.append(coeff)
         elif k == 1:
@@ -77,7 +79,9 @@ def format_equation(model: PolynomialModel, r_squared: float) -> str:
 def _nice_ticks(lo: float, hi: float, max_ticks: int) -> list[float]:
     """At most max_ticks positions at a 1/2/5-stepped interval inside [lo, hi]."""
     span = hi - lo
-    magnitude = 10.0 ** math.floor(math.log10(span / max_ticks))
+    # The raw step is held at 1e-322 or more: a subnormal span over
+    # max_ticks can underflow to zero, and 10.0 ** -324 is zero.
+    magnitude = 10.0 ** math.floor(math.log10(max(span / max_ticks, 1e-322)))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * magnitude
         if span / step <= max_ticks:
@@ -152,9 +156,11 @@ def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec:
     right = left + width
     bottom = top + height
 
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
+
     def to_px(x: float, y: float) -> tuple[float, float]:
-        px = left + (x - x_lo) / (x_hi - x_lo) * width
-        py = top + height - (y - y_lo) / (y_hi - y_lo) * height
+        px = left + (x - x_lo) / x_span * width
+        py = bottom - (y - y_lo) / y_span * height
         return px, py
 
     out = [
@@ -186,10 +192,12 @@ def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec:
     out.append(f'<polyline id="fitted-curve" fill="none" stroke="{CURVE_COLOR}" '
                f'stroke-width="2" points="{points}"/>')
 
+    # One marker per point, with to_px inlined: at 1e5 points the calls
+    # would cost more than the arithmetic.
     out.append('<g id="data-points">')
-    for x, y in zip(series.xs, series.ys):
-        px, py = to_px(x, y)
-        out.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" fill="{DATA_COLOR}"/>')
+    out.extend(f'<circle cx="{left + (x - x_lo) / x_span * width:.2f}" '
+               f'cy="{bottom - (y - y_lo) / y_span * height:.2f}" r="4" fill="{DATA_COLOR}"/>'
+               for x, y in zip(series.xs, series.ys))
     out.append('</g>')
 
     # Tick marks and labels.
@@ -222,7 +230,8 @@ def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec:
 
     out.append(_legend(model, report))
     out.append('</svg>')
-    return "\n".join(out) + "\n"
+    out.append("")  # the final newline, without copying the document again
+    return "\n".join(out)
 
 
 def _legend(model: PolynomialModel, report: FitReport) -> str:

@@ -6,7 +6,7 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import normal_equations_fit
@@ -15,6 +15,7 @@ from conftest import DERIVED_XS, DERIVED_YS
 from quadfit import FitReport, PolynomialModel, Series, eval_poly
 from quadfit import cli
 from quadfit.cli import format_report, main, parse_args
+from quadfit.plot import WIDTH
 
 DERIVED_CSV = "Month,Values\n1,1\n2,4\n3,9\n4,17\n"
 
@@ -275,19 +276,44 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     (1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308, 0.0))
 
 
+# The x attributes and polyline vertices of an SVG document, in pixels.
+DRAWN_X = re.compile(r'\b(?:x|x1|x2|cx)="([^"]*)"|points="([^"]*)"')
+
+
+def drawn_xs(svg: str) -> list[float]:
+    out = []
+    for x, points in DRAWN_X.findall(svg):
+        if points:
+            out += [float(p.split(",")[0]) for p in points.split()]
+        else:
+            out.append(float(x))
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(rows=st.lists(st.tuples(FINITE, FINITE), min_size=3, max_size=8),
        degree=st.integers(1, 3))
+@example(rows=[(0.0, 0.0), (0.0, 5e-324), (1.0, 0.0)], degree=1)
+@example(rows=[(1.0, 1e154), (2.0, 1e154), (3.0, 1.1e154)], degree=2)
 def test_any_finite_csv_gives_report_or_one_error(rows, degree):
     text = "Month,Values\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows)
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")
+        svg_path = os.path.join(tmp, "chart.svg")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["-i", path, "--degree", str(degree)])
+            code = main(["-i", path, "--degree", str(degree), "--svg", svg_path])
+        svg = None
+        if os.path.exists(svg_path):
+            with open(svg_path, encoding="utf-8") as fh:
+                svg = fh.read()
     assert code in (0, 1)
     assert (out.getvalue() == "") == (code == 1)
     assert (err.getvalue() == "") == (code == 0)
     assert re.search(r"\b(nan|inf)\b", out.getvalue() + err.getvalue()) is None
+    assert (svg is not None) == (code == 0)
+    if svg is not None:
+        xs = drawn_xs(svg)
+        assert xs and all(0.0 <= x <= WIDTH for x in xs)

@@ -142,6 +142,52 @@ class TestParseCsv:
         assert s.xs == (1.0,)
 
 
+class TestErrorPrecedence:
+    """The first bad row is reported, whatever is wrong with later rows."""
+
+    def test_bad_cell_before_short_row(self):
+        with pytest.raises(NonNumericValue) as exc:
+            parse("Month,Values\n1,2\n2,abc\n3,4\n4\n")
+        assert (exc.value.row, exc.value.column, exc.value.value) == (2, "Values", "abc")
+
+    def test_short_row_before_bad_cell(self):
+        with pytest.raises(MalformedRow) as exc:
+            parse("Month,Values\n1,2\n2\n3,4\n4,abc\n")
+        assert exc.value.row == 2
+        assert (exc.value.expected, exc.value.got) == (2, 1)
+
+    def test_x_column_named_before_y(self):
+        with pytest.raises(NonNumericValue) as exc:
+            parse("Values,Month\n1,2\nbad y,bad x\n")
+        assert (exc.value.row, exc.value.column, exc.value.value) == (2, "Month", "bad x")
+
+    @pytest.mark.parametrize("cell, shown", [
+        ("inf", "inf"), ("1e999", "1e999"), (" nan ", "nan"), ("-Infinity ", "-Infinity"),
+        ("\u00a0 ", ""), ("1 000", "1 000"),
+    ])
+    def test_bad_cell_names_its_stripped_text(self, cell, shown):
+        with pytest.raises(NonNumericValue) as exc:
+            parse(f"Month,Values\n1,2\n2,{cell}\n")
+        assert (exc.value.row, exc.value.column, exc.value.value) == (2, "Values", shown)
+
+    def test_bad_cell_before_csv_error(self):
+        with pytest.raises(NonNumericValue) as exc:
+            parse('Month,Values\n1,abc\n2,"3\n')
+        assert exc.value.row == 1
+
+    @pytest.mark.parametrize("cell, value", [
+        ("1_000", 1000.0),
+        ("\u00a012.5\u2003", 12.5),
+        ("\u3000-3\u2028", -3.0),
+        ("\t7\x0b\x0c", 7.0),
+        ("\x1c8\x1f", 8.0),  # str.strip() removes these, float() does not
+        ("\u0661\u0662", 12.0),
+    ])
+    def test_underscored_and_space_padded_cells(self, cell, value):
+        s = parse(f"Month,Values\n{cell},{cell}\n")
+        assert s.xs == (value,) and s.ys == (value,)
+
+
 class TestCsvSchema:
     def test_rejects_empty_name(self):
         with pytest.raises(ValueError):

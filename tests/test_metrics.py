@@ -17,6 +17,7 @@ from conftest import (
 )
 
 from quadfit import (
+    NumericalOverflow,
     PolynomialModel,
     Series,
     UndefinedRSquared,
@@ -25,7 +26,7 @@ from quadfit import (
     fit_report,
     r_squared,
 )
-from quadfit.metrics import total_sum_of_squares
+from quadfit.metrics import CONSTANT_DATA_RESIDUAL_TOLERANCE, total_sum_of_squares
 
 
 class TestTotalSumOfSquares:
@@ -149,3 +150,38 @@ class TestFitReport:
         ss_exp = math.fsum((eval_poly(model, x) - mean) ** 2 for x in series.xs)
         assert report.ss_tot == pytest.approx(report.ss_res + ss_exp,
                                               rel=1e-8, abs=1e-8)
+
+
+def reference_ss_res(model, series):
+    """ss_res point by point through eval_poly, or None when it overflows."""
+    try:
+        total = math.fsum((y - eval_poly(model, x)) ** 2
+                          for x, y in zip(series.xs, series.ys))
+    except OverflowError:
+        return None
+    return total if math.isfinite(total) else None
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300)
+@given(coeffs=st.lists(FINITE, min_size=1, max_size=11),
+       points=st.lists(st.tuples(FINITE, st.floats(-1e150, 1e150)),
+                       min_size=1, max_size=30))
+def test_fit_report_ss_res_matches_pointwise_evaluation(coeffs, points):
+    # |y| <= 1e150 keeps ss_tot finite, so only the residuals can overflow.
+    model = PolynomialModel(tuple(coeffs))
+    series = Series(tuple(x for x, _ in points), tuple(y for _, y in points))
+    want = reference_ss_res(model, series)
+    try:
+        got = fit_report(model, series).ss_res
+    except NumericalOverflow:
+        got = None
+    except UndefinedRSquared:
+        assert total_sum_of_squares(series.ys) == 0.0
+        assert want > CONSTANT_DATA_RESIDUAL_TOLERANCE * len(series)
+        return
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.hex() == want.hex()

@@ -106,6 +106,23 @@ class TestFormatEquation:
         assert got.splitlines()[0] == \
             "Fitted curve: 4.0000x^3 + 3.0000x^2 + 2.0000x + 1.0000"
 
+    def test_large_coefficients_in_exponent_form(self):
+        got = format_equation(PolynomialModel((1e6, -2.5e154, 999999.0)), 0.5)
+        assert got.splitlines()[0] == \
+            "Fitted curve: 999999.0000x^2 + -2.5000e+154x + 1.0000e+06"
+
+    def test_huge_coefficients_keep_the_legend_on_the_canvas(self):
+        # In fixed point each term of this fit prints about 150 digits,
+        # which pushed the legend box about 2560 px left of the canvas.
+        series = Series((1.0, 2.0, 3.0), (1e154, 1e154, 1.1e154))
+        model, _ = fit_polynomial(series, 2)
+        dom = xml.dom.minidom.parseString(
+            render_plot(series, model, fit_report(model, series), SPEC))
+        legend = [g for g in dom.getElementsByTagName("g")
+                  if g.getAttribute("id") == "legend"][0]
+        box = legend.getElementsByTagName("rect")[0]
+        assert 0.0 <= float(box.getAttribute("x"))
+
 
 class TestSampleCurve:
     def test_three_point_identity_line(self):
