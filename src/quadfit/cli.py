@@ -15,7 +15,7 @@ from .fitting import DEFAULT_DEGREE, PolynomialModel, fit_polynomial
 from .ingest import CsvSchema, parse_csv
 from .metrics import FitReport, fit_report
 from .plot import PlotSpec, format_equation, render_plot
-from .quadratic import discriminant, quadratic_roots, to_vertex_form
+from .quadratic import _roots_from_discriminant, discriminant, to_vertex_form
 
 
 def _degree(text: str) -> int:
@@ -71,14 +71,15 @@ def format_report(model: PolynomialModel, report: FitReport) -> str:
     lines.append(f"r_squared={report.r_squared:.6f}")
     if model.degree == 2 and model.coeffs[2] != 0.0:
         a, b, c = model.coeffs[2], model.coeffs[1], model.coeffs[0]
-        roots = quadratic_roots(a, b, c)
+        disc = discriminant(a, b, c)
+        roots = _roots_from_discriminant(a, b, c, disc)
         vertex = to_vertex_form(a, b, c)
         if roots.roots:
             roots_text = ",".join(f"{r:.10e}" for r in roots.roots)
         else:
             roots_text = "none"
         equation = "; ".join(format_equation(model, report.r_squared).splitlines())
-        lines.append(f"discriminant={discriminant(a, b, c):.10e}")
+        lines.append(f"discriminant={disc:.10e}")
         lines.append(f"roots={roots_text}")
         lines.append(f"vertex_h={vertex.h:.10e}")
         lines.append(f"vertex_k={vertex.k:.10e}")

@@ -14,7 +14,6 @@ byte-identical documents.
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 from ._record import record
 from .fitting import PolynomialModel, Series, eval_poly
@@ -61,12 +60,18 @@ def format_equation(model: PolynomialModel, r_squared: float) -> str:
     literal " + " separators, so negative coefficients appear as "+ -1.2345",
     and for a quadratic the first line is exactly
     "Fitted curve: Ax^2 + Bx + C".  A coefficient of magnitude 1e6 or
-    more renders as 1.2345e+06 instead, which keeps each term short.
+    more, or nonzero and below 1e-4, renders as 1.2345e+06 or 1.2345e-05
+    instead, which keeps each term short and never shows a nonzero
+    coefficient as 0.0000.
     """
     terms = []
     for k in range(model.degree, -1, -1):
         value = model.coeffs[k]
-        coeff = f"{value:.4e}" if abs(value) >= 1e6 else f"{value:.4f}"
+        magnitude = abs(value)
+        if magnitude >= 1e6 or 0.0 < magnitude < 1e-4:
+            coeff = f"{value:.4e}"
+        else:
+            coeff = f"{value:.4f}"
         if k == 0:
             terms.append(coeff)
         elif k == 1:
@@ -151,7 +156,7 @@ def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec:
     curve = sample_curve(model, x_min, x_max, CURVE_SAMPLES)
     curve_ys = [y for _, y in curve]
     x_lo, x_hi = _padded(x_min, x_max)
-    y_lo, y_hi = _padded(min(chain(series.ys, curve_ys)), max(chain(series.ys, curve_ys)))
+    y_lo, y_hi = _padded(min(min(series.ys), min(curve_ys)), max(max(series.ys), max(curve_ys)))
     left, top, width, height = _MARGIN_LEFT, _MARGIN_TOP, _PLOT_WIDTH, _PLOT_HEIGHT
     right = left + width
     bottom = top + height
@@ -192,12 +197,18 @@ def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec:
     out.append(f'<polyline id="fitted-curve" fill="none" stroke="{CURVE_COLOR}" '
                f'stroke-width="2" points="{points}"/>')
 
-    # One marker per point, with to_px inlined: at 1e5 points the calls
-    # would cost more than the arithmetic.
+    # All markers come from one % over a flat coordinate list (to_px's
+    # arithmetic, inlined): at 1e5 points a string per marker, later
+    # joined, costs more than the formatting itself. %.2f is the formatter
+    # f"{v:.2f}" uses, so the bytes are the same. The pixels go straight
+    # into their slices, so no separate x and y lists stay alive.
+    n = len(series.xs)
+    coords = [0.0] * (2 * n)
+    coords[::2] = [left + (x - x_lo) / x_span * width for x in series.xs]
+    coords[1::2] = [bottom - (y - y_lo) / y_span * height for y in series.ys]
+    marker = f'<circle cx="%.2f" cy="%.2f" r="4" fill="{DATA_COLOR}"/>'
     out.append('<g id="data-points">')
-    out.extend(f'<circle cx="{left + (x - x_lo) / x_span * width:.2f}" '
-               f'cy="{bottom - (y - y_lo) / y_span * height:.2f}" r="4" fill="{DATA_COLOR}"/>'
-               for x, y in zip(series.xs, series.ys))
+    out.append("\n".join([marker] * n) % tuple(coords))
     out.append('</g>')
 
     # Tick marks and labels.
@@ -234,10 +245,26 @@ def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec:
     return "\n".join(out)
 
 
+def _wrap_terms(line: str, limit: int) -> list[str]:
+    """Break a " + "-separated line between terms into rows of at most
+    limit characters; each row after the first starts with "+ "."""
+    first, *terms = line.split(" + ")
+    rows = [first]
+    for term in terms:
+        if len(rows[-1]) + 3 + len(term) <= limit:
+            rows[-1] += " + " + term
+        else:
+            rows.append("+ " + term)
+    return rows
+
+
 def _legend(model: PolynomialModel, report: FitReport) -> str:
-    equation_line, r2_line = format_equation(model, report.r_squared).split("\n")
-    rows = ["Actual Data", equation_line, r2_line]
     char_w = 7.3  # crude sans-serif advance at font-size 14; deterministic
+    # The box stays inside the plot frame, 12 px in from either side, so
+    # a longer equation (degree 10 prints 11 terms) continues on more rows.
+    max_chars = int((_PLOT_WIDTH - 24 - 48) / char_w)
+    equation_line, r2_line = format_equation(model, report.r_squared).split("\n")
+    rows = ["Actual Data", *_wrap_terms(equation_line, max_chars), r2_line]
     width = 48 + char_w * max(len(r) for r in rows)
     row_h = 22.0
     x0 = _MARGIN_LEFT + _PLOT_WIDTH - width - 12
@@ -245,9 +272,9 @@ def _legend(model: PolynomialModel, report: FitReport) -> str:
 
     out = [f'<g id="legend" font-family="{FONT_FAMILY}" font-size="14">']
     out.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(width)}" '
-               f'height="{_fmt(3 * row_h + 14)}" fill="white" fill-opacity="0.85" '
+               f'height="{_fmt(len(rows) * row_h + 14)}" fill="white" fill-opacity="0.85" '
                f'stroke="{FRAME_COLOR}" stroke-width="1"/>')
-    rows_y = [y0 + 12 + row_h * i for i in range(3)]
+    rows_y = [y0 + 12 + row_h * i for i in range(len(rows))]
     out.append(f'<circle cx="{_fmt(x0 + 22)}" cy="{_fmt(rows_y[0])}" r="4" '
                f'fill="{DATA_COLOR}"/>')
     out.append(f'<line x1="{_fmt(x0 + 10)}" y1="{_fmt(rows_y[1])}" '

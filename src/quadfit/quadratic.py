@@ -65,7 +65,11 @@ def quadratic_roots(a: float, b: float, c: float) -> RootSet:
     """
     if a == 0.0:
         raise NotQuadratic("a = 0: not a quadratic equation")
-    disc = discriminant(a, b, c)
+    return _roots_from_discriminant(a, b, c, discriminant(a, b, c))
+
+
+def _roots_from_discriminant(a: float, b: float, c: float, disc: float) -> RootSet:
+    """quadratic_roots for a != 0, given disc = discriminant(a, b, c)."""
     if abs(disc) <= DOUBLE_ROOT_TOLERANCE * max(b * b, abs(4.0 * a * c), 1.0):
         # + 0.0 turns a negative zero from -b/(2a) into plain zero
         root = _finite(-b / (2.0 * a) + 0.0, "the double root")

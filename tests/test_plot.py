@@ -1,4 +1,6 @@
+import hashlib
 import os
+import random
 import xml.dom.minidom
 from xml.sax.saxutils import escape
 
@@ -20,11 +22,27 @@ from quadfit import (
     parse_csv,
     render_plot,
 )
-from quadfit.plot import AXIS_PADDING, CURVE_SAMPLES, _escape, month_ticks, sample_curve
+from quadfit.plot import AXIS_PADDING, CURVE_SAMPLES, WIDTH, _escape, month_ticks, sample_curve
 
 SPEC = PlotSpec(description="Kyiv, Shcherbakovskaya St.",
                 metric_name="PM2.5",
                 y_label="PM2.5 Index")
+
+# SHA-256 of the figure test_bulk_figure_bytes_are_pinned renders.
+BULK_FIGURE_SHA256 = "48db9b64f1b81dfeb308384ecba2fab7d495ea7c63cc0748286edcfd509fdeaf"
+
+
+def noisy_quadratic(rows: int, seed: int) -> Series:
+    """The README's fitted quadratic plus N(0, 1.5^2) noise, x evenly over
+    [1, 12], values rounded as a CSV of 6 and 4 decimals would hold them."""
+    rng = random.Random(seed)
+    xs, ys = [], []
+    for i in range(rows):
+        x = 1.0 + 11.0 * i / (rows - 1)
+        y = 71.061363636 + x * (-11.840434565 + x * 0.89802697303) + rng.gauss(0.0, 1.5)
+        xs.append(round(x, 6))
+        ys.append(round(y, 4))
+    return Series(xs, ys)
 
 
 def quadratic_year():
@@ -95,7 +113,7 @@ class TestFormatEquation:
 
     def test_rounding_boundary(self):
         got = format_equation(PolynomialModel((0.00004, 0.0, 1.0)), 0.5)
-        assert got.startswith("Fitted curve: 1.0000x^2 + 0.0000x + 0.0000")
+        assert got.startswith("Fitted curve: 1.0000x^2 + 0.0000x + 4.0000e-05")
 
     def test_linear_fallback(self):
         got = format_equation(PolynomialModel((1.0, 2.0)), 0.25)
@@ -122,6 +140,30 @@ class TestFormatEquation:
                   if g.getAttribute("id") == "legend"][0]
         box = legend.getElementsByTagName("rect")[0]
         assert 0.0 <= float(box.getAttribute("x"))
+
+    @pytest.mark.parametrize("rows,seed", [(20_000, 1), (2_000, 1), (200, 1)])
+    def test_degree_ten_legend_shows_every_term_on_the_canvas(self, rows, seed):
+        # The high-order coefficients of a degree-10 fit to a noisy
+        # quadratic are below 1e-4, and its 11 terms are wider than the plot.
+        series = noisy_quadratic(rows, seed)
+        model, _ = fit_polynomial(series, 10)
+        report = fit_report(model, series)
+        dom = xml.dom.minidom.parseString(render_plot(series, model, report, SPEC))
+        legend = [g for g in dom.getElementsByTagName("g")
+                  if g.getAttribute("id") == "legend"][0]
+        box = legend.getElementsByTagName("rect")[0]
+        x, width = float(box.getAttribute("x")), float(box.getAttribute("width"))
+        assert 0.0 <= x and x + width <= WIDTH
+        rows_text = texts_of(legend)
+        assert rows_text[0] == "Actual Data"
+        assert rows_text[-1] == f"R^2 = {report.r_squared:.4f}"
+        equation = " ".join(rows_text[1:-1])
+        assert equation == format_equation(model, report.r_squared).split("\n")[0]
+        printed = [term.split("x")[0]
+                   for term in equation.removeprefix("Fitted curve: ").split(" + ")]
+        assert len(printed) == 11
+        for text, coeff in zip(printed, reversed(model.coeffs)):
+            assert coeff != 0.0 and float(text) != 0.0
 
 
 class TestSampleCurve:
@@ -323,6 +365,14 @@ class TestGoldenFigure:
             golden.write_text(svg, encoding="utf-8")
         assert golden.exists(), "golden file missing; run with QUADFIT_UPDATE_GOLDEN=1"
         assert svg == golden.read_text(encoding="utf-8")
+
+    def test_bulk_figure_bytes_are_pinned(self):
+        # The golden file draws 12 markers; this pins 5 000 of them, and
+        # every other byte of a larger figure, to a recorded digest.
+        series = noisy_quadratic(5_000, 7)
+        model, _ = fit_polynomial(series, 2)
+        svg = render_plot(series, model, fit_report(model, series), SPEC)
+        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == BULK_FIGURE_SHA256
 
     def test_sample_renders_identically_twice(self, sample_csv_path):
         first, _, _ = render_sample(sample_csv_path)
