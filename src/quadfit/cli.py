@@ -1,12 +1,14 @@
 """Command line front end: CSV in, fit report out, optional SVG chart.
 
-Exit codes: 0 on success, 1 when the data cannot be read or fitted,
-2 for command line usage errors (argparse's convention).
+Exit codes: 0 on success, 1 when the data cannot be read or fitted or an
+output cannot be written, 2 for command line usage errors (argparse's
+convention).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -116,26 +118,59 @@ def run(args: argparse.Namespace) -> None:
             fh.write(text)
 
 
+def _fail(message: str) -> int:
+    """Print a one-line diagnostic to stderr and return exit code 1."""
+    try:
+        print(f"quadfit: {message}", file=sys.stderr)
+    except OSError:
+        pass  # stderr is unwritable too; the exit code still tells
+    return 1
+
+
 def main(argv=None) -> int:
     try:
-        args = parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits itself on --help/--version (0) and usage errors (2);
-        # fold that into the return-code contract so callers never see the raise.
-        return int(exc.code or 0)
-    try:
-        run(args)
+        try:
+            args = parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits itself on --help/--version (0) and usage errors (2);
+            # fold that into the return-code contract so callers never see the raise.
+            code = int(exc.code or 0)
+        else:
+            run(args)
+            code = 0
+        # Buffered stdout reports a full disk or a closed pipe only when it is
+        # flushed, and --help and --version leave their text in the buffer.
+        # It is None when the process started with file descriptor 1 closed.
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except CsvError as exc:
-        print(f"quadfit: {args.input}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"{args.input}: {type(exc).__name__}: {exc}")
     except QuadfitError as exc:
-        print(f"quadfit: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"{type(exc).__name__}: {exc}")
     except OSError as exc:
-        print(f"quadfit: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        return _fail(str(exc))
+    return code
+
+
+def console_entry() -> None:
+    """Process entry of the `quadfit` command and `python -m quadfit.cli`.
+
+    Runs main(), flushes stdout and stderr, and ends the process with
+    os._exit, skipping interpreter teardown (garbage collection and module
+    cleanup), which would only run after every output is written.  Each
+    file main() writes is closed before it returns, and quadfit registers
+    no atexit hook; hooks that other code registers do not run.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:
+            continue
+        try:
+            stream.flush()
+        except OSError:
+            pass  # main() has reported an unwritable stdout; stderr cannot report
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

@@ -1,8 +1,11 @@
+import ast
 import contextlib
 import io
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import normal_equations_fit
-from conftest import DERIVED_XS, DERIVED_YS
+from conftest import DERIVED_XS, DERIVED_YS, REPO_ROOT
 
 from quadfit import FitReport, PolynomialModel, Series, eval_poly
 from quadfit import cli
@@ -269,6 +272,118 @@ class TestFailureModes:
         main(["-i", path])
         err = capsys.readouterr().err
         assert err.endswith("\n") and err.count("\n") == 1
+
+
+README_FLAGS = ["--metric", "PM2.5", "--y-label", "PM2.5 Index",
+                "--description", "Kyiv, Shcherbakovskaya St."]
+DISK_FULL = b"quadfit: [Errno 28] No space left on device\n"
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="needs /dev/full")
+
+
+def run_cli(*argv, **popen_args):
+    """`python -m quadfit.cli` in a child process, stdout block-buffered."""
+    # PYTHONUNBUFFERED would make a failed stdout write raise inside run();
+    # a buffered stdout fails only when it is flushed, which is the case
+    # these tests need to reach.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(REPO_ROOT / "src"), COLUMNS="80")
+    popen_args = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **popen_args}
+    return subprocess.run([sys.executable, "-m", "quadfit.cli", *map(str, argv)],
+                          cwd=REPO_ROOT, env=env, timeout=60, **popen_args)
+
+
+def readme_report() -> bytes:
+    """README's sample report, from its degree=2 line to its equation= line."""
+    lines = (REPO_ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("degree=2")
+    end = next(i for i in range(start, len(lines))
+               if lines[i].startswith("equation="))
+    return ("\n".join(lines[start:end + 1]) + "\n").encode()
+
+
+class TestProcessEntry:
+    def test_report_matches_readme(self, sample_csv_path):
+        proc = run_cli("-i", sample_csv_path)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == readme_report()
+
+    def test_svg_matches_golden(self, tmp_path, sample_csv_path, golden_dir):
+        svg_path = tmp_path / "chart.svg"
+        proc = run_cli("-i", sample_csv_path, "--svg", svg_path, *README_FLAGS)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert svg_path.read_bytes() == (golden_dir / "pm25_monthly.svg").read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--version", "--help"])
+    def test_version_and_help_print_their_full_text(self, flag, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main([flag]) == 0
+        proc = run_cli(flag)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == capsys.readouterr().out.encode()
+
+    def test_missing_file(self, tmp_path):
+        proc = run_cli("-i", tmp_path / "absent.csv")
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.startswith(b"quadfit: ") and proc.stderr.count(b"\n") == 1
+
+    def test_usage_error_exits_two(self, sample_csv_path):
+        assert run_cli("-i", sample_csv_path, "--degree", "11").returncode == 2
+
+    @needs_dev_full
+    @pytest.mark.parametrize("argv", [["-i", "data/pm25_monthly.csv"],
+                                      ["--help"], ["--version"]])
+    def test_unwritable_stdout_exits_one(self, argv):
+        with open("/dev/full", "wb") as full:
+            proc = run_cli(*argv, stdout=full)
+        assert (proc.returncode, proc.stderr) == (1, DISK_FULL)
+
+    @needs_dev_full
+    @pytest.mark.parametrize("input_name, code", [("pm25_monthly.csv", 0),
+                                                  ("absent.csv", 1)])
+    def test_unwritable_stderr_keeps_the_exit_code(self, input_name, code):
+        with open("/dev/full", "wb") as full:
+            proc = run_cli("-i", "data/" + input_name, stderr=full)
+        assert proc.returncode == code
+        assert proc.stdout == (readme_report() if code == 0 else b"")
+
+    @needs_dev_full
+    def test_unwritable_stdout_and_stderr_exit_one(self, sample_csv_path):
+        with open("/dev/full", "wb") as full:
+            proc = run_cli("-i", sample_csv_path, stdout=full, stderr=full)
+        assert proc.returncode == 1
+
+    def test_closed_stdout_is_not_flushed(self, tmp_path, sample_csv_path):
+        # With file descriptor 1 closed at start, sys.stdout is None.
+        report = tmp_path / "fit.txt"
+        for argv in (["--help"], ["-i", sample_csv_path, "--report", report]):
+            proc = run_cli(*argv, stdout=None, preexec_fn=lambda: os.close(1))
+            assert proc.returncode == 0, proc.stderr
+        assert report.read_bytes() == readme_report()
+
+    def test_main_reports_unwritable_stdout_in_process(self, sample_csv_path,
+                                                      capsys, monkeypatch):
+        class FullStdout(io.StringIO):
+            def flush(self):
+                raise OSError(28, "No space left on device")
+
+        def no_exit(code):
+            raise AssertionError("main() must return, not end the process")
+
+        monkeypatch.setattr(os, "_exit", no_exit)
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        assert main(["-i", str(sample_csv_path)]) == 1
+        assert capsys.readouterr().err.encode() == DISK_FULL
+
+    def test_console_script_is_the_process_entry(self):
+        pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        target = re.fullmatch(r'quadfit = "quadfit\.cli:(\w+)"', scripts.strip())[1]
+        source = (REPO_ROOT / "src" / "quadfit" / "cli.py").read_text(encoding="utf-8")
+        guard, = [node for node in ast.parse(source).body if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert [ast.unparse(stmt) for stmt in guard.body] == [f"{target}()"]
+        assert callable(getattr(cli, target))
 
 
 # Any finite float, with the extremes and subnormals drawn often.
