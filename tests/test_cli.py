@@ -274,6 +274,28 @@ class TestFailureModes:
         assert err.endswith("\n") and err.count("\n") == 1
 
 
+class TestAttachedDoubleDash:
+    """An attached value of exactly "--" is that string, as any other is."""
+
+    def test_degree_is_a_usage_error(self, sample_csv_path, capsys):
+        assert main(["-i", str(sample_csv_path), "--degree=--"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(
+            "\nquadfit: error: argument --degree: degree must be an integer, got '--'\n")
+
+    @pytest.mark.parametrize("flag", ["--input=--", "-i--", "-i=--"])
+    def test_input_names_a_missing_file(self, flag, capsys):
+        assert main([flag]) == 1
+        assert capsys.readouterr() == \
+            ("", "quadfit: [Errno 2] No such file or directory: '--'\n")
+
+    def test_metric_titles_the_chart(self, tmp_path, sample_csv_path, capsys):
+        svg_path = tmp_path / "chart.svg"
+        assert main(["-i", str(sample_csv_path), "--metric=--", "--svg", str(svg_path)]) == 0
+        assert ">-- by Month in</text>" in svg_path.read_text(encoding="utf-8")
+        assert capsys.readouterr().out == readme_report().decode()
+
+
 README_FLAGS = ["--metric", "PM2.5", "--y-label", "PM2.5 Index",
                 "--description", "Kyiv, Shcherbakovskaya St."]
 DISK_FULL = b"quadfit: [Errno 28] No space left on device\n"
@@ -354,12 +376,28 @@ class TestProcessEntry:
         assert proc.returncode == 1
 
     def test_closed_stdout_is_not_flushed(self, tmp_path, sample_csv_path):
-        # With file descriptor 1 closed at start, sys.stdout is None.
+        # With file descriptor 1 closed at start, sys.stdout is None; --help
+        # and --version then write their text to stderr, as argparse does.
+        for flag in ("--help", "--version"):
+            proc = run_cli(flag, stdout=None, preexec_fn=lambda: os.close(1))
+            assert (proc.returncode, proc.stderr) == (0, run_cli(flag).stdout)
         report = tmp_path / "fit.txt"
-        for argv in (["--help"], ["-i", sample_csv_path, "--report", report]):
-            proc = run_cli(*argv, stdout=None, preexec_fn=lambda: os.close(1))
-            assert proc.returncode == 0, proc.stderr
+        proc = run_cli("-i", sample_csv_path, "--report", report,
+                       stdout=None, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 0, proc.stderr
         assert report.read_bytes() == readme_report()
+
+    def test_closed_stdout_fails_before_reading_input(self, tmp_path, sample_csv_path):
+        svg_path = tmp_path / "chart.svg"
+        proc = run_cli("-i", sample_csv_path, "--svg", svg_path,
+                       stdout=None, preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (1, b"quadfit: standard output is closed\n")
+        assert not svg_path.exists()
+
+    def test_closed_stdin_exits_one(self):
+        proc = run_cli("-i", "-", preexec_fn=lambda: os.close(0))
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (1, b"", b"quadfit: standard input is closed\n")
 
     def test_main_reports_unwritable_stdout_in_process(self, sample_csv_path,
                                                       capsys, monkeypatch):

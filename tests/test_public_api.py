@@ -111,12 +111,19 @@ def test_value_class_contract(cls, required, defaults):
         f"{name}={value!r}" for name, value in fields.items()) + ")"
 
 
-def test_cli_import_loads_only_what_the_pipeline_uses():
-    # -S keeps site-packages .pth files from importing modules first.
-    heavy = ("xml", "dataclasses", "inspect", "pathlib", "urllib", "http", "email")
+def test_cli_import_loads_only_what_the_pipeline_uses(tmp_path):
+    # -S keeps site-packages .pth files from importing modules first.  The
+    # child also runs the command line, so modules that parsing the
+    # arguments, fitting, rendering or writing would load are counted too.
+    heavy = ("xml", "dataclasses", "inspect", "pathlib", "urllib", "http", "email",
+             "argparse", "gettext", "locale", "shutil")
     code = ("import sys, quadfit.cli; "
-            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {heavy!r}))")
+            "code = quadfit.cli.main(sys.argv[1:]); "
+            f"print(code, sorted(m for m in sys.modules if m.split('.')[0] in {heavy!r}))")
+    argv = ["-i", str(REPO_ROOT / "data" / "pm25_monthly.csv"),
+            "--svg", str(tmp_path / "chart.svg"), "--report", str(tmp_path / "fit.txt")]
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    assert out == "0 []\n"
+    assert (tmp_path / "chart.svg").exists() and (tmp_path / "fit.txt").exists()
