@@ -207,7 +207,13 @@ def run(args: Args) -> None:
     # file descriptor closed; stdout is checked first, so no SVG is written.
     if args.report == "-" and sys.stdout is None:
         raise OSError("standard output is closed")
-    schema = CsvSchema(x_column=args.x_col, y_column=args.y_col)
+    # Column names and chart texts are checked before any input is read.
+    try:
+        schema = CsvSchema(x_column=args.x_col, y_column=args.y_col)
+        spec = None if args.svg is None else PlotSpec(
+            description=args.description, metric_name=args.metric, y_label=args.y_label)
+    except ValueError as exc:
+        raise QuadfitError(str(exc)) from None
     if args.input == "-":
         if sys.stdin is None:
             raise OSError("standard input is closed")
@@ -222,10 +228,7 @@ def run(args: Args) -> None:
 
     # Render before writing anything, so a render that fails leaves
     # stdout empty and no report file.
-    if args.svg is not None:
-        spec = PlotSpec(description=args.description,
-                        metric_name=args.metric,
-                        y_label=args.y_label)
+    if spec is not None:
         svg = render_plot(series, model, report, spec)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)

@@ -100,12 +100,18 @@ class DomainWindow:
             raise ValueError(f"empty domain window [{self.x_min}, {self.x_max}]")
 
 
+def _horner(coeffs, xs) -> list[float]:
+    """Values at xs of the polynomial with ascending coefficients coeffs (at
+    least one), by Horner's scheme: one pass over all points per step."""
+    values = [coeffs[-1]] * len(xs)
+    for c in reversed(coeffs[:-1]):
+        values = [v * x + c for v, x in zip(values, xs)]
+    return values
+
+
 def eval_poly(model: PolynomialModel, x: float) -> float:
     """Evaluate the polynomial at x by Horner's scheme."""
-    result = 0.0
-    for c in reversed(model.coeffs):
-        result = result * x + c
-    return result
+    return _horner(model.coeffs, (x,))[0]
 
 
 def _orthogonal_fit(ts: list[float], ys, degree: int) -> list[float]:

@@ -9,11 +9,10 @@ leaves the float range raises NumericalOverflow.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
 from ._record import record
 from .errors import NumericalOverflow, UndefinedRSquared
-from .fitting import PolynomialModel, Series
+from .fitting import PolynomialModel, Series, _horner
 
 # With constant data, residual mass up to this bound per observation still
 # counts as a perfect fit (R^2 = 1); anything larger is undefined.
@@ -87,19 +86,15 @@ def fit_report(model: PolynomialModel, series: Series) -> FitReport:
     # ss_tot first, so that its deviations are freed before the fitted
     # column is built; both sums raise the same NumericalOverflow.
     ss_tot = total_sum_of_squares(series.ys)
-    # eval_poly's Horner steps, taken a coefficient at a time over all
-    # points.  The fitted values equal eval_poly's up to the sign of a
-    # zero, which squaring drops, so each square is bit for bit the same.
-    # The last step and the squares run inside _finite_fsum, which turns
-    # an OverflowError from ** into NumericalOverflow.  A constant starts
-    # from 0.0, since 0.0 * x + c0 is eval_poly's own first step.
+    # The fitted value is q(x) * x + c0: eval_poly's last Horner step runs
+    # with the squares inside _finite_fsum (which turns an OverflowError
+    # from ** into NumericalOverflow), so no list of fitted values is built.
+    # A constant's q is 0.0; the sign of a zero is all that differs, and
+    # squaring drops it.
     xs = series.xs
-    c0, *higher = model.coeffs
-    fitted = repeat(higher.pop() if higher else 0.0)
-    for c in reversed(higher):
-        fitted = [f * x + c for f, x in zip(fitted, xs)]
-    ss_res = _finite_fsum((y - (f * x + c0)) ** 2
-                          for x, y, f in zip(xs, series.ys, fitted))
+    c0 = model.coeffs[0]
+    q = _horner(model.coeffs[1:] or (0.0,), xs)
+    ss_res = _finite_fsum((y - (f * x + c0)) ** 2 for x, y, f in zip(xs, series.ys, q))
     return FitReport(
         ss_res=ss_res,
         ss_tot=ss_tot,

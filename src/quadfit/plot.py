@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from ._record import record
-from .fitting import PolynomialModel, Series, eval_poly
+from .fitting import PolynomialModel, Series, _horner
 from .metrics import FitReport
 
 MONTH_LABELS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
@@ -43,14 +43,28 @@ _MARGIN_BOTTOM = 60.0
 _PLOT_WIDTH = WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
 _PLOT_HEIGHT = HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
+# The characters XML 1.0 forbids: C0 controls but tab, LF and CR, and
+# U+FFFE and U+FFFF.  It forbids the surrogates too, tested by range.
+_XML_FORBIDDEN = "".join(map(chr, [*range(9), 11, 12, *range(14, 32)])) + "\ufffe\uffff"
+
 
 @record
 class PlotSpec:
-    """The chart's texts: second title line, metric name and y axis label."""
+    """The chart's texts: second title line, metric name and y axis label.
+
+    Construction fails with ValueError when a text holds a character that
+    XML 1.0 forbids or a lone surrogate, which UTF-8 cannot encode either.
+    """
 
     description: str
     metric_name: str
     y_label: str
+
+    def __post_init__(self):
+        for name in ("description", "metric_name", "y_label"):
+            for c in getattr(self, name):
+                if c in _XML_FORBIDDEN or "\ud800" <= c <= "\udfff":
+                    raise ValueError(f"{name} holds {c!r}, which an SVG document cannot carry")
 
 
 def format_equation(model: PolynomialModel, r_squared: float) -> str:
@@ -134,11 +148,7 @@ def sample_curve(model: PolynomialModel, x_min: float, x_max: float, n: int) -> 
     """
     step = (x_max - x_min) / (n - 1)
     xs = [x_min + i * step for i in range(n - 1)] + [x_max]
-    return [(x, eval_poly(model, x)) for x in xs]
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+    return list(zip(xs, _horner(model.coeffs, xs)))
 
 
 def _escape(text: str) -> str:
@@ -153,8 +163,7 @@ def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec:
     data's x range, padded by AXIS_PADDING on each side.
     """
     x_min, x_max = min(series.xs), max(series.xs)
-    curve = sample_curve(model, x_min, x_max, CURVE_SAMPLES)
-    curve_ys = [y for _, y in curve]
+    curve_xs, curve_ys = zip(*sample_curve(model, x_min, x_max, CURVE_SAMPLES))
     x_lo, x_hi = _padded(x_min, x_max)
     y_lo, y_hi = _padded(min(min(series.ys), min(curve_ys)), max(max(series.ys), max(curve_ys)))
     left, top, width, height = _MARGIN_LEFT, _MARGIN_TOP, _PLOT_WIDTH, _PLOT_HEIGHT
@@ -163,10 +172,16 @@ def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec:
 
     x_span, y_span = x_hi - x_lo, y_hi - y_lo
 
-    def to_px(x: float, y: float) -> tuple[float, float]:
-        px = left + (x - x_lo) / x_span * width
-        py = bottom - (y - y_lo) / y_span * height
-        return px, py
+    def pixels(xs, ys) -> list[float]:
+        """The points (xs[i], ys[i]) in pixels, flat: px0, py0, px1, py1, ...
+
+        One % over a "%.2f" template per point formats the list; at 1e5
+        points a string per point, later joined, costs more.  %.2f is the
+        formatter f"{v:.2f}" uses."""
+        coords = [0.0] * (2 * len(xs))
+        coords[::2] = [left + (x - x_lo) / x_span * width for x in xs]
+        coords[1::2] = [bottom - (y - y_lo) / y_span * height for y in ys]
+        return coords
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -175,67 +190,60 @@ def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec:
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
 
-    # Each tick with its pixel position, drawn as a grid line and a label.
-    xticks = [(to_px(pos, y_lo)[0], label) for pos, label in month_ticks(x_min, x_max)]
-    yticks = [(to_px(x_lo, pos)[1], pos) for pos in _nice_ticks(y_lo, y_hi, 10)]
+    # Each tick's pixel, on the bottom (x) or left (y) edge.
+    xticks = month_ticks(x_min, x_max)
+    yticks = _nice_ticks(y_lo, y_hi, 10)
+    x_px = pixels([pos for pos, _ in xticks], [y_lo] * len(xticks))[::2]
+    y_px = pixels([x_lo] * len(yticks), yticks)[1::2]
 
     # Grid under everything else, clipped to the plotting area.
     out.append('<g stroke="%s" stroke-width="1">' % GRID_COLOR)
-    for px, _ in xticks:
-        out.append(f'<line x1="{_fmt(px)}" y1="{_fmt(top)}" '
-                   f'x2="{_fmt(px)}" y2="{_fmt(bottom)}"/>')
-    for py, _ in yticks:
-        out.append(f'<line x1="{_fmt(left)}" y1="{_fmt(py)}" '
-                   f'x2="{_fmt(right)}" y2="{_fmt(py)}"/>')
+    for px in x_px:
+        out.append(f'<line x1="{px:.2f}" y1="{top:.2f}" '
+                   f'x2="{px:.2f}" y2="{bottom:.2f}"/>')
+    for py in y_px:
+        out.append(f'<line x1="{left:.2f}" y1="{py:.2f}" '
+                   f'x2="{right:.2f}" y2="{py:.2f}"/>')
     out.append('</g>')
 
-    out.append(f'<rect x="{_fmt(left)}" y="{_fmt(top)}" '
-               f'width="{_fmt(width)}" height="{_fmt(height)}" '
+    out.append(f'<rect x="{left:.2f}" y="{top:.2f}" '
+               f'width="{width:.2f}" height="{height:.2f}" '
                f'fill="none" stroke="{FRAME_COLOR}" stroke-width="1"/>')
 
-    points = " ".join(",".join(map(_fmt, to_px(x, y))) for x, y in curve)
+    points = " ".join(["%.2f,%.2f"] * CURVE_SAMPLES) % tuple(pixels(curve_xs, curve_ys))
     out.append(f'<polyline id="fitted-curve" fill="none" stroke="{CURVE_COLOR}" '
                f'stroke-width="2" points="{points}"/>')
 
-    # All markers come from one % over a flat coordinate list (to_px's
-    # arithmetic, inlined): at 1e5 points a string per marker, later
-    # joined, costs more than the formatting itself. %.2f is the formatter
-    # f"{v:.2f}" uses, so the bytes are the same. The pixels go straight
-    # into their slices, so no separate x and y lists stay alive.
-    n = len(series.xs)
-    coords = [0.0] * (2 * n)
-    coords[::2] = [left + (x - x_lo) / x_span * width for x in series.xs]
-    coords[1::2] = [bottom - (y - y_lo) / y_span * height for y in series.ys]
     marker = f'<circle cx="%.2f" cy="%.2f" r="4" fill="{DATA_COLOR}"/>'
     out.append('<g id="data-points">')
-    out.append("\n".join([marker] * n) % tuple(coords))
+    out.append("\n".join([marker] * len(series)) % tuple(pixels(series.xs, series.ys)))
     out.append('</g>')
 
     # Tick marks and labels.
     out.append(f'<g font-family="{FONT_FAMILY}" font-size="13" fill="black">')
-    for px, label in xticks:
-        out.append(f'<line x1="{_fmt(px)}" y1="{_fmt(bottom)}" '
-                   f'x2="{_fmt(px)}" y2="{_fmt(bottom + 5)}" stroke="black"/>')
-        out.append(f'<text x="{_fmt(px)}" y="{_fmt(bottom + 20)}" '
+    for px, (_, label) in zip(x_px, xticks):
+        out.append(f'<line x1="{px:.2f}" y1="{bottom:.2f}" '
+                   f'x2="{px:.2f}" y2="{bottom + 5:.2f}" stroke="black"/>')
+        out.append(f'<text x="{px:.2f}" y="{bottom + 20:.2f}" '
                    f'text-anchor="middle">{_escape(label)}</text>')
-    for py, pos in yticks:
-        out.append(f'<line x1="{_fmt(left - 5)}" y1="{_fmt(py)}" '
-                   f'x2="{_fmt(left)}" y2="{_fmt(py)}" stroke="black"/>')
-        out.append(f'<text x="{_fmt(left - 9)}" y="{_fmt(py + 4)}" '
+    for py, pos in zip(y_px, yticks):
+        out.append(f'<line x1="{left - 5:.2f}" y1="{py:.2f}" '
+                   f'x2="{left:.2f}" y2="{py:.2f}" stroke="black"/>')
+        out.append(f'<text x="{left - 9:.2f}" y="{py + 4:.2f}" '
                    f'text-anchor="end">{pos:g}</text>')
     out.append('</g>')
 
     # Axis labels and the two-line title.
     cx = left + width / 2.0
     out.append(f'<g font-family="{FONT_FAMILY}" fill="black">')
-    out.append(f'<text x="{_fmt(cx)}" y="{_fmt(bottom + 45)}" font-size="15" '
+    out.append(f'<text x="{cx:.2f}" y="{bottom + 45:.2f}" font-size="15" '
                f'text-anchor="middle">Month</text>')
-    out.append(f'<text x="22" y="{_fmt(top + height / 2.0)}" font-size="15" '
+    out.append(f'<text x="22" y="{top + height / 2.0:.2f}" font-size="15" '
                f'text-anchor="middle" transform="rotate(-90 22 '
-               f'{_fmt(top + height / 2.0)})">{_escape(spec.y_label)}</text>')
-    out.append(f'<text x="{_fmt(cx)}" y="28" font-size="18" '
+               f'{top + height / 2.0:.2f})">{_escape(spec.y_label)}</text>')
+    out.append(f'<text x="{cx:.2f}" y="28" font-size="18" '
                f'text-anchor="middle">{_escape(spec.metric_name)} by Month in</text>')
-    out.append(f'<text x="{_fmt(cx)}" y="50" font-size="18" '
+    out.append(f'<text x="{cx:.2f}" y="50" font-size="18" '
                f'text-anchor="middle">{_escape(spec.description)}</text>')
     out.append('</g>')
 
@@ -271,17 +279,17 @@ def _legend(model: PolynomialModel, report: FitReport) -> str:
     y0 = _MARGIN_TOP + 12
 
     out = [f'<g id="legend" font-family="{FONT_FAMILY}" font-size="14">']
-    out.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(width)}" '
-               f'height="{_fmt(len(rows) * row_h + 14)}" fill="white" fill-opacity="0.85" '
+    out.append(f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{width:.2f}" '
+               f'height="{len(rows) * row_h + 14:.2f}" fill="white" fill-opacity="0.85" '
                f'stroke="{FRAME_COLOR}" stroke-width="1"/>')
     rows_y = [y0 + 12 + row_h * i for i in range(len(rows))]
-    out.append(f'<circle cx="{_fmt(x0 + 22)}" cy="{_fmt(rows_y[0])}" r="4" '
+    out.append(f'<circle cx="{x0 + 22:.2f}" cy="{rows_y[0]:.2f}" r="4" '
                f'fill="{DATA_COLOR}"/>')
-    out.append(f'<line x1="{_fmt(x0 + 10)}" y1="{_fmt(rows_y[1])}" '
-               f'x2="{_fmt(x0 + 34)}" y2="{_fmt(rows_y[1])}" '
+    out.append(f'<line x1="{x0 + 10:.2f}" y1="{rows_y[1]:.2f}" '
+               f'x2="{x0 + 34:.2f}" y2="{rows_y[1]:.2f}" '
                f'stroke="{CURVE_COLOR}" stroke-width="2"/>')
     for text, ry in zip(rows, rows_y):
-        out.append(f'<text x="{_fmt(x0 + 42)}" y="{_fmt(ry + 5)}" '
+        out.append(f'<text x="{x0 + 42:.2f}" y="{ry + 5:.2f}" '
                    f'fill="black">{_escape(text)}</text>')
     out.append('</g>')
     return "\n".join(out)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import example, given, settings
@@ -267,6 +268,16 @@ class TestFailureModes:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert re.search(r"\b(nan|inf)\b", out) is None
 
+    @pytest.mark.parametrize("flags, line", [
+        (["--x-col", "Values", "--y-col", "Values"],
+         "quadfit: QuadfitError: x and y columns must be distinct\n"),
+        (["--x-col", ""], "quadfit: QuadfitError: column names must be nonempty\n"),
+    ], ids=["same-column", "empty-name"])
+    def test_bad_column_names(self, tmp_path, capsys, flags, line):
+        # The input does not exist: the names are refused before it is read.
+        assert main(["-i", str(tmp_path / "absent.csv"), *flags]) == 1
+        assert capsys.readouterr() == ("", line)
+
     def test_diagnostic_is_single_line(self, tmp_path, capsys):
         path = write_csv(tmp_path, "Month,Values\n1,10\n2,12\n")
         main(["-i", path])
@@ -470,3 +481,43 @@ def test_any_finite_csv_gives_report_or_one_error(rows, degree):
     if svg is not None:
         xs = drawn_xs(svg)
         assert xs and all(0.0 <= x <= WIDTH for x in xs)
+
+
+SAMPLE_CSV = REPO_ROOT / "data" / "pm25_monthly.csv"
+# Text characters that XML 1.0 forbids or UTF-8 cannot encode, drawn often,
+# among any character, lone surrogates included.
+UNWRITABLE = "\x00\x01\x08\x0b\x0c\x0e\x1f\ud800\udcff\udfff\ufffe\uffff"
+CHART_TEXT = st.text(st.characters(exclude_categories=())
+                     | st.sampled_from(UNWRITABLE + "\t\n\r&<>\"'\x7f\ud7ff\ue000\ufffd"),
+                     max_size=6)
+
+
+def writable(text: str) -> bool:
+    return all(c in "\t\n\r" or " " <= c < "\ud800" or "\ue000" <= c < "\ufffe"
+               or c > "\uffff" for c in text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(description=CHART_TEXT, metric=CHART_TEXT, y_label=CHART_TEXT)
+@example(description="", metric="\udcff", y_label="")  # an undecodable argv byte
+@example(description="", metric="a\x01b", y_label="")
+def test_chart_text_gives_a_parsable_svg_or_one_error(description, metric, y_label):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        svg_path = os.path.join(tmp, "chart.svg")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            # Attached, so a text that starts with "-" is still the value.
+            code = main(["-i", str(SAMPLE_CSV), "--svg", svg_path,
+                         f"--description={description}", f"--metric={metric}",
+                         f"--y-label={y_label}"])
+        svg = None
+        if os.path.exists(svg_path):
+            with open(svg_path, "rb") as fh:
+                svg = fh.read()
+    if all(map(writable, (description, metric, y_label))):
+        assert (code, err.getvalue()) == (0, "")
+        ET.fromstring(svg)
+    else:
+        assert code == 1 and out.getvalue() == "" and svg is None
+        line = err.getvalue()
+        assert line.startswith("quadfit: ") and line.count("\n") == 1 and line.endswith("\n")

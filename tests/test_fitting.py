@@ -52,6 +52,15 @@ class TestEvalPoly:
     def test_pure_square(self):
         assert eval_poly(PolynomialModel((0, 0, 1)), -3.0) == 9.0
 
+    def test_constant_at_infinity(self):
+        # No 0.0 * x step, so an infinite x cannot turn the constant into NaN.
+        assert eval_poly(PolynomialModel((5.0,)), math.inf) == 5.0
+        assert eval_poly(PolynomialModel((5.0,)), -math.inf) == 5.0
+
+    def test_model_needs_a_coefficient(self):
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            PolynomialModel(())
+
     @given(
         coeffs=st.lists(st.floats(-10, 10), min_size=1, max_size=7),
         x=st.floats(-100, 100),
@@ -160,6 +169,12 @@ class TestFitPolynomial:
     def test_all_x_equal(self):
         with pytest.raises(DegenerateAbscissa):
             fit_polynomial(Series((1, 1, 1, 1), (1, 2, 3, 4)), 1)
+
+    def test_degree_zero_with_all_x_equal(self):
+        # Degree 0 needs one distinct x, but the data window needs two.
+        with pytest.raises(DegenerateAbscissa,
+                           match="^all x values are equal; data window is undefined$"):
+            fit_polynomial(Series((3, 3, 3), (1, 2, 3)), 0)
 
     def test_negative_degree(self):
         with pytest.raises(InvalidDegree):

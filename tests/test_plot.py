@@ -311,6 +311,15 @@ class TestRenderPlot:
         dom = xml.dom.minidom.parseString(svg)  # would fail on raw & or <
         assert "A & B <Street>" in texts_of(dom)
 
+    @pytest.mark.parametrize("field, text", [
+        ("description", "a\x01b"), ("metric_name", "\x00"), ("y_label", "\ud800"),
+        ("description", "\udcff"), ("metric_name", "\ufffe"), ("y_label", "x\uffff"),
+    ])
+    def test_spec_refuses_text_an_svg_cannot_carry(self, field, text):
+        texts = {"description": "d", "metric_name": "m", "y_label": "y", field: text}
+        with pytest.raises(ValueError, match=f"^{field} holds "):
+            PlotSpec(**texts)
+
     @given(text=st.text() | st.text(alphabet="&<>;\"'amp#lt"))
     def test_escape_matches_saxutils(self, text):
         assert _escape(text) == escape(text)
