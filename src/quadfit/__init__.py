@@ -23,7 +23,7 @@ from .errors import (
 )
 from .fitting import DomainWindow, PolynomialModel, Series, eval_poly, fit_polynomial
 from .ingest import CsvSchema, parse_csv
-from .metrics import FitReport, fit_report, r_squared
+from .metrics import FitReport, fit_report
 from .plot import PlotSpec, format_equation, render_plot
 from .quadratic import (
     RootSet,
@@ -67,7 +67,6 @@ __all__ = [
     "from_vertex_form",
     "parse_csv",
     "quadratic_roots",
-    "r_squared",
     "render_plot",
     "to_vertex_form",
 ]

@@ -20,9 +20,9 @@ from .errors import (
     MalformedRow,
     MissingColumn,
     NonNumericValue,
-    QuadfitError,
 )
-from .fitting import Series, _validation_error
+# validate_series, the fit's input check, for perfbench/traced_child.py:71.
+from .fitting import Series, _validation_error as validate_series
 
 
 @record
@@ -117,13 +117,3 @@ def parse_csv(data, schema: CsvSchema = CsvSchema()) -> Series:
         raise EmptyData("input has a header row but no data rows")
     return Series(xs, ys)
 
-
-def validate_series(series: Series, degree: int) -> QuadfitError | None:
-    """Check that a series can support a degree-d fit.
-
-    Returns None when it can, otherwise the specific error instance
-    (InvalidDegree, InsufficientData or DegenerateAbscissa) without raising;
-    the series itself is never modified.  Finiteness is already guaranteed
-    by Series construction.
-    """
-    return _validation_error(series, degree)

@@ -14,8 +14,9 @@ from ._record import record
 from .errors import NumericalOverflow, UndefinedRSquared
 from .fitting import PolynomialModel, Series, _horner
 
-# With constant data, residual mass up to this bound per observation still
-# counts as a perfect fit (R^2 = 1); anything larger is undefined.
+# With constant data y0, residual mass up to this bound per observation,
+# times max(1, y0^2), still counts as a perfect fit (R^2 = 1); anything
+# larger is undefined.
 CONSTANT_DATA_RESIDUAL_TOLERANCE = 1e-12
 
 
@@ -52,32 +53,11 @@ def total_sum_of_squares(ys) -> float:
     return _finite_fsum((d - mean) ** 2 for d in shifted)
 
 
-def _r_squared_from_sums(ss_res: float, ss_tot: float, n: int) -> float:
-    """1 - ss_res/ss_tot, or the constant-data rule when ss_tot is zero."""
-    if ss_tot == 0.0:
-        if ss_res <= CONSTANT_DATA_RESIDUAL_TOLERANCE * n:
-            return 1.0
-        raise UndefinedRSquared(
-            f"constant data with nonzero residual mass ({ss_res:.3e})"
-        )
-    return 1.0 - ss_res / ss_tot
-
-
-def r_squared(series: Series, fitted) -> float:
-    """1 - ss_res/ss_tot, the proportion of variance explained.
+def fit_report(model: PolynomialModel, series: Series) -> FitReport:
+    """Bundle ss_res, ss_tot and R^2 = 1 - ss_res/ss_tot for a model on its data.
 
     When ss_tot is zero (all observations equal), the ratio is undefined;
-    a fit that reproduces the constant within tolerance scores 1, anything
-    else raises UndefinedRSquared.
-    """
-    if len(fitted) != len(series):
-        raise ValueError(f"{len(fitted)} fitted values for {len(series)} observations")
-    ss_res = _finite_fsum((y - f) ** 2 for y, f in zip(series.ys, fitted))
-    return _r_squared_from_sums(ss_res, total_sum_of_squares(series.ys), len(series))
-
-
-def fit_report(model: PolynomialModel, series: Series) -> FitReport:
-    """Bundle ss_res, ss_tot and R^2 for a model on its data.
+    a model that reproduces the constant within tolerance scores 1.
 
     Raises:
         NumericalOverflow: a sum of squares leaves the float range.
@@ -95,9 +75,11 @@ def fit_report(model: PolynomialModel, series: Series) -> FitReport:
     c0 = model.coeffs[0]
     q = _horner(model.coeffs[1:] or (0.0,), xs)
     ss_res = _finite_fsum((y - (f * x + c0)) ** 2 for x, y, f in zip(xs, series.ys, q))
-    return FitReport(
-        ss_res=ss_res,
-        ss_tot=ss_tot,
-        r_squared=_r_squared_from_sums(ss_res, ss_tot, len(series)),
-        n=len(series),
-    )
+    n = len(series)
+    if ss_tot != 0.0:
+        return FitReport(ss_res, ss_tot, 1.0 - ss_res / ss_tot, n)
+    # A product, not y0 ** 2, so that a huge y0 gives inf, not OverflowError.
+    scale = max(1.0, abs(series.ys[0]))
+    if ss_res > CONSTANT_DATA_RESIDUAL_TOLERANCE * n * scale * scale:
+        raise UndefinedRSquared(f"constant data with nonzero residual mass ({ss_res:.3e})")
+    return FitReport(ss_res, ss_tot, 1.0, n)

@@ -11,7 +11,7 @@ import math
 from ._record import record
 from .errors import NotQuadratic, NumericalOverflow
 
-# |b^2 - 4ac| at or below this fraction of the term magnitudes counts as a
+# |b^2 - 4ac| at or below this fraction of max(b^2, |4ac|) counts as a
 # double root rather than two roots separated by rounding noise.
 DOUBLE_ROOT_TOLERANCE = 1e-12
 
@@ -70,7 +70,7 @@ def quadratic_roots(a: float, b: float, c: float) -> RootSet:
 
 def _roots_from_discriminant(a: float, b: float, c: float, disc: float) -> RootSet:
     """quadratic_roots for a != 0, given disc = discriminant(a, b, c)."""
-    if abs(disc) <= DOUBLE_ROOT_TOLERANCE * max(b * b, abs(4.0 * a * c), 1.0):
+    if abs(disc) <= DOUBLE_ROOT_TOLERANCE * max(b * b, abs(4.0 * a * c)):
         # + 0.0 turns a negative zero from -b/(2a) into plain zero
         root = _finite(-b / (2.0 * a) + 0.0, "the double root")
         return RootSet((root,), multiplicity=2)

@@ -203,6 +203,23 @@ class TestEndToEnd:
         assert fields["r_squared"] == "1.000000"
         assert err == ""
 
+    def test_small_y_keeps_two_roots(self, tmp_path, capsys):
+        # y = 1e-8 (x - 3)(x - 9): a small unit of y is not a double root.
+        rows = "".join(f"{x},{1e-8 * (x - 3) * (x - 9)!r}\n" for x in range(1, 13))
+        path = write_csv(tmp_path, "Month,Values\n" + rows)
+        assert main(["-i", path]) == 0
+        fields = parse_report(capsys.readouterr().out)
+        assert fields["roots"] == "3.0000000000e+00,9.0000000000e+00"
+
+    def test_large_constant_data(self, tmp_path, capsys):
+        # The fitted constant may be an ulp off so large a y.
+        rows = "".join(f"{x},4090082241507.382\n" for x in range(1, 7))
+        path = write_csv(tmp_path, "Month,Values\n" + rows)
+        assert main(["-i", path, "--degree", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert parse_report(out)["r_squared"] == "1.000000"
+        assert err == ""
+
 
 class TestFailureModes:
     def test_truncated_csv(self, tmp_path, capsys):

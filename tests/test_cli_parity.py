@@ -22,7 +22,8 @@ from quadfit.cli import OPTIONS, parse_args
 pytestmark = pytest.mark.skipif(
     sys.version_info >= (3, 13),
     reason="argparse from Python 3.13 lays out --help differently from the "
-           "3.10-3.12 text that quadfit prints")
+           "3.10-3.12 text that quadfit prints, and for -hx it prints help and "
+           "exits 0 where quadfit, like argparse 3.10-3.12, exits 2")
 
 FIELDS = ("input", "svg", "report", "degree", "description", "metric",
           "y_label", "x_col", "y_col")

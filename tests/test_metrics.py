@@ -24,7 +24,6 @@ from quadfit import (
     eval_poly,
     fit_polynomial,
     fit_report,
-    r_squared,
 )
 from quadfit.metrics import CONSTANT_DATA_RESIDUAL_TOLERANCE, total_sum_of_squares
 
@@ -48,33 +47,30 @@ class TestTotalSumOfSquares:
 class TestRSquared:
     def test_perfect_fit_is_one(self):
         series = Series((1, 2, 3), (2.0, 4.0, 9.0))
-        assert r_squared(series, [2.0, 4.0, 9.0]) == 1.0
+        assert fit_report(PolynomialModel((3.0, -2.5, 1.5)), series).r_squared == 1.0
 
     def test_mean_predictor_is_zero(self):
         ys = (1.0, 4.0, 9.0, 17.0)
         mean = math.fsum(ys) / len(ys)
-        got = r_squared(Series((1, 2, 3, 4), ys), [mean] * 4)
+        got = fit_report(PolynomialModel((mean,)), Series((1, 2, 3, 4), ys)).r_squared
         assert abs(got) <= 1e-12
 
     def test_fixed_dataset_matches_oracle(self, derived_series):
         model, _ = fit_polynomial(derived_series, 2)
-        fitted = [eval_poly(model, x) for x in derived_series.xs]
         _, _, _, _, want = exact_report(DERIVED_XS, DERIVED_YS, 2)
         assert want == Fraction(2934, 2935)
-        assert r_squared(derived_series, fitted) == pytest.approx(float(want), abs=1e-9)
+        got = fit_report(model, derived_series).r_squared
+        assert got == pytest.approx(float(want), abs=1e-9)
 
     def test_constant_data_with_matching_fit(self):
         series = Series((1, 2, 3), (5.0, 5.0, 5.0))
-        assert r_squared(series, [5.0, 5.0, 5.0]) == 1.0
+        assert fit_report(PolynomialModel((5.0,)), series).r_squared == 1.0
 
     def test_constant_data_with_wrong_fit(self):
+        # The model gives 5, 5 and 6 at x = 1, 2 and 3.
         series = Series((1, 2, 3), (5.0, 5.0, 5.0))
         with pytest.raises(UndefinedRSquared):
-            r_squared(series, [5.0, 5.0, 6.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            r_squared(Series((1, 2), (1, 2)), [1.0])
+            fit_report(PolynomialModel((6.0, -1.5, 0.5)), series)
 
 
 class TestFitReport:
@@ -93,6 +89,18 @@ class TestFitReport:
         assert report.r_squared == 1.0
         assert report.ss_tot == 0.0
         assert report.ss_res <= 1e-12
+
+    def test_large_constant_data(self):
+        # The fitted constant fsum(ys)/n may be an ulp off a large y.
+        for m in (1.1, 2.3, 4.090082241507382, 7.7):
+            for k in range(16):
+                value = m * 10.0 ** k
+                for n in range(3, 13):
+                    series = Series(tuple(range(1, n + 1)), (value,) * n)
+                    for degree in range(1, min(3, n - 1) + 1):
+                        model, _ = fit_polynomial(series, degree)
+                        got = fit_report(model, series).r_squared
+                        assert got == 1.0, (value, n, degree)
 
     def test_fixed_dataset_full_report(self, derived_series):
         model, _ = fit_polynomial(derived_series, 2)

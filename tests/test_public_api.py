@@ -3,6 +3,7 @@ runs, the value classes keep their contract, and the CLI imports stay lean."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,7 +47,6 @@ EXPORTS = [
     "from_vertex_form",
     "parse_csv",
     "quadratic_roots",
-    "r_squared",
     "render_plot",
     "to_vertex_form",
 ]
@@ -55,6 +55,13 @@ EXPORTS = [
 def test_exports_are_the_agreed_list():
     assert sorted(quadfit.__all__) == EXPORTS
     assert all(hasattr(quadfit, name) for name in EXPORTS)
+
+
+def test_version_matches_pyproject():
+    pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = pyproject.split("[project]\n", 1)[1].split("\n[", 1)[0]
+    version, = re.findall(r'^version = "(.+)"$', project, re.MULTILINE)
+    assert quadfit.__version__ == version
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)

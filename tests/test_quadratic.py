@@ -78,6 +78,18 @@ class TestQuadraticRoots:
             assert abs(a * r * r + b * r + c) <= bound
         assert got.roots[1] == pytest.approx(-1e-8, rel=1e-6)
 
+    def test_roots_do_not_depend_on_units(self):
+        # Scaling an equation by any power of ten keeps its roots: two, a
+        # double root, a double root at 0 and none.
+        for a, b, c in ((1.0, -12.0, 27.0), (1.0, -6.0, 9.0), (1.0, 0.0, 0.0),
+                        (2.0, 0.0, 3.0)):
+            want = quadratic_roots(a, b, c)
+            for k in range(-100, 101):
+                lam = 10.0 ** k
+                got = quadratic_roots(lam * a, lam * b, lam * c)
+                assert got.multiplicity == want.multiplicity, (a, b, c, k)
+                assert got.roots == pytest.approx(want.roots, rel=1e-12), (a, b, c, k)
+
     @settings(max_examples=200)
     @given(a=nonzero_lead, b=small, c=small)
     def test_roots_satisfy_equation(self, a, b, c):
