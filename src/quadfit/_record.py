@@ -13,15 +13,15 @@ class then compiles its generated methods with exec; this module does
 neither, which keeps them off the command line's start-up path.
 """
 
-from __future__ import annotations
-
 import operator
 
 _MISSING = object()
 
 
 def record(cls):
-    names = tuple(cls.__dict__.get("__annotations__", ()))
+    # Through the attribute, not cls.__dict__: from Python 3.14 (PEP 649) a
+    # class namespace holds a function that computes its annotations.
+    names = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     post_init = getattr(cls, "__post_init__", None)
     field_values = operator.attrgetter(*names)

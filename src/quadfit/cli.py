@@ -5,10 +5,7 @@ output cannot be written, 2 for command line usage errors, which print the
 usage and one `quadfit: error: ...` line to stderr.
 """
 
-from __future__ import annotations
-
 import os
-import re
 import sys
 
 from . import __version__
@@ -92,6 +89,21 @@ def _usage_error(message: str, field: str | None = None):
     raise SystemExit(2)
 
 
+def _is_negative_number(arg: str) -> bool:
+    r"""Whether argparse's negative-number test, re.match(r"^-\d+$|^-\d*\.\d+$",
+    arg), holds, without importing re.  \d is what str.isdecimal() tests
+    (isdigit() would also take "²"), and $ also matches before one final
+    newline."""
+    if arg.endswith("\n"):
+        arg = arg[:-1]
+    if not arg.startswith("-"):
+        return False
+    whole, dot, fraction = arg[1:].partition(".")
+    if dot:
+        return (whole == "" or whole.isdecimal()) and fraction.isdecimal()
+    return whole.isdecimal()
+
+
 def _read(arg: str):
     """None when arg is a value, else the tuple (field, or None for an
     unknown option; option string; attached value, or None)."""
@@ -113,7 +125,7 @@ def _read(arg: str):
             return OPTIONS[matches[0]], matches[0], value if eq else None
     elif arg[:2] in OPTIONS:
         return OPTIONS[arg[:2]], arg[:2], arg[2:]  # -iPATH
-    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+    if _is_negative_number(arg) or " " in arg:
         return None  # a negative number, or text with a space, is a value
     return None, arg, None
 

@@ -5,8 +5,6 @@ callers (notably the CLI) can report the error class name as a stable
 diagnostic token.
 """
 
-from __future__ import annotations
-
 
 class QuadfitError(Exception):
     """Base class for all quadfit errors."""

@@ -15,8 +15,6 @@ is used anywhere in the package.  Finite input that the fit cannot hold
 in floats raises NumericalOverflow.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 

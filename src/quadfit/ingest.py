@@ -4,12 +4,14 @@ Reads comma-delimited text with RFC-4180-style quoting, LF or CRLF line
 endings and an optional UTF-8 BOM; a quote left open is an error, not a
 cell that runs to the end of the file.  Extra columns are ignored; blank
 or non-numeric cells in the selected columns fail loudly rather than
-being dropped.
+being dropped.  A numeric cell, once stripped of whitespace, is ASCII and
+holds no "_": float() alone would also read "1_0" as 10 and the digits of
+other scripts.
 """
 
-from __future__ import annotations
-
-import csv
+# csv.py only re-exports _csv's reader and Error, and imports re, and with
+# it enum and functools, for its Sniffer.
+import _csv
 import io
 import math
 
@@ -42,7 +44,7 @@ class CsvSchema:
 def _parse_cell(text: str, row: int, column: str) -> float:
     stripped = text.strip()
     try:
-        value = float(stripped)
+        value = float(stripped) if stripped.isascii() and "_" not in stripped else math.nan
     except ValueError:
         raise NonNumericValue(row, column, stripped) from None
     if not math.isfinite(value):
@@ -62,21 +64,26 @@ def parse_csv(data, schema: CsvSchema = CsvSchema()) -> Series:
         EmptyData: no header or no data rows.
         MalformedRow: a row's field count differs from the header's, or
             the csv module cannot split the header or a row into fields.
-        NonNumericValue: a selected cell is blank, non-numeric or non-finite.
+        NonNumericValue: a selected cell is blank, not an ASCII number
+            without "_", or non-finite.
     """
     if hasattr(data, "read"):
         data = data.read()
+    # Drop a leading BOM as decode("utf-8-sig") would, with the same error
+    # messages and offsets, without importing that codec's module.
+    if data[:3] == b"\xef\xbb\xbf":
+        data = data[3:]
     try:
-        text = data.decode("utf-8-sig")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidEncoding(f"input is not valid UTF-8: {exc}") from None
 
-    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    reader = _csv.reader(io.StringIO(text, newline=""), strict=True)
     try:
         header = next(reader)
     except StopIteration:
         raise EmptyData("input has no header row") from None
-    except csv.Error as exc:
+    except _csv.Error as exc:
         raise MalformedRow(0, reason=str(exc)) from exc
 
     names = [cell.strip() for cell in header]
@@ -87,9 +94,11 @@ def parse_csv(data, schema: CsvSchema = CsvSchema()) -> Series:
     y_idx = names.index(schema.y_column)
 
     # A row goes through _parse_cell, which names a bad cell, only when
-    # float() rejects a cell as it stands or reads it as non-finite.  Its
-    # values are the ones kept: str.strip() also removes U+001C to U+001F,
-    # which float() rejects.
+    # float() rejects a cell as it stands or reads it as non-finite, or
+    # when a cell is not plain ASCII or holds a "_"; that last test runs
+    # only when the input as a whole fails it.  Its values are the ones
+    # kept: str.strip() also removes U+001C to U+001F, which float() rejects.
+    check_cells = not text.isascii() or "_" in text
     isfinite = math.isfinite
     width = len(names)
     xs: list[float] = []
@@ -105,12 +114,16 @@ def parse_csv(data, schema: CsvSchema = CsvSchema()) -> Series:
                 y = float(row[y_idx])
             except ValueError:
                 x = y = math.nan
+            if check_cells:
+                cells = row[x_idx] + row[y_idx]
+                if not cells.isascii() or "_" in cells:
+                    x = math.nan  # so that _parse_cell applies the grammar
             if not (isfinite(x) and isfinite(y)):
                 x = _parse_cell(row[x_idx], row_num, schema.x_column)
                 y = _parse_cell(row[y_idx], row_num, schema.y_column)
             xs.append(x)
             ys.append(y)
-    except csv.Error as exc:
+    except _csv.Error as exc:
         raise MalformedRow(row_num + 1, reason=str(exc)) from exc
 
     if not xs:

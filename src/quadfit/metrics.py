@@ -6,8 +6,6 @@ constant data yields ss_tot == 0.0 exactly, not rounding dust.  A sum that
 leaves the float range raises NumericalOverflow.
 """
 
-from __future__ import annotations
-
 import math
 
 from ._record import record
@@ -18,6 +16,13 @@ from .fitting import PolynomialModel, Series, _horner
 # times max(1, y0^2), still counts as a perfect fit (R^2 = 1); anything
 # larger is undefined.
 CONSTANT_DATA_RESIDUAL_TOLERANCE = 1e-12
+
+# A square below 2**-1022, the smallest normal float, keeps fewer than 53
+# bits: it is off by up to 2**-1075, and is 0 below that.  With ss_tot at
+# least n times this bound, n such errors come to at most 2**-53 of ss_tot,
+# one rounding; below it, R^2 is taken from sums of rescaled deviations and
+# residuals, and exactly constant data is told apart from underflow.
+SQUARE_UNDERFLOW_BOUND = 2.0 ** -1022
 
 
 @record
@@ -56,8 +61,10 @@ def total_sum_of_squares(ys) -> float:
 def fit_report(model: PolynomialModel, series: Series) -> FitReport:
     """Bundle ss_res, ss_tot and R^2 = 1 - ss_res/ss_tot for a model on its data.
 
-    When ss_tot is zero (all observations equal), the ratio is undefined;
-    a model that reproduces the constant within tolerance scores 1.
+    When all observations are equal, the ratio is undefined; a model that
+    reproduces the constant within tolerance scores 1.  Below
+    SQUARE_UNDERFLOW_BOUND, R^2 comes from rescaled sums; ss_res and ss_tot
+    are reported as summed.
 
     Raises:
         NumericalOverflow: a sum of squares leaves the float range.
@@ -71,15 +78,28 @@ def fit_report(model: PolynomialModel, series: Series) -> FitReport:
     # from ** into NumericalOverflow), so no list of fitted values is built.
     # A constant's q is 0.0; the sign of a zero is all that differs, and
     # squaring drops it.
-    xs = series.xs
+    xs, ys = series.xs, series.ys
     c0 = model.coeffs[0]
     q = _horner(model.coeffs[1:] or (0.0,), xs)
-    ss_res = _finite_fsum((y - (f * x + c0)) ** 2 for x, y, f in zip(xs, series.ys, q))
+    ss_res = _finite_fsum((y - (f * x + c0)) ** 2 for x, y, f in zip(xs, ys, q))
     n = len(series)
-    if ss_tot != 0.0:
+    if ss_tot >= n * SQUARE_UNDERFLOW_BOUND:
         return FitReport(ss_res, ss_tot, 1.0 - ss_res / ss_tot, n)
+    deviations = [y - ys[0] for y in ys]
+    top = max(map(abs, deviations))
+    if top != 0.0:
+        # Scaling by a power of two is exact and leaves ss_res/ss_tot as it
+        # is; this one brings the largest deviation into [0.5, 1).
+        exponent = -math.frexp(top)[1]
+        tot = total_sum_of_squares([math.ldexp(d, exponent) for d in deviations])
+        try:
+            res = math.fsum(math.ldexp(y - (f * x + c0), exponent) ** 2
+                            for x, y, f in zip(xs, ys, q))
+        except OverflowError:
+            res = math.inf  # R^2 = -inf, as 1 - ss_res/ss_tot gives past the float range
+        return FitReport(ss_res, ss_tot, 1.0 - res / tot, n)
     # A product, not y0 ** 2, so that a huge y0 gives inf, not OverflowError.
-    scale = max(1.0, abs(series.ys[0]))
+    scale = max(1.0, abs(ys[0]))
     if ss_res > CONSTANT_DATA_RESIDUAL_TOLERANCE * n * scale * scale:
         raise UndefinedRSquared(f"constant data with nonzero residual mass ({ss_res:.3e})")
     return FitReport(ss_res, ss_tot, 1.0, n)

@@ -11,8 +11,6 @@ name, and fixed 2-decimal coordinate formatting, so equal inputs give
 byte-identical documents.
 """
 
-from __future__ import annotations
-
 import math
 
 from ._record import record

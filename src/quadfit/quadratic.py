@@ -4,8 +4,6 @@ Finite coefficients whose discriminant, roots or vertex leave the float
 range raise NumericalOverflow rather than returning inf or nan.
 """
 
-from __future__ import annotations
-
 import math
 
 from ._record import record
@@ -68,8 +66,25 @@ def quadratic_roots(a: float, b: float, c: float) -> RootSet:
     return _roots_from_discriminant(a, b, c, discriminant(a, b, c))
 
 
+def _scaled_up(a: float, b: float, c: float) -> tuple[float, float, float, int]:
+    """(a, b, c) times 2**shift, and shift: the least shift >= 0 that brings
+    the largest magnitude to at least 0.5.
+
+    For tiny coefficients b*b and 4ac underflow, and with them the sign of
+    the discriminant and the vertex k; scaling by a power of two is exact
+    and keeps the roots.
+    """
+    shift = -math.frexp(max(abs(a), abs(b), abs(c)))[1]
+    if shift <= 0:
+        return a, b, c, 0
+    return math.ldexp(a, shift), math.ldexp(b, shift), math.ldexp(c, shift), shift
+
+
 def _roots_from_discriminant(a: float, b: float, c: float, disc: float) -> RootSet:
     """quadratic_roots for a != 0, given disc = discriminant(a, b, c)."""
+    a, b, c, shift = _scaled_up(a, b, c)
+    if shift:
+        disc = b * b - 4.0 * a * c
     if abs(disc) <= DOUBLE_ROOT_TOLERANCE * max(b * b, abs(4.0 * a * c)):
         # + 0.0 turns a negative zero from -b/(2a) into plain zero
         root = _finite(-b / (2.0 * a) + 0.0, "the double root")
@@ -89,7 +104,8 @@ def to_vertex_form(a: float, b: float, c: float) -> VertexForm:
     if a == 0.0:
         raise NotQuadratic("a = 0: not a quadratic polynomial")
     h = _finite(-b / (2.0 * a) + 0.0, "the vertex h")  # avoid negative zero when b == 0
-    k = _finite(c - b * b / (4.0 * a), "the vertex k")
+    a_s, b_s, c_s, shift = _scaled_up(a, b, c)
+    k = _finite(math.ldexp(c_s - b_s * b_s / (4.0 * a_s), -shift), "the vertex k")
     return VertexForm(a, h, k)
 
 

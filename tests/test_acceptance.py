@@ -94,7 +94,7 @@ def test_acceptance_3_r_squared_contract():
         base = Series(tuple(data_xs), tuple(data_ys))
         m0, _ = fit_polynomial(base, degree)
         r0 = fit_report(m0, base).r_squared
-        for lam in (2.0, -3.5, 1e6, 1e-6):
+        for lam in (2.0, -3.5, 1e6, 1e-6, 1e-170, 2.0 ** -600):
             scaled = Series(tuple(data_xs), tuple(y * lam for y in data_ys))
             m1, _ = fit_polynomial(scaled, degree)
             assert abs(fit_report(m1, scaled).r_squared - r0) <= 1e-10

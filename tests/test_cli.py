@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import io
+import itertools
 import math
 import os
 import re
@@ -73,6 +74,27 @@ class TestParseArgs:
     def test_degree_bounds_accepted(self):
         assert parse_args(["-i", "f", "--degree", "1"]).degree == 1
         assert parse_args(["-i", "f", "--degree", "10"]).degree == 10
+
+
+# argparse's test of whether an option-like string is a negative number.
+NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+# Decimal digits, a dot, a newline, a superscript two (a digit, but not a
+# decimal), an Arabic-Indic two (a decimal), a letter, a dash and a space.
+NUMBER_ALPHABET = "05.\n\u00b2\u0662a- "
+
+
+class TestNegativeNumber:
+    def test_matches_argparse_pattern_on_short_strings(self):
+        for length in range(5):
+            for chars in itertools.product(NUMBER_ALPHABET, repeat=length):
+                arg = "-" + "".join(chars)
+                assert cli._is_negative_number(arg) == bool(NEGATIVE_NUMBER.match(arg)), arg
+
+    @settings(max_examples=500)
+    @given(text=st.text())
+    def test_matches_argparse_pattern_on_any_text(self, text):
+        for arg in (text, "-" + text):
+            assert cli._is_negative_number(arg) == bool(NEGATIVE_NUMBER.match(arg))
 
 
 class TestFormatReport:
@@ -210,6 +232,26 @@ class TestEndToEnd:
         assert main(["-i", path]) == 0
         fields = parse_report(capsys.readouterr().out)
         assert fields["roots"] == "3.0000000000e+00,9.0000000000e+00"
+
+    def test_tiny_y_keeps_its_fit(self, tmp_path, sample_csv_path, capsys):
+        # The squares of y * 1e-170 are below the float range, but R^2 and
+        # the roots do not change, and the vertex scales with y.
+        lines = sample_csv_path.read_text(encoding="utf-8").splitlines()
+        rows = "".join(f"{x},{float(y) * 1e-170!r}\n"
+                       for x, y in (line.split(",") for line in lines[1:]))
+        path = write_csv(tmp_path, lines[0] + "\n" + rows)
+        for degree in ("1", "2"):
+            assert main(["-i", str(sample_csv_path), "--degree", degree]) == 0
+            want = parse_report(capsys.readouterr().out)
+            assert main(["-i", path, "--degree", degree]) == 0
+            got = parse_report(capsys.readouterr().out)
+            assert got["r_squared"] == want["r_squared"]
+            assert got.get("roots") == want.get("roots")
+            for key in ("vertex_h", "vertex_k"):
+                if key in want:
+                    scale = 1e-170 if key == "vertex_k" else 1.0
+                    assert float(got[key]) == pytest.approx(float(want[key]) * scale,
+                                                            rel=1e-9, abs=0.0)
 
     def test_large_constant_data(self, tmp_path, capsys):
         # The fitted constant may be an ulp off so large a y.
@@ -471,13 +513,20 @@ def drawn_xs(svg: str) -> list[float]:
     return out
 
 
+# Cells that float() reads but the numeric-cell grammar refuses.
+OFF_GRAMMAR = ("1_0", "\u0662", "\uff13", "2_5e-1", "\u0661.5")
+CELL = FINITE | st.sampled_from(OFF_GRAMMAR)
+
+
 @settings(max_examples=60, deadline=None)
-@given(rows=st.lists(st.tuples(FINITE, FINITE), min_size=3, max_size=8),
+@given(rows=st.lists(st.tuples(CELL, CELL), min_size=3, max_size=8),
        degree=st.integers(1, 3))
 @example(rows=[(0.0, 0.0), (0.0, 5e-324), (1.0, 0.0)], degree=1)
 @example(rows=[(1.0, 1e154), (2.0, 1e154), (3.0, 1.1e154)], degree=2)
+@example(rows=[(1.0, 2.0), (2.0, "1_0"), ("\uff13", 5.0)], degree=1)
 def test_any_finite_csv_gives_report_or_one_error(rows, degree):
-    text = "Month,Values\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows)
+    # A float's str() is its repr, which round-trips.
+    text = "Month,Values\n" + "".join(f"{x},{y}\n" for x, y in rows)
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")
@@ -494,6 +543,8 @@ def test_any_finite_csv_gives_report_or_one_error(rows, degree):
     assert (out.getvalue() == "") == (code == 1)
     assert (err.getvalue() == "") == (code == 0)
     assert re.search(r"\b(nan|inf)\b", out.getvalue() + err.getvalue()) is None
+    if any(isinstance(cell, str) for row in rows for cell in row):
+        assert code == 1 and "NonNumericValue" in err.getvalue()
     assert (svg is not None) == (code == 0)
     if svg is not None:
         xs = drawn_xs(svg)

@@ -176,16 +176,47 @@ class TestErrorPrecedence:
         assert exc.value.row == 1
 
     @pytest.mark.parametrize("cell, value", [
-        ("1_000", 1000.0),
         ("\u00a012.5\u2003", 12.5),
         ("\u3000-3\u2028", -3.0),
         ("\t7\x0b\x0c", 7.0),
         ("\x1c8\x1f", 8.0),  # str.strip() removes these, float() does not
-        ("\u0661\u0662", 12.0),
     ])
     def test_underscored_and_space_padded_cells(self, cell, value):
+        # Padding that str.strip() removes may be any whitespace; underscored
+        # cells are refused (test_cell_outside_the_grammar).
         s = parse(f"Month,Values\n{cell},{cell}\n")
         assert s.xs == (value,) and s.ys == (value,)
+
+
+class TestNumericCellGrammar:
+    """A selected cell, stripped, is ASCII and holds no "_", though float()
+    also reads digit separators and the digits of other scripts."""
+
+    @pytest.mark.parametrize("cell", [
+        "1_0", "1_000", "\u0662", "\uff13", "\u0661\u0662", "1\u0662", " \uff13 ", "_1",
+    ])
+    def test_cell_outside_the_grammar(self, cell):
+        with pytest.raises(NonNumericValue) as exc:
+            parse(f"Month,Values\n1,2\n2,{cell}\n3,4\n")
+        assert (exc.value.row, exc.value.column, exc.value.value) == (2, "Values", cell.strip())
+
+    def test_x_cell_named_before_y(self):
+        with pytest.raises(NonNumericValue) as exc:
+            parse("Month,Values\n1,2\n\uff12,1_0\n")
+        assert (exc.value.row, exc.value.column, exc.value.value) == (2, "Month", "\uff12")
+
+    @pytest.mark.parametrize("header, row", [
+        ("station_id,Month,Values", "kyiv_1,1,2"),
+        ("Станція,Month,Values", "Щербаківська,1,2"),
+        ("Month,Values,note_\u00e9", "1,2,\u0662_\uff13"),
+    ], ids=["underscore", "cyrillic", "both"])
+    def test_unused_columns_may_hold_anything(self, header, row):
+        s = parse(f"{header}\n{row}\n")
+        assert s.xs == (1.0,) and s.ys == (2.0,)
+
+    def test_selected_column_names_may_hold_anything(self):
+        s = parse("month_no,Значення\n1,2\n", x_column="month_no", y_column="Значення")
+        assert s.xs == (1.0,) and s.ys == (2.0,)
 
 
 class TestCsvSchema:

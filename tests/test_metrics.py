@@ -136,8 +136,11 @@ class TestFitReport:
 
     @settings(max_examples=50)
     @given(data=fit_instances(max_n=25, max_degree=3),
-           lam=st.one_of(st.floats(-1e6, -1e-6), st.floats(1e-6, 1e6)))
+           lam=st.one_of(st.floats(-1e6, -1e-6), st.floats(1e-6, 1e6),
+                         st.sampled_from((1e-170, -1e-170, 2.0 ** -600))))
     def test_scale_equivariance(self, data, lam):
+        # At 1e-170 and 2**-600 the squared deviations are below the
+        # smallest normal float.
         xs, ys, degree = data
         base = Series(tuple(xs), tuple(ys))
         scaled = Series(tuple(xs), tuple(y * lam for y in ys))

@@ -1,6 +1,7 @@
 """The package exports only names the README, demos or CLI use, every demo
 runs, the value classes keep their contract, and the CLI imports stay lean."""
 
+import ast
 import importlib.util
 import os
 import re
@@ -118,19 +119,27 @@ def test_value_class_contract(cls, required, defaults):
         f"{name}={value!r}" for name, value in fields.items()) + ")"
 
 
+# What `import os` loads when site has not imported it first.
+OS_MODULES = {"os", "os.path", "posixpath", "genericpath", "stat", "_stat", "_collections_abc"}
+PIPELINE_MODULES = OS_MODULES | {"_csv", "math", "operator", "_operator"}
+
+
 def test_cli_import_loads_only_what_the_pipeline_uses(tmp_path):
     # -S keeps site-packages .pth files from importing modules first.  The
     # child also runs the command line, so modules that parsing the
-    # arguments, fitting, rendering or writing would load are counted too.
-    heavy = ("xml", "dataclasses", "inspect", "pathlib", "urllib", "http", "email",
-             "argparse", "gettext", "locale", "shutil")
-    code = ("import sys, quadfit.cli; "
-            "code = quadfit.cli.main(sys.argv[1:]); "
-            f"print(code, sorted(m for m in sys.modules if m.split('.')[0] in {heavy!r}))")
+    # arguments, reading, fitting, rendering or writing would load are
+    # counted too.
+    script = ("import sys; before = set(sys.modules); import quadfit.cli; "
+              "code = quadfit.cli.main(sys.argv[1:]); "
+              "print(code, sorted(set(sys.modules) - before))")
     argv = ["-i", str(REPO_ROOT / "data" / "pm25_monthly.csv"),
             "--svg", str(tmp_path / "chart.svg"), "--report", str(tmp_path / "fit.txt")]
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-    out = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
+    out = subprocess.run([sys.executable, "-S", "-c", script, *argv], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out == "0 []\n"
+    code, added = out.split(" ", 1)
+    added = ast.literal_eval(added)
+    assert code == "0"
+    assert "quadfit.cli" in added
+    assert [m for m in added if m not in PIPELINE_MODULES and m.split(".")[0] != "quadfit"] == []
     assert (tmp_path / "chart.svg").exists() and (tmp_path / "fit.txt").exists()

@@ -84,11 +84,16 @@ class TestQuadraticRoots:
         for a, b, c in ((1.0, -12.0, 27.0), (1.0, -6.0, 9.0), (1.0, 0.0, 0.0),
                         (2.0, 0.0, 3.0)):
             want = quadratic_roots(a, b, c)
-            for k in range(-100, 101):
+            for k in range(-300, 101):
                 lam = 10.0 ** k
                 got = quadratic_roots(lam * a, lam * b, lam * c)
                 assert got.multiplicity == want.multiplicity, (a, b, c, k)
                 assert got.roots == pytest.approx(want.roots, rel=1e-12), (a, b, c, k)
+
+    def test_tiny_equation_without_real_roots(self):
+        # b*b and 4ac both underflow to 0, but x^2 + x + 1 has no real roots.
+        got = quadratic_roots(1e-200, 1e-200, 1e-200)
+        assert got.roots == () and got.multiplicity == 0
 
     @settings(max_examples=200)
     @given(a=nonzero_lead, b=small, c=small)
@@ -128,6 +133,15 @@ class TestVertexForm:
         assert from_vertex_form(VertexForm(2, 1, 3)) == (2.0, -4.0, 5.0)
         assert from_vertex_form(VertexForm(1, 0, 0)) == (1.0, 0.0, 0.0)
         assert from_vertex_form(VertexForm(-3, 1, 2)) == (-3.0, 6.0, -1.0)
+
+    def test_vertex_does_not_depend_on_units(self):
+        # y = (x - 3)^2 + 4 times 10^k: h stays, and k scales with y, also
+        # where b*b underflows.
+        for k in range(-300, 101):
+            lam = 10.0 ** k
+            v = to_vertex_form(lam, -6.0 * lam, 13.0 * lam)
+            assert v.h == pytest.approx(3.0, rel=1e-12), k
+            assert v.k == pytest.approx(4.0 * lam, rel=1e-12, abs=0.0), k
 
     def test_rejects_linear(self):
         with pytest.raises(NotQuadratic):
