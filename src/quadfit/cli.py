@@ -13,7 +13,7 @@ from .errors import CsvError, QuadfitError
 from .fitting import DEFAULT_DEGREE, PolynomialModel, fit_polynomial
 from .ingest import CsvSchema, parse_csv
 from .metrics import FitReport, fit_report
-from .plot import PlotSpec, format_equation, render_plot
+from .plot import PlotSpec, _svg_chunks, format_equation
 from .quadratic import _roots_from_discriminant, discriminant, to_vertex_form
 
 
@@ -238,12 +238,15 @@ def run(args: Args) -> None:
 
     text = format_report(model, report)
 
-    # Render before writing anything, so a render that fails leaves
-    # stdout empty and no report file.
+    # The chart's first piece is rendered before any file is opened: all
+    # that can fail in a render runs by then, so a render that fails
+    # leaves no SVG file, stdout empty and no report file.
     if spec is not None:
-        svg = render_plot(series, model, report, spec)
+        chunks = _svg_chunks(series, model, report, spec)
+        first = next(chunks)
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+            fh.write(first)
+            fh.writelines(chunks)
 
     if args.report == "-":
         sys.stdout.write(text)

@@ -64,6 +64,16 @@ class Series:
         return len(self.xs)
 
 
+def _checked_series(xs: list[float], ys: list[float]) -> Series:
+    """A Series of xs and ys as tuples, without __post_init__'s conversion
+    and checks: the caller has already made every value a finite float,
+    and the two lists equal in length and nonempty."""
+    series = object.__new__(Series)
+    object.__setattr__(series, "xs", tuple(xs))
+    object.__setattr__(series, "ys", tuple(ys))
+    return series
+
+
 @record
 class PolynomialModel:
     """Polynomial in ascending-power coefficient order.
@@ -101,8 +111,11 @@ class DomainWindow:
 def _horner(coeffs, xs) -> list[float]:
     """Values at xs of the polynomial with ascending coefficients coeffs (at
     least one), by Horner's scheme: one pass over all points per step."""
-    values = [coeffs[-1]] * len(xs)
-    for c in reversed(coeffs[:-1]):
+    top = coeffs[-1]
+    if len(coeffs) == 1:
+        return [top] * len(xs)
+    values = [top * x + coeffs[-2] for x in xs]
+    for c in reversed(coeffs[:-2]):
         values = [v * x + c for v, x in zip(values, xs)]
     return values
 

@@ -24,7 +24,7 @@ from .errors import (
     NonNumericValue,
 )
 # validate_series, the fit's input check, for perfbench/traced_child.py:71.
-from .fitting import Series, _validation_error as validate_series
+from .fitting import Series, _checked_series, _validation_error as validate_series
 
 
 @record
@@ -128,5 +128,5 @@ def parse_csv(data, schema: CsvSchema = CsvSchema()) -> Series:
 
     if not xs:
         raise EmptyData("input has a header row but no data rows")
-    return Series(xs, ys)
+    return _checked_series(xs, ys)
 

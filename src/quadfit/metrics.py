@@ -1,12 +1,15 @@
 """Sums of squares and the coefficient of determination.
 
-Sums of squares use math.fsum (exact compensated summation), and the total
-sum of squares is computed on deviations from the first observation so that
-constant data yields ss_tot == 0.0 exactly, not rounding dust.  A sum that
-leaves the float range raises NumericalOverflow.
+Each square is a product d * d, which IEEE 754 rounds correctly (d ** 2
+calls C pow, which need not), and the squares are summed by math.fsum
+(exact compensated summation).  The total sum of squares is computed on
+deviations from the first observation so that constant data yields
+ss_tot == 0.0 exactly, not rounding dust.  A sum that leaves the float
+range raises NumericalOverflow.
 """
 
 import math
+import operator
 
 from ._record import record
 from .errors import NumericalOverflow, UndefinedRSquared
@@ -55,7 +58,8 @@ def total_sum_of_squares(ys) -> float:
     first = ys[0]
     shifted = [y - first for y in ys]
     mean = _finite_fsum(shifted) / len(shifted)
-    return _finite_fsum((d - mean) ** 2 for d in shifted)
+    deviations = [d - mean for d in shifted]
+    return _finite_fsum(map(operator.mul, deviations, deviations))
 
 
 def fit_report(model: PolynomialModel, series: Series) -> FitReport:
@@ -70,18 +74,18 @@ def fit_report(model: PolynomialModel, series: Series) -> FitReport:
         NumericalOverflow: a sum of squares leaves the float range.
         UndefinedRSquared: constant data that the model does not reproduce.
     """
-    # ss_tot first, so that its deviations are freed before the fitted
-    # column is built; both sums raise the same NumericalOverflow.
+    # ss_tot first, so that its deviations are freed before the residuals
+    # are built; both sums raise the same NumericalOverflow.
     ss_tot = total_sum_of_squares(series.ys)
     # The fitted value is q(x) * x + c0: eval_poly's last Horner step runs
-    # with the squares inside _finite_fsum (which turns an OverflowError
-    # from ** into NumericalOverflow), so no list of fitted values is built.
-    # A constant's q is 0.0; the sign of a zero is all that differs, and
+    # inside the residuals' pass, so no list of fitted values is built.  A
+    # constant's q is 0.0; the sign of a zero is all that differs, and
     # squaring drops it.
     xs, ys = series.xs, series.ys
     c0 = model.coeffs[0]
     q = _horner(model.coeffs[1:] or (0.0,), xs)
-    ss_res = _finite_fsum((y - (f * x + c0)) ** 2 for x, y, f in zip(xs, ys, q))
+    residuals = [y - (f * x + c0) for x, y, f in zip(xs, ys, q)]
+    ss_res = _finite_fsum(map(operator.mul, residuals, residuals))
     n = len(series)
     if ss_tot >= n * SQUARE_UNDERFLOW_BOUND:
         return FitReport(ss_res, ss_tot, 1.0 - ss_res / ss_tot, n)
@@ -93,8 +97,8 @@ def fit_report(model: PolynomialModel, series: Series) -> FitReport:
         exponent = -math.frexp(top)[1]
         tot = total_sum_of_squares([math.ldexp(d, exponent) for d in deviations])
         try:
-            res = math.fsum(math.ldexp(y - (f * x + c0), exponent) ** 2
-                            for x, y, f in zip(xs, ys, q))
+            scaled = [math.ldexp(r, exponent) for r in residuals]
+            res = math.fsum(map(operator.mul, scaled, scaled))
         except OverflowError:
             res = math.inf  # R^2 = -inf, as 1 - ss_res/ss_tot gives past the float range
         return FitReport(ss_res, ss_tot, 1.0 - res / tot, n)

@@ -8,7 +8,9 @@ CURVE_SAMPLES-point curve.  The curve is sampled once per figure, and the
 axes and data-to-pixel transform come from those samples and the data.
 Output depends only on the inputs: fixed colors, fixed fonts by family
 name, and fixed 2-decimal coordinate formatting, so equal inputs give
-byte-identical documents.
+byte-identical documents.  render_plot returns the document as one
+string; the command line writes the same bytes in pieces, with the data
+markers formatted in blocks of _MARKER_BLOCK.
 """
 
 import math
@@ -30,6 +32,9 @@ FONT_FAMILY = "sans-serif"
 WIDTH = 1200
 HEIGHT = 700
 CURVE_SAMPLES = 200
+
+# Data markers formatted per piece of the streamed document.
+_MARKER_BLOCK = 4096
 
 # Fraction of the combined data+curve range added on each side of an axis.
 AXIS_PADDING = 0.05
@@ -160,6 +165,17 @@ def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec:
     Axes cover the data and the sampled curve, whose end points are the
     data's x range, padded by AXIS_PADDING on each side.
     """
+    return "".join(_svg_chunks(series, model, report, spec))
+
+
+def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec: PlotSpec):
+    """render_plot's document in pieces: everything before the data
+    markers, the markers in blocks of _MARKER_BLOCK, then the rest.
+
+    Everything that can fail (bounds, ticks, legend, escaping) runs before
+    the first piece is yielded, so a caller that writes the pieces to a
+    file can take the first one before it opens the file.
+    """
     x_min, x_max = min(series.xs), max(series.xs)
     curve_xs, curve_ys = zip(*sample_curve(model, x_min, x_max, CURVE_SAMPLES))
     x_lo, x_hi = _padded(x_min, x_max)
@@ -212,9 +228,8 @@ def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec:
     out.append(f'<polyline id="fitted-curve" fill="none" stroke="{CURVE_COLOR}" '
                f'stroke-width="2" points="{points}"/>')
 
-    marker = f'<circle cx="%.2f" cy="%.2f" r="4" fill="{DATA_COLOR}"/>'
     out.append('<g id="data-points">')
-    out.append("\n".join([marker] * len(series)) % tuple(pixels(series.xs, series.ys)))
+    markers_at = len(out)
     out.append('</g>')
 
     # Tick marks and labels.
@@ -248,7 +263,15 @@ def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec:
     out.append(_legend(model, report))
     out.append('</svg>')
     out.append("")  # the final newline, without copying the document again
-    return "\n".join(out)
+
+    yield "\n".join(out[:markers_at]) + "\n"
+    # One marker per line, each block ending in a newline.
+    marker = f'<circle cx="%.2f" cy="%.2f" r="4" fill="{DATA_COLOR}"/>\n'
+    xs, ys = series.xs, series.ys
+    for i in range(0, len(xs), _MARKER_BLOCK):
+        coords = pixels(xs[i:i + _MARKER_BLOCK], ys[i:i + _MARKER_BLOCK])
+        yield (marker * (len(coords) // 2)) % tuple(coords)
+    yield "\n".join(out[markers_at:])
 
 
 def _wrap_terms(line: str, limit: int) -> list[str]:

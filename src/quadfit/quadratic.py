@@ -105,8 +105,19 @@ def to_vertex_form(a: float, b: float, c: float) -> VertexForm:
         raise NotQuadratic("a = 0: not a quadratic polynomial")
     h = _finite(-b / (2.0 * a) + 0.0, "the vertex h")  # avoid negative zero when b == 0
     a_s, b_s, c_s, shift = _scaled_up(a, b, c)
-    k = _finite(math.ldexp(c_s - b_s * b_s / (4.0 * a_s), -shift), "the vertex k")
-    return VertexForm(a, h, k)
+    if abs(b) >= 2.0 ** 511:
+        # b*b overflows from about 2**512.  Scaling b down into [2**509,
+        # 2**510) keeps b*b and 4a finite.  The shift follows b alone:
+        # scaling a huge a down to 1 would flush a small b*b and c to zero.
+        # Where b*b is finite the shift is -2, which changes no bit of k
+        # unless 4a overflowed unscaled.
+        shift = 510 - math.frexp(b)[1]
+        a_s, b_s, c_s = (math.ldexp(v, shift) for v in (a, b, c))
+    try:
+        k = math.ldexp(c_s - b_s * b_s / (4.0 * a_s), -shift)
+    except OverflowError:
+        k = math.inf  # a true k past the float range
+    return VertexForm(a, h, _finite(k, "the vertex k"))
 
 
 def from_vertex_form(v: VertexForm) -> tuple[float, float, float]:

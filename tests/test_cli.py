@@ -17,10 +17,21 @@ from hypothesis import strategies as st
 from oracle import normal_equations_fit
 from conftest import DERIVED_XS, DERIVED_YS, REPO_ROOT
 
-from quadfit import FitReport, PolynomialModel, Series, eval_poly
-from quadfit import cli
+from quadfit import (
+    FitReport,
+    NumericalOverflow,
+    PlotSpec,
+    PolynomialModel,
+    Series,
+    eval_poly,
+    fit_polynomial,
+    fit_report,
+    parse_csv,
+    render_plot,
+)
+from quadfit import cli, plot
 from quadfit.cli import format_report, main, parse_args
-from quadfit.plot import WIDTH
+from quadfit.plot import _MARKER_BLOCK, WIDTH
 
 DERIVED_CSV = "Month,Values\n1,1\n2,4\n3,9\n4,17\n"
 
@@ -493,6 +504,54 @@ class TestProcessEntry:
         assert [ast.unparse(stmt) for stmt in guard.body] == [f"{target}()"]
         assert callable(getattr(cli, target))
 
+
+
+def noisy_csv(rows: int) -> str:
+    """rows points, x evenly over [1, 12], y scattered about a parabola."""
+    lines = ["Month,Values"]
+    for i in range(rows):
+        x = 1.0 + 11.0 * i / (rows - 1)
+        lines.append(f"{x:.6f},{(x - 6.0) ** 2 + (i * 7919) % 101 / 20.0:.4f}")
+    return "\n".join(lines) + "\n"
+
+
+class TestStreamedSvg:
+    """The CLI writes render_plot's document in blocks of markers."""
+
+    @pytest.mark.parametrize("rows", [2, _MARKER_BLOCK - 1, _MARKER_BLOCK,
+                                      _MARKER_BLOCK + 1, 2 * _MARKER_BLOCK + 3])
+    def test_file_equals_render_plot(self, tmp_path, rows, capsys):
+        # A one-point figure has an empty x range, which render_plot refuses.
+        text = noisy_csv(rows)
+        svg_path = tmp_path / "chart.svg"
+        assert main(["-i", write_csv(tmp_path, text), "--svg", str(svg_path),
+                     "--degree", "1", *README_FLAGS]) == 0
+        series = parse_csv(text.encode())
+        model, _ = fit_polynomial(series, 1)
+        spec = PlotSpec(description=README_FLAGS[5], metric_name=README_FLAGS[1],
+                        y_label=README_FLAGS[3])
+        want = render_plot(series, model, fit_report(model, series), spec)
+        assert svg_path.read_bytes() == want.encode("utf-8")
+
+    @needs_dev_full
+    def test_full_disk_prints_one_line_and_no_report(self, tmp_path):
+        path = write_csv(tmp_path, noisy_csv(_MARKER_BLOCK + 1))
+        proc = run_cli("-i", path, "--svg", "/dev/full")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", DISK_FULL)
+
+    def test_failed_render_writes_nothing(self, tmp_path, sample_csv_path,
+                                          capsys, monkeypatch):
+        def legend(*_):
+            raise NumericalOverflow("the legend overflows")
+
+        monkeypatch.setattr(plot, "_legend", legend)
+        svg_path = tmp_path / "chart.svg"
+        report_path = tmp_path / "fit.txt"
+        assert main(["-i", str(sample_csv_path), "--svg", str(svg_path)]) == 1
+        assert main(["-i", str(sample_csv_path), "--svg", str(svg_path),
+                     "--report", str(report_path)]) == 1
+        assert not svg_path.exists() and not report_path.exists()
+        assert capsys.readouterr() == ("", "quadfit: NumericalOverflow: the legend overflows\n" * 2)
 
 # Any finite float, with the extremes and subnormals drawn often.
 FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(

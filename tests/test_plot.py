@@ -22,7 +22,15 @@ from quadfit import (
     parse_csv,
     render_plot,
 )
-from quadfit.plot import AXIS_PADDING, CURVE_SAMPLES, WIDTH, _escape, month_ticks, sample_curve
+from quadfit.plot import (
+    _MARKER_BLOCK,
+    AXIS_PADDING,
+    CURVE_SAMPLES,
+    WIDTH,
+    _escape,
+    month_ticks,
+    sample_curve,
+)
 
 SPEC = PlotSpec(description="Kyiv, Shcherbakovskaya St.",
                 metric_name="PM2.5",
@@ -273,6 +281,18 @@ class TestRenderPlot:
             # printed with 2 decimals, so within half a hundredth of a pixel
             assert abs(px - want_px) < 0.006
             assert abs(py - want_py) < 0.006
+
+    @pytest.mark.parametrize("rows", [2, _MARKER_BLOCK - 1, _MARKER_BLOCK,
+                                      _MARKER_BLOCK + 1, 2 * _MARKER_BLOCK + 3])
+    def test_markers_in_blocks_are_the_points_in_order(self, rows):
+        # Each marker on its own line, in data order, across block edges.
+        series = noisy_quadratic(rows, rows)
+        model, _ = fit_polynomial(series, 1)
+        svg = render_plot(series, model, fit_report(model, series), SPEC)
+        body = svg.split('<g id="data-points">\n', 1)[1].split("\n</g>", 1)[0]
+        to_px = data_to_px(series, xml.dom.minidom.parseString(svg))
+        assert [line.split('"')[1] for line in body.split("\n")] == \
+            [f"{to_px(x, 0.0)[0]:.2f}" for x in series.xs]
 
     def test_everything_inside_plot_area(self):
         # The second model's curve rises far above the data, and the y axis

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -150,12 +151,32 @@ class TestVertexForm:
             VertexForm(0.0, 1.0, 2.0)
 
     @pytest.mark.parametrize("a, b, c", [
-        (1.5e156, -4.5e154, 1e152),  # b*b overflows in k
+        (1e-300, 1e5, 0.0),  # k = -b^2/(4a) is about -2.5e309
         (1e-320, 1e-10, 0.0),  # -b/(2a) overflows in h
     ], ids=["k", "h"])
     def test_overflow_raises(self, a, b, c):
         with pytest.raises(NumericalOverflow):
             to_vertex_form(a, b, c)
+
+    @pytest.mark.parametrize("a, b, c", [
+        (1.5e156, -4.5e154, 1e152),  # k = -2.375e152
+        (2.0 ** 200, 2.0 ** 600, 0.0),
+        (2.0 ** 1000, -(2.0 ** 800), 3.0),
+    ], ids=["1.5e156", "2**200", "2**1000"])
+    def test_k_is_finite_where_b_squared_overflows(self, a, b, c):
+        want = Fraction(c) - Fraction(b) ** 2 / (4 * Fraction(a))
+        assert to_vertex_form(a, b, c).k == pytest.approx(float(want), rel=1e-15)
+
+    @pytest.mark.parametrize("a, b, c", [
+        (2.0 ** 600, 1.0, 1e-300),
+        (2.0 ** 1000, 2.0 ** -400, 2.0 ** -1000),
+        (1e300, 1e150, 1e-300),
+    ], ids=["2**600", "2**1000", "1e300"])
+    def test_huge_lead_keeps_small_terms(self, a, b, c):
+        # Scaling the largest coefficient down to 1 would flush b^2 and c
+        # to zero here.
+        want = Fraction(c) - Fraction(b) ** 2 / (4 * Fraction(a))
+        assert to_vertex_form(a, b, c).k == pytest.approx(float(want), rel=1e-15)
 
     @settings(max_examples=200)
     @given(a=nonzero_lead, b=small, c=small)
