@@ -14,7 +14,7 @@ from .fitting import DEFAULT_DEGREE, PolynomialModel, fit_polynomial
 from .ingest import CsvSchema, parse_csv
 from .metrics import FitReport, fit_report
 from .plot import PlotSpec, _svg_chunks, format_equation
-from .quadratic import _roots_from_discriminant, discriminant, to_vertex_form
+from .quadratic import discriminant, quadratic_roots, to_vertex_form
 
 
 class Args:
@@ -199,7 +199,7 @@ def format_report(model: PolynomialModel, report: FitReport) -> str:
     if model.degree == 2 and model.coeffs[2] != 0.0:
         a, b, c = model.coeffs[2], model.coeffs[1], model.coeffs[0]
         disc = discriminant(a, b, c)
-        roots = _roots_from_discriminant(a, b, c, disc)
+        roots = quadratic_roots(a, b, c)
         vertex = to_vertex_form(a, b, c)
         if roots.roots:
             roots_text = ",".join(f"{r:.10e}" for r in roots.roots)

@@ -77,14 +77,8 @@ def fit_report(model: PolynomialModel, series: Series) -> FitReport:
     # ss_tot first, so that its deviations are freed before the residuals
     # are built; both sums raise the same NumericalOverflow.
     ss_tot = total_sum_of_squares(series.ys)
-    # The fitted value is q(x) * x + c0: eval_poly's last Horner step runs
-    # inside the residuals' pass, so no list of fitted values is built.  A
-    # constant's q is 0.0; the sign of a zero is all that differs, and
-    # squaring drops it.
-    xs, ys = series.xs, series.ys
-    c0 = model.coeffs[0]
-    q = _horner(model.coeffs[1:] or (0.0,), xs)
-    residuals = [y - (f * x + c0) for x, y, f in zip(xs, ys, q)]
+    ys = series.ys
+    residuals = list(map(operator.sub, ys, _horner(model.coeffs, series.xs)))
     ss_res = _finite_fsum(map(operator.mul, residuals, residuals))
     n = len(series)
     if ss_tot >= n * SQUARE_UNDERFLOW_BOUND:

@@ -63,25 +63,7 @@ def quadratic_roots(a: float, b: float, c: float) -> RootSet:
     """
     if a == 0.0:
         raise NotQuadratic("a = 0: not a quadratic equation")
-    return _roots_from_discriminant(a, b, c, discriminant(a, b, c))
-
-
-def _scaled_up(a: float, b: float, c: float) -> tuple[float, float, float, int]:
-    """(a, b, c) times 2**shift, and shift: the least shift >= 0 that brings
-    the largest magnitude to at least 0.5.
-
-    For tiny coefficients b*b and 4ac underflow, and with them the sign of
-    the discriminant and the vertex k; scaling by a power of two is exact
-    and keeps the roots.
-    """
-    shift = -math.frexp(max(abs(a), abs(b), abs(c)))[1]
-    if shift <= 0:
-        return a, b, c, 0
-    return math.ldexp(a, shift), math.ldexp(b, shift), math.ldexp(c, shift), shift
-
-
-def _roots_from_discriminant(a: float, b: float, c: float, disc: float) -> RootSet:
-    """quadratic_roots for a != 0, given disc = discriminant(a, b, c)."""
+    disc = discriminant(a, b, c)
     a, b, c, shift = _scaled_up(a, b, c)
     if shift:
         disc = b * b - 4.0 * a * c
@@ -99,27 +81,45 @@ def _roots_from_discriminant(a: float, b: float, c: float, disc: float) -> RootS
     return RootSet((r1, r2), multiplicity=1)
 
 
+def _scaled_up(a: float, b: float, c: float) -> tuple[float, float, float, int]:
+    """(a, b, c) times 2**shift, and shift: the least shift >= 0 that brings
+    the largest magnitude to at least 0.5.
+
+    For tiny coefficients b*b and 4ac underflow, and with them the sign of
+    the discriminant; so does b*h/2, and with it the vertex k.  Scaling by
+    a power of two is exact and keeps the roots and h.
+    """
+    shift = -math.frexp(max(abs(a), abs(b), abs(c)))[1]
+    if shift <= 0:
+        return a, b, c, 0
+    return math.ldexp(a, shift), math.ldexp(b, shift), math.ldexp(c, shift), shift
+
+
 def to_vertex_form(a: float, b: float, c: float) -> VertexForm:
-    """Complete the square: h = -b/(2a), k = c - b^2/(4a)."""
+    """Complete the square: h = -b/(2a), k = c - b^2/(4a) = c + b*h/2.
+
+    Neither b*b nor 4a is formed.  When 2a overflows (|a| >= 2**1023), h is
+    -(b/2)/a, which rounds once: a b whose halving rounds is subnormal, and
+    h then underflows to 0 either way.  Only where b*h/2 passes the float
+    range and c brings k back into it is k summed at half scale.  Tiny
+    triples are scaled up first, so that b*h/2 keeps its bits.
+    """
     if a == 0.0:
         raise NotQuadratic("a = 0: not a quadratic polynomial")
-    h = _finite(-b / (2.0 * a) + 0.0, "the vertex h")  # avoid negative zero when b == 0
     a_s, b_s, c_s, shift = _scaled_up(a, b, c)
-    if abs(b) >= 2.0 ** 511:
-        # b*b overflows from about 2**512.  Scaling b down into [2**509,
-        # 2**510) keeps b*b and 4a finite.  The shift follows b alone:
-        # scaling a huge a down to 1 would flush a small b*b and c to zero.
-        # Where b*b is finite the shift is -2, which changes no bit of k
-        # unless 4a overflowed unscaled.
-        shift = 510 - math.frexp(b)[1]
-        a_s, b_s, c_s = (math.ldexp(v, shift) for v in (a, b, c))
-    try:
-        k = math.ldexp(c_s - b_s * b_s / (4.0 * a_s), -shift)
-    except OverflowError:
-        k = math.inf  # a true k past the float range
-    return VertexForm(a, h, _finite(k, "the vertex k"))
+    h = -b_s / (2.0 * a_s) if abs(a_s) < 2.0 ** 1023 else -(0.5 * b_s) / a_s
+    h = _finite(h + 0.0, "the vertex h")  # avoid negative zero when b == 0
+    k = c_s + b_s * (0.5 * h)
+    if math.isinf(k):
+        k = 2.0 * (0.5 * c_s + b_s * (0.25 * h))
+    return VertexForm(a, h, _finite(math.ldexp(k, -shift), "the vertex k"))
 
 
 def from_vertex_form(v: VertexForm) -> tuple[float, float, float]:
-    """Expand a*(x - h)^2 + k back to standard (a, b, c)."""
-    return v.a, -2.0 * v.a * v.h + 0.0, v.a * v.h * v.h + v.k
+    """Expand a*(x - h)^2 + k back to standard (a, b, c).
+
+    Raises:
+        NumericalOverflow: b or c overflows a float.
+    """
+    b = _finite(-2.0 * (v.a * v.h) + 0.0, "the coefficient b")  # 2a may overflow alone
+    return v.a, b, _finite(v.a * v.h * v.h + v.k, "the coefficient c")

@@ -218,3 +218,30 @@ def test_ss_res_matches_oracle_on_bundled_data(degree, sample_csv_path):
     model, _ = fit_polynomial(series, degree)
     _, _, want, _, _ = exact_report(series.xs, series.ys, degree)
     assert f"{fit_report(model, series).ss_res:.10e}" == f"{float(want):.10e}"
+
+
+OFFSET_ABSCISSAE = {
+    "yyyymm": [202401.0 + i for i in range(12)],
+    "epoch_days": [19723.0 + 30.4 * i for i in range(12)],
+    "years": [2025.0 + i for i in range(12)],
+}
+OFFSET_FAILURES = {("yyyymm", d) for d in range(2, 7)} | {
+    ("epoch_days", 5), ("epoch_days", 6), ("years", 4), ("years", 5), ("years", 6)}
+
+
+@pytest.mark.parametrize("name, degree", [
+    pytest.param(name, degree, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2"))
+    if (name, degree) in OFFSET_FAILURES else (name, degree)
+    for name in OFFSET_ABSCISSAE for degree in range(2, 7)
+])
+def test_r_squared_does_not_depend_on_the_x_origin(name, degree, sample_csv_path):
+    # The bundled y values against x = 1..12 and against the same months
+    # written as YYYYMM, as epoch days and as years: an affine change of x
+    # leaves the least-squares fit, and so R^2, as it is.
+    with open(sample_csv_path, "rb") as fh:
+        ys = parse_csv(fh).ys
+    r_squared = []
+    for xs in ([float(i) for i in range(1, 13)], OFFSET_ABSCISSAE[name]):
+        series = Series(tuple(xs), ys)
+        r_squared.append(fit_report(fit_polynomial(series, degree)[0], series).r_squared)
+    assert abs(r_squared[1] - r_squared[0]) <= 1e-9

@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -135,6 +137,14 @@ class TestVertexForm:
         assert from_vertex_form(VertexForm(1, 0, 0)) == (1.0, 0.0, 0.0)
         assert from_vertex_form(VertexForm(-3, 1, 2)) == (-3.0, 6.0, -1.0)
 
+    def test_expansion_at_the_edge_of_the_float_range(self):
+        # b = -2e310 and c = 1e320 leave the float range.
+        with pytest.raises(NumericalOverflow):
+            from_vertex_form(VertexForm(1e300, 1e10, 0.0))
+        # 2a overflows, but b = -2ah does not.
+        got = from_vertex_form(VertexForm(2.0 ** 1023, 2.0 ** -10, 0.0))
+        assert got == (2.0 ** 1023, -(2.0 ** 1014), 2.0 ** 1003)
+
     def test_vertex_does_not_depend_on_units(self):
         # y = (x - 3)^2 + 4 times 10^k: h stays, and k scales with y, also
         # where b*b underflows.
@@ -177,6 +187,49 @@ class TestVertexForm:
         # to zero here.
         want = Fraction(c) - Fraction(b) ** 2 / (4 * Fraction(a))
         assert to_vertex_form(a, b, c).k == pytest.approx(float(want), rel=1e-15)
+
+    @pytest.mark.parametrize("a, b, c, h, k", [
+        # 2a overflows: h = -b/(2a) would be 0.0.
+        (2.0 ** 1023, 2.0 ** 510, 0.0, -(2.0 ** -514), -(2.0 ** -5)),
+        (1.5e308, 1e300, 0.0, -3.3333333333333334e-09, -1.6666666666666668e+291),
+        # b*h/2 = -2**1024 passes the float range, and c brings k back.
+        (1.0, 2.0 ** 513, sys.float_info.max, -(2.0 ** 512), -(2.0 ** 971)),
+        # b/2 rounds to 0, but b/(2a) = 1/2.
+        (5e-324, 5e-324, 1.0, -0.5, 1.0),
+        # b*h/2 is subnormal; unscaled, k prints as -1.4743663681e-314.
+        (-9.2e-322, -9.2815e-320, -1.474600726e-314, -50.5, -1.4743663676e-314),
+    ], ids=["2**1023", "1.5e308", "b*h-overflows", "b/2-underflows", "subnormal-k"])
+    def test_vertex_at_the_edges_of_the_float_range(self, a, b, c, h, k):
+        v = to_vertex_form(a, b, c)
+        assert (v.h, v.k) == (h, k)
+
+    def test_h_is_correctly_rounded(self):
+        # Seeded triples mixing subnormal, normal and huge magnitudes.  h is
+        # the float nearest -b/(2a) wherever that is finite; a raise means
+        # that the exact h or k is past the float range.
+        rng = random.Random(20241)
+        top = Fraction(sys.float_info.max)
+
+        def draw():
+            kind = rng.randrange(3)
+            if kind == 0:
+                value = rng.randrange(1, 2 ** 52) * 2.0 ** -1074
+            else:
+                # [2**-1022, 2**1024), or [2**1022, 2**1024)
+                low = -1021 if kind == 1 else 1023
+                value = math.ldexp(0.5 + 0.5 * rng.random(), rng.randrange(low, 1025))
+            return rng.choice((-1.0, 1.0)) * value
+
+        for _ in range(3000):
+            a, b, c = draw(), draw(), draw()
+            h = -Fraction(b) / (2 * Fraction(a))
+            k = Fraction(c) + Fraction(b) * h / 2
+            try:
+                v = to_vertex_form(a, b, c)
+            except NumericalOverflow:
+                assert abs(h) > top or abs(k) > top, (a, b, c)
+                continue
+            assert v.h == float(h) + 0.0, (a, b, c)
 
     @settings(max_examples=200)
     @given(a=nonzero_lead, b=small, c=small)
