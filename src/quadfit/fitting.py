@@ -1,14 +1,19 @@
 """Least-squares polynomial fitting on a scaled domain.
 
-The fit pipeline is: map the abscissae affinely onto [-1, 1], fit there
-with Forsythe's orthogonal polynomials (G. E. Forsythe, "Generation and
-use of orthogonal polynomials for data-fitting with a digital computer",
-J. SIAM 5(2), 1957), and convert the coefficients back to the original
-x domain.  The polynomials come from a three-term recurrence and the
-residual is projected onto each in turn, so the fit takes O(n*d) time
-and a few length-n vectors, and never forms normal equations, which
-square the condition number.  Coefficients are always stored in
-ascending powers, so ``coeffs[0]`` is the constant term.
+The fit maps the abscissae affinely onto t in [-1, 1] over the data
+window and fits there with Forsythe's orthogonal polynomials (G. E.
+Forsythe, "Generation and use of orthogonal polynomials for data-fitting
+with a digital computer", J. SIAM 5(2), 1957).  The polynomials come from
+a three-term recurrence and the residual is projected onto each in turn,
+so the fit takes O(n*d) time and a few length-n vectors, and never forms
+normal equations, which square the condition number.
+
+The fitted model keeps its coefficients in powers of t together with its
+window, and every value of it is taken in t, by one helper here.  Its
+coefficients in powers of x are derived once, for printing only: far from
+zero relative to the window they need not reproduce the fit.
+Coefficients are always stored in ascending powers, so the first is the
+constant term.
 
 All arithmetic is 64-bit binary floating point; no external math library
 is used anywhere in the package.  Finite input that the fit cannot hold
@@ -75,37 +80,64 @@ def _checked_series(xs: list[float], ys: list[float]) -> Series:
 
 
 @record
-class PolynomialModel:
-    """Polynomial in ascending-power coefficient order.
-
-    For a quadratic, ``coeffs == (c, b, a)`` with y = a*x^2 + b*x + c.
-    """
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if not coeffs:
-            raise ValueError("a polynomial needs at least one coefficient")
-        if not all(math.isfinite(c) for c in coeffs):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-@record
 class DomainWindow:
-    """Abscissa bounds of the data a model was fitted on."""
+    """Abscissa bounds of the data a model was fitted on.
+
+    The window maps x to t = (x - mid)/half, which takes it onto [-1, 1].
+    Each bound is halved before mid and half are formed, so both stay finite
+    for finite bounds, and the window (-1, 1) maps every x to itself.
+    Construction fails with ValueError unless both bounds are finite and the
+    halved bounds differ, which x_min < x_max ensures except for bounds a
+    step apart among the smallest subnormals.
+    """
 
     x_min: float
     x_max: float
 
     def __post_init__(self):
-        if not self.x_min < self.x_max:
-            raise ValueError(f"empty domain window [{self.x_min}, {self.x_max}]")
+        lo, hi = self.x_min, self.x_max
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"domain window bounds must be finite, got [{lo}, {hi}]")
+        half = hi / 2 - lo / 2
+        if not half > 0.0:
+            raise ValueError(f"empty domain window [{lo}, {hi}]")
+        object.__setattr__(self, "_mid", lo / 2 + hi / 2)
+        object.__setattr__(self, "_half", half)
+
+
+@record
+class PolynomialModel:
+    """Polynomial in ascending powers of t, the abscissa mapped by its window.
+
+    Every value is taken in t.  The default window (-1, 1) maps x to itself,
+    so for a quadratic ``PolynomialModel((c, b, a))`` is y = a*x^2 + b*x + c.
+    ``coeffs`` holds the same polynomial in ascending powers of x, derived
+    once for printing; construction fails with ValueError when a
+    coefficient in either basis is not finite.
+    """
+
+    scaled: tuple[float, ...]
+    window: DomainWindow = DomainWindow(-1.0, 1.0)
+
+    def __post_init__(self):
+        scaled = tuple(map(float, self.scaled))
+        if not scaled:
+            raise ValueError("a polynomial needs at least one coefficient")
+        coeffs = tuple(convert_domain(scaled, self.window))
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError("coefficients must be finite")
+        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.scaled) - 1
+
+
+def _to_t(window: DomainWindow, xs) -> list[float]:
+    """xs mapped by the window onto t; the only place x becomes t."""
+    mid, half = window._mid, window._half
+    return [(x - mid) / half for x in xs]
 
 
 def _horner(coeffs, xs) -> list[float]:
@@ -120,9 +152,14 @@ def _horner(coeffs, xs) -> list[float]:
     return values
 
 
+def _evaluate(model: PolynomialModel, xs) -> list[float]:
+    """Values of the model at xs: each x mapped to t, then Horner in t."""
+    return _horner(model.scaled, _to_t(model.window, xs))
+
+
 def eval_poly(model: PolynomialModel, x: float) -> float:
-    """Evaluate the polynomial at x by Horner's scheme."""
-    return _horner(model.coeffs, (x,))[0]
+    """Value of the model at x, taken in t by Horner's scheme."""
+    return _evaluate(model, (x,))[0]
 
 
 def _orthogonal_fit(ts: list[float], ys, degree: int) -> list[float]:
@@ -205,10 +242,11 @@ def _validation_error(series: Series, degree: int):
 def fit_polynomial(series: Series, degree: int = DEFAULT_DEGREE) -> tuple[PolynomialModel, DomainWindow]:
     """Least-squares polynomial fit with domain scaling for conditioning.
 
-    The abscissae are mapped affinely into [-1, 1] over the data window,
-    the scaled problem is solved by Forsythe's orthogonal-polynomial
-    recurrence, and the coefficients are converted back to the original
-    domain, so the returned model is expressed in plain powers of x.
+    The abscissae are mapped affinely onto t in [-1, 1] over the data
+    window and the scaled problem is solved by Forsythe's
+    orthogonal-polynomial recurrence.  The returned model holds that
+    solution in powers of t with the window, which is also returned; its
+    ``coeffs`` give the same polynomial in plain powers of x.
 
     Raises:
         InvalidDegree, InsufficientData, DegenerateAbscissa: unfittable input.
@@ -220,32 +258,35 @@ def fit_polynomial(series: Series, degree: int = DEFAULT_DEGREE) -> tuple[Polyno
     if err is not None:
         raise err
 
-    window = DomainWindow(min(series.xs), max(series.xs))
-    lo, hi = window.x_min, window.x_max
-    span = hi - lo
-    ts = [(2.0 * x - lo - hi) / span for x in series.xs]
+    lo, hi = min(series.xs), max(series.xs)
     try:
-        scaled = _orthogonal_fit(ts, series.ys, degree)
-        return PolynomialModel(tuple(convert_domain(scaled, window))), window
+        # An x span past the float range counts as overflow, though the
+        # halved map could hold it.
+        if hi - lo == math.inf:
+            raise OverflowError
+        window = DomainWindow(lo, hi)
+        scaled = _orthogonal_fit(_to_t(window, series.xs), series.ys, degree)
+        return PolynomialModel(scaled, window), window
     except (OverflowError, ValueError):
-        # An infinite span makes ts NaN, and so the coefficients, which
-        # PolynomialModel rejects with ValueError.  math.fsum raises
-        # OverflowError past the float range and ValueError on inf - inf.
+        # The coefficients in x need 1/half, which overflows for a window
+        # a few subnormals wide, and PolynomialModel rejects them with
+        # ValueError, as DomainWindow rejects a window with no half-width.
+        # math.fsum raises OverflowError past the float range and
+        # ValueError on inf - inf.
         raise NumericalOverflow(
             "the fit overflows a float; the x or y values are too large"
         ) from None
 
 
 def convert_domain(scaled_coeffs, window: DomainWindow) -> list[float]:
-    """Re-express coefficients fitted in the scaled domain in plain x.
+    """Re-express coefficients in powers of t as coefficients in plain x.
 
-    Given p(t) with t = (2x - x_min - x_max)/(x_max - x_min), returns q
-    such that q(x) = p(t(x)) identically, by Horner-style composition with
-    the affine map.
+    Given p(t) with t = (x - mid)/half, the window's map, returns q such
+    that q(x) = p(t(x)) identically, by Horner-style composition with the
+    affine map.
     """
-    span = window.x_max - window.x_min
-    alpha = -(window.x_min + window.x_max) / span
-    beta = 2.0 / span
+    alpha = -window._mid / window._half
+    beta = 1.0 / window._half
 
     coeffs = [float(c) for c in scaled_coeffs]
     out = [coeffs[-1]]
@@ -257,4 +298,3 @@ def convert_domain(scaled_coeffs, window: DomainWindow) -> list[float]:
         nxt[0] += c
         out = nxt
     return out
-

@@ -13,7 +13,7 @@ import operator
 
 from ._record import record
 from .errors import NumericalOverflow, UndefinedRSquared
-from .fitting import PolynomialModel, Series, _horner
+from .fitting import PolynomialModel, Series, _evaluate
 
 # With constant data y0, residual mass up to this bound per observation,
 # times max(1, y0^2), still counts as a perfect fit (R^2 = 1); anything
@@ -78,7 +78,7 @@ def fit_report(model: PolynomialModel, series: Series) -> FitReport:
     # are built; both sums raise the same NumericalOverflow.
     ss_tot = total_sum_of_squares(series.ys)
     ys = series.ys
-    residuals = list(map(operator.sub, ys, _horner(model.coeffs, series.xs)))
+    residuals = list(map(operator.sub, ys, _evaluate(model, series.xs)))
     ss_res = _finite_fsum(map(operator.mul, residuals, residuals))
     n = len(series)
     if ss_tot >= n * SQUARE_UNDERFLOW_BOUND:

@@ -16,7 +16,7 @@ markers formatted in blocks of _MARKER_BLOCK.
 import math
 
 from ._record import record
-from .fitting import PolynomialModel, Series, _horner
+from .fitting import PolynomialModel, Series, _evaluate
 from .metrics import FitReport
 
 MONTH_LABELS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
@@ -151,7 +151,7 @@ def sample_curve(model: PolynomialModel, x_min: float, x_max: float, n: int) -> 
     """
     step = (x_max - x_min) / (n - 1)
     xs = [x_min + i * step for i in range(n - 1)] + [x_max]
-    return list(zip(xs, _horner(model.coeffs, xs)))
+    return list(zip(xs, _evaluate(model, xs)))
 
 
 def _escape(text: str) -> str:

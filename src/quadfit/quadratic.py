@@ -118,8 +118,14 @@ def to_vertex_form(a: float, b: float, c: float) -> VertexForm:
 def from_vertex_form(v: VertexForm) -> tuple[float, float, float]:
     """Expand a*(x - h)^2 + k back to standard (a, b, c).
 
+    Only where a*h*h passes the float range and k brings c back into it is
+    c summed at half scale, as to_vertex_form does for k.
+
     Raises:
         NumericalOverflow: b or c overflows a float.
     """
     b = _finite(-2.0 * (v.a * v.h) + 0.0, "the coefficient b")  # 2a may overflow alone
-    return v.a, b, _finite(v.a * v.h * v.h + v.k, "the coefficient c")
+    c = v.a * v.h * v.h + v.k
+    if math.isinf(c):
+        c = 2.0 * (0.5 * v.a * v.h * v.h + 0.5 * v.k)
+    return v.a, b, _finite(c, "the coefficient c")

@@ -57,6 +57,19 @@ class TestEvalPoly:
         assert eval_poly(PolynomialModel((5.0,)), math.inf) == 5.0
         assert eval_poly(PolynomialModel((5.0,)), -math.inf) == 5.0
 
+    def test_window_maps_x_to_t(self):
+        # t = (x - mid)/half, which is -1, 0 and 1 at the window's ends and
+        # midpoint; coeffs is the same polynomial in powers of x.
+        model = PolynomialModel((2.0, 3.0), DomainWindow(202401.0, 202412.0))
+        assert [eval_poly(model, x) for x in (202401.0, 202406.5, 202412.0)] == [-1.0, 2.0, 5.0]
+        assert model.coeffs == pytest.approx((2.0 - 3.0 * 202406.5 / 5.5, 3.0 / 5.5), rel=1e-15)
+        assert model.degree == 1
+
+    def test_default_window_is_plain_x(self):
+        model = PolynomialModel((1.0, -2.0, 3.0))
+        assert model.window == DomainWindow(-1.0, 1.0)
+        assert model.coeffs == model.scaled == (1.0, -2.0, 3.0)
+
     def test_model_needs_a_coefficient(self):
         with pytest.raises(ValueError, match="at least one coefficient"):
             PolynomialModel(())
@@ -276,3 +289,17 @@ class TestDomainWindow:
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
             DomainWindow(3, 3)
+
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+    def test_rejects_nonfinite_bounds(self, bounds):
+        # An infinite bound would make the window's midpoint and half-width
+        # infinite, and every value NaN; a NaN bound would too.
+        with pytest.raises(ValueError, match="finite"):
+            eval_poly(PolynomialModel((1.0,), DomainWindow(*bounds)), 0.5)
+
+    def test_rejects_window_without_half_width(self):
+        # 3 and 4 times the smallest subnormal halve to the same float.
+        tiny = 5e-324
+        with pytest.raises(ValueError):
+            DomainWindow(3 * tiny, 4 * tiny)
+        assert DomainWindow(2 * tiny, 4 * tiny) == DomainWindow(2 * tiny, 4 * tiny)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import exact_report
+from oracle import exact_report, gauss_solve
 from support import fit_instances
 from conftest import (
     DERIVED_COEFFS,
@@ -205,13 +205,10 @@ def test_fit_report_ss_res_matches_pointwise_evaluation(coeffs, points):
         assert got.hex() == want.hex()
 
 
-@pytest.mark.parametrize("degree", [
-    *range(1, 10),
-    pytest.param(10, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2")),
-])
+@pytest.mark.parametrize("degree", range(1, 11))
 def test_ss_res_matches_oracle_on_bundled_data(degree, sample_csv_path):
-    # To the 11 digits the report prints.  At degree 10 the power-basis
-    # evaluation prints 5.9631559076e-02, below the least-squares minimum
+    # To the 11 digits the report prints.  At degree 10 an evaluation in
+    # powers of x printed 5.9631559076e-02, below the least-squares minimum
     # 5.9631559101e-02.
     with open(sample_csv_path, "rb") as fh:
         series = parse_csv(fh)
@@ -225,14 +222,10 @@ OFFSET_ABSCISSAE = {
     "epoch_days": [19723.0 + 30.4 * i for i in range(12)],
     "years": [2025.0 + i for i in range(12)],
 }
-OFFSET_FAILURES = {("yyyymm", d) for d in range(2, 7)} | {
-    ("epoch_days", 5), ("epoch_days", 6), ("years", 4), ("years", 5), ("years", 6)}
 
 
 @pytest.mark.parametrize("name, degree", [
-    pytest.param(name, degree, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2"))
-    if (name, degree) in OFFSET_FAILURES else (name, degree)
-    for name in OFFSET_ABSCISSAE for degree in range(2, 7)
+    (name, degree) for name in OFFSET_ABSCISSAE for degree in range(2, 7)
 ])
 def test_r_squared_does_not_depend_on_the_x_origin(name, degree, sample_csv_path):
     # The bundled y values against x = 1..12 and against the same months
@@ -245,3 +238,72 @@ def test_r_squared_does_not_depend_on_the_x_origin(name, degree, sample_csv_path
         series = Series(tuple(xs), ys)
         r_squared.append(fit_report(fit_polynomial(series, degree)[0], series).r_squared)
     assert abs(r_squared[1] - r_squared[0]) <= 1e-9
+
+
+# Unit roundoff of a binary64 float.
+U = 2.0 ** -53
+
+
+def pinv_norm_bound(ts, degree):
+    """An upper bound on ||V^+||_2 for the matrix V of the powers t^0..t^degree
+    at ts: ||V^+||_2^2 = ||G^-1||_2 <= ||G^-1||_F with G = V^T V, inverted
+    in exact rational arithmetic."""
+    ts = [Fraction(t) for t in ts]
+    size = degree + 1
+    gram = [[sum(t ** (i + j) for t in ts) for j in range(size)] for i in range(size)]
+    total = Fraction(0)
+    for j in range(size):
+        column = gauss_solve(gram, [Fraction(int(i == j)) for i in range(size)])
+        total += sum(c * c for c in column)
+    return math.sqrt(math.sqrt(float(total)))
+
+
+def offset_ratio(xs):
+    """max |x| over the window's half-width: how far the data sit from zero."""
+    lo, hi = min(xs), max(xs)
+    return max(-lo, hi) / ((hi - lo) / 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=fit_instances(max_n=25, max_degree=3),
+       alpha=st.one_of(st.floats(-1e3, -1e-3), st.floats(1e-3, 1e3)),
+       beta=st.floats(-1e6, 1e6))
+def test_fit_does_not_depend_on_an_affine_change_of_x(data, alpha, beta):
+    # x and x' = alpha*x + beta map onto the same t in [-1, 1] (mirrored for
+    # alpha < 0), so in exact arithmetic the two fits agree.  Rounding x'
+    # and the map moves each t by at most
+    #     delta = 16u (1 + M/h + M'/h'),
+    # M and h being max |x| and the half-width of the window (M', h' of
+    # x').  The power columns t^k move by at most 2k*delta, so the moved
+    # matrix differs from V = [t^k] by E with ||E||_F <= 2 delta
+    # sqrt(n sum k^2).  While ||E|| ||V^+|| <= 1/4, the projection onto the
+    # fitted polynomials moves by at most 2 ||E|| ||V^+||, and it fixes
+    # constants, so the fitted values move by at most that times
+    # ||y - mean|| = sqrt(ss_tot).  Each fit and its evaluation in t add at
+    # most 16 n u ||V^+|| ||y|| on their own.  R^2 then moves by at most
+    # d (2 sqrt(ss_tot) + d) / ss_tot, d being the bound on the values.
+    xs, ys, degree = data
+    moved = [alpha * x + beta for x in xs]
+    n = len(xs)
+    lo, hi = min(xs), max(xs)
+    ts = [(x - (lo + hi) / 2) / ((hi - lo) / 2) for x in xs]
+    pinv = pinv_norm_bound(ts, degree)
+    delta = 16 * U * (1 + offset_ratio(xs) + offset_ratio(moved))
+    e_norm = 2 * delta * math.sqrt(n * sum(k * k for k in range(degree + 1)))
+    assert e_norm * pinv <= 0.25
+    ss_tot = total_sum_of_squares(ys)
+    y_norm = math.sqrt(math.fsum(y * y for y in ys))
+    bound = 2 * pinv * (e_norm * math.sqrt(ss_tot) + 16 * n * U * y_norm)
+
+    fitted, r_squared = [], []
+    for points in (xs, moved):
+        series = Series(tuple(points), tuple(ys))
+        model, _ = fit_polynomial(series, degree)
+        fitted.append([eval_poly(model, x) for x in points])
+        r_squared.append(fit_report(model, series).r_squared)
+    moved_by = math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(*fitted)))
+    assert moved_by <= bound
+    if ss_tot == 0.0:
+        assert r_squared == [1.0, 1.0]
+    else:
+        assert abs(r_squared[1] - r_squared[0]) <= bound * (2 * math.sqrt(ss_tot) + bound) / ss_tot

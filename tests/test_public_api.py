@@ -74,10 +74,23 @@ def test_demo_runs(path, capsys):
     assert capsys.readouterr().out
 
 
+def test_readme_library_block_runs():
+    # From the repository root, as README shows it, in development mode with
+    # warnings as errors: a file left unclosed prints a ResourceWarning.
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block, = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    result = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", block],
+                            cwd=REPO_ROOT, env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout
+
+
 # Each value class with its fields in order: required ones, then defaulted.
 VALUE_CLASSES = [
     (quadfit.Series, {"xs": (1.0, 2.0), "ys": (3.0, 5.0)}, {}),
-    (quadfit.PolynomialModel, {"coeffs": (1.0, -2.0, 3.0)}, {}),
+    (quadfit.PolynomialModel, {"scaled": (1.0, -2.0, 3.0)},
+     {"window": quadfit.DomainWindow(-1.0, 1.0)}),
     (quadfit.DomainWindow, {"x_min": 1.0, "x_max": 12.0}, {}),
     (quadfit.CsvSchema, {},
      {"x_column": "Month", "y_column": "Values"}),

@@ -145,6 +145,16 @@ class TestVertexForm:
         got = from_vertex_form(VertexForm(2.0 ** 1023, 2.0 ** -10, 0.0))
         assert got == (2.0 ** 1023, -(2.0 ** 1014), 2.0 ** 1003)
 
+    def test_expansion_where_k_brings_c_back_into_range(self):
+        # a*h*h = 2**1024 overflows, but c = 2**1024 - max = 2**971 does not.
+        got = from_vertex_form(VertexForm(1.0, 2.0 ** 512, -sys.float_info.max))
+        assert got == (1.0, -(2.0 ** 513), 2.0 ** 971)
+        # Its mirror image too; a c that truly overflows still raises.
+        got = from_vertex_form(VertexForm(-1.0, 2.0 ** 512, sys.float_info.max))
+        assert got == (-1.0, 2.0 ** 513, -(2.0 ** 971))
+        with pytest.raises(NumericalOverflow):
+            from_vertex_form(VertexForm(1.0, 2.0 ** 512, 0.0))
+
     def test_vertex_does_not_depend_on_units(self):
         # y = (x - 3)^2 + 4 times 10^k: h stays, and k scales with y, also
         # where b*b underflows.
