@@ -252,7 +252,9 @@ def fit_polynomial(series: Series, degree: int = DEFAULT_DEGREE) -> tuple[Polyno
         InvalidDegree, InsufficientData, DegenerateAbscissa: unfittable input.
         RankDeficient: x values too clustered for the degree (pathological
             spacing).
-        NumericalOverflow: the x span, a sum or a coefficient overflows a float.
+        NumericalOverflow: the x span, a sum or a coefficient overflows a
+            float, or the x values lie so close together that the window's
+            half-width is 0 or its reciprocal overflows.
     """
     err = _validation_error(series, degree)
     if err is not None:
@@ -272,10 +274,14 @@ def fit_polynomial(series: Series, degree: int = DEFAULT_DEGREE) -> tuple[Polyno
         # a few subnormals wide, and PolynomialModel rejects them with
         # ValueError, as DomainWindow rejects a window with no half-width.
         # math.fsum raises OverflowError past the float range and
-        # ValueError on inf - inf.
-        raise NumericalOverflow(
-            "the fit overflows a float; the x or y values are too large"
-        ) from None
+        # ValueError on inf - inf.  The first two come from x values too
+        # close together, not too large.
+        half = hi / 2 - lo / 2
+        if half == 0.0 or 1.0 / half == math.inf:
+            reason = "the x values are too close together"
+        else:
+            reason = "the x or y values are too large"
+        raise NumericalOverflow(f"the fit overflows a float; {reason}") from None
 
 
 def convert_domain(scaled_coeffs, window: DomainWindow) -> list[float]:

@@ -7,6 +7,10 @@ or non-numeric cells in the selected columns fail loudly rather than
 being dropped.  A numeric cell, once stripped of whitespace, is ASCII and
 holds no "_": float() alone would also read "1_0" as 10 and the digits of
 other scripts.
+
+Plain input, with ASCII rows and no quotes, is split as bytes; all other
+input goes through the csv reader, which also raises every error.  Both
+give the same values.
 """
 
 # csv.py only re-exports _csv's reader and Error, and imports re, and with
@@ -25,6 +29,11 @@ from .errors import (
 )
 # validate_series, the fit's input check, for perfbench/traced_child.py:71.
 from .fitting import Series, _checked_series, _validation_error as validate_series
+
+# The split path's block size in bytes, before the cut at the next newline.
+_BLOCK_BYTES = 1 << 16
+# Every byte but the comma and the newline, for bytes.translate to delete.
+_NOT_SEPARATORS = bytes(set(range(256)) - set(b",\n"))
 
 
 @record
@@ -73,6 +82,71 @@ def parse_csv(data, schema: CsvSchema = CsvSchema()) -> Series:
     # messages and offsets, without importing that codec's module.
     if data[:3] == b"\xef\xbb\xbf":
         data = data[3:]
+    return _checked_series(*(_plain_columns(data, schema) or _reader_columns(data, schema)))
+
+
+def _plain_columns(data, schema: CsvSchema):
+    """The schema's columns as float lists, split from the bytes, or None.
+
+    A fast path that accepts input or declines it and never raises, so that
+    every error, its message and its row number come from _reader_columns.
+    It accepts input whose header line is UTF-8 without a quote, CR or NUL,
+    and whose rows are ASCII without a quote, "_", NUL or a CR outside a
+    CRLF ending, each with one comma fewer than the header has names, none
+    longer than the csv field limit, and whose selected cells float() reads
+    from bytes as finite.  The csv reader splits such input into the same
+    cells, and keeps the same values.  Rows are split in blocks cut at
+    newlines, so that one block's cells are freed before the next is cut.
+    """
+    header_end = data.find(b"\n") + 1
+    if not header_end:
+        return None
+    header = data[:header_end - 1].removesuffix(b"\r")
+    limit = _csv.field_size_limit()
+    if len(header) > limit or any(c in header for c in b'"\r\0'):
+        return None
+    try:
+        names = [cell.strip() for cell in header.decode("utf-8").split(",")]
+    except UnicodeDecodeError:
+        return None
+    if schema.x_column not in names or schema.y_column not in names:
+        return None
+    x_idx = names.index(schema.x_column)
+    y_idx = names.index(schema.y_column)
+    width = len(names)
+    row_separators = b"," * (width - 1) + b"\n"
+    xs: list[float] = []
+    ys: list[float] = []
+    start = header_end
+    while start < len(data):
+        stop = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
+        block = data[start:stop].replace(b"\r\n", b"\n")
+        start = stop
+        if not block.endswith(b"\n"):
+            block += b"\n"
+        if not block.isascii() or any(c in block for c in b'"_\r\0'):
+            return None
+        # Row by row, not in total: the commas and newlines, in order, are
+        # width - 1 commas then a newline for every row.
+        if block.translate(None, _NOT_SEPARATORS) != row_separators * block.count(b"\n"):
+            return None
+        if len(block) > limit and max(map(len, block.split(b"\n"))) > limit:
+            return None
+        cells = block.replace(b"\n", b",").split(b",")
+        del cells[-1]  # after the newline that ends the block
+        try:
+            xs += map(float, cells[x_idx::width])
+            ys += map(float, cells[y_idx::width])
+        except ValueError:
+            return None
+    if not xs or not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
+        return None
+    return xs, ys
+
+
+def _reader_columns(data, schema: CsvSchema):
+    """The schema's columns as float lists, read by the csv module; every
+    error parse_csv raises comes from here."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -128,5 +202,5 @@ def parse_csv(data, schema: CsvSchema = CsvSchema()) -> Series:
 
     if not xs:
         raise EmptyData("input has a header row but no data rows")
-    return _checked_series(xs, ys)
+    return xs, ys
 

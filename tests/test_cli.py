@@ -326,7 +326,15 @@ class TestFailureModes:
         assert main(["-i", write_csv(tmp_path, csv_text)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("quadfit: NumericalOverflow: ")
-        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.count("\n") == 1 and err.endswith(" too large\n")
+
+    def test_narrow_x_window(self, tmp_path, capsys):
+        # The window's half-width rounds to 0: the x values, not their
+        # size, are what the fit cannot hold.
+        csv_text = "Month,Values\n0,1\n5e-324,2\n0,3\n"
+        assert main(["-i", write_csv(tmp_path, csv_text), "--degree", "1"]) == 1
+        assert capsys.readouterr().err == ("quadfit: NumericalOverflow: the fit overflows a "
+                                           "float; the x values are too close together\n")
 
     def test_quadratic_structure_overflow(self, tmp_path, capsys):
         # The fit and its sums of squares are finite, but b*b in the

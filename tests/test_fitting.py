@@ -13,6 +13,7 @@ from quadfit import (
     DomainWindow,
     InsufficientData,
     InvalidDegree,
+    NumericalOverflow,
     PolynomialModel,
     RankDeficient,
     Series,
@@ -192,6 +193,25 @@ class TestFitPolynomial:
     def test_negative_degree(self):
         with pytest.raises(InvalidDegree):
             fit_polynomial(Series((1, 2, 3), (1, 2, 3)), -1)
+
+    @pytest.mark.parametrize("xs, degree", [
+        ((0.0, 5e-324, 0.0), 1),  # the halved bounds coincide: no half-width
+        ((0.0, 5e-324, 0.0), 0),
+        ((0.0, 1e-308, 5e-309), 1),  # 1/half overflows
+    ])
+    def test_narrow_window_names_the_x_values(self, xs, degree):
+        with pytest.raises(NumericalOverflow,
+                           match="^the fit overflows a float; the x values are too close together$"):
+            fit_polynomial(Series(xs, (1.0, 2.0, 3.0)), degree)
+
+    @pytest.mark.parametrize("xs, ys", [
+        ((-1e308, 0.0, 1e308), (1.0, 2.0, 3.0)),
+        ((1.0, 2.0, 3.0), (1e308, -1e308, 1e308)),
+    ], ids=["x-span", "y-sums"])
+    def test_huge_values_name_the_magnitude(self, xs, ys):
+        with pytest.raises(NumericalOverflow,
+                           match="^the fit overflows a float; the x or y values are too large$"):
+            fit_polynomial(Series(xs, ys), 2)
 
     def test_degree_zero_gives_mean(self):
         model, _ = fit_polynomial(Series((1, 2, 3, 4), (2, 4, 6, 8)), 0)

@@ -17,7 +17,7 @@ from quadfit import (
     Series,
     parse_csv,
 )
-from quadfit.ingest import validate_series
+from quadfit.ingest import _BLOCK_BYTES, _plain_columns, _reader_columns, validate_series
 
 
 def parse(text: str, **schema_kwargs) -> Series:
@@ -73,12 +73,20 @@ class TestParseCsv:
          "header: field larger than field limit (131072)"),
         (f'Month,Values\n"{"1" * 131073}",2\n', 1,
          "row 1: field larger than field limit (131072)"),
+        (f'{"M" * 131073},Month,Values\n1,2,3\n', 0,
+         "header: field larger than field limit (131072)"),
+        (f'Month,Values,Note\n1,2,3\n4,5,{"6" * 131073}\n', 2,
+         "row 2: field larger than field limit (131072)"),
+        (f'Month,Values\n1,2\n{"3" * 131073},4\n', 2,
+         "row 2: field larger than field limit (131072)"),
         ('Month,Values\n1,1\n2,"2\n3,3\n', 2, "row 2: unexpected end of data"),
-    ], ids=["header", "data-row", "unbalanced-quote"])
+    ], ids=["header", "data-row", "unquoted-header", "unquoted-unused", "unquoted-selected",
+            "unbalanced-quote"])
     def test_csv_error_names_row_and_reason(self, text, row, message):
-        # A quoted field past csv.field_size_limit(), or a quote left open
-        # to the end of the file, is a csv.Error, which must reach the user
-        # with csv's own reason, not a field count or a non-numeric cell.
+        # A field past csv.field_size_limit(), quoted or not, or a quote
+        # left open to the end of the file, is a csv.Error, which must
+        # reach the user with csv's own reason, not a field count or a
+        # non-numeric cell.
         with pytest.raises(MalformedRow) as exc:
             parse(text)
         assert exc.value.row == row
@@ -217,6 +225,136 @@ class TestNumericCellGrammar:
     def test_selected_column_names_may_hold_anything(self):
         s = parse("month_no,Значення\n1,2\n", x_column="month_no", y_column="Значення")
         assert s.xs == (1.0,) and s.ys == (2.0,)
+
+
+def outcome(parse, data, schema=CsvSchema()):
+    """What parse makes of data: the reprs of its columns, or its error."""
+    try:
+        xs, ys = parse(data, schema)
+    except CsvError as exc:
+        return type(exc).__name__, str(exc)
+    return repr(list(xs)), repr(list(ys))
+
+
+def parsed_columns(data, schema):
+    series = parse_csv(data, schema)
+    return series.xs, series.ys
+
+
+# Cells of plain input, as the split path takes it: numbers, with padding
+# that float() strips from bytes too.
+PLAIN_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
+    ["1", "-2.5", " 3 ", "4E2", "+.5", "-0", "0012", "\t7", "\x0b6\x0c"])
+# Cells that are not plain: blank or not numbers, forms that float() reads
+# but the cell grammar refuses or that float() reads only from a stripped
+# str, values that are not finite, and quotes, NULs and line breaks.
+ODD_CELLS = ["", "x", "1_0", "\u0662", "\xa01", "\x1c8", "nan", "-inf", "1e999", '"5"',
+             '"1,2"', "a\x00b", "1\r", "1\n2"]
+# Bytes written over or into the input anywhere, the header included.
+EDITS = [b'"', b'"a,b"', b"_", b"\x00", b"\r", b"\n", b"\r\n", b",", b"", b"\x0c",
+         "é".encode(), b"\xef\xbb\xbf", b"\xff"]
+SCHEMAS = [CsvSchema(), CsvSchema("Values", "Month"), CsvSchema("station_id", "Значення")]
+
+
+@st.composite
+def csv_bytes(draw):
+    """CSV input and a schema: plain input, with up to two defects."""
+    schema = draw(st.sampled_from(SCHEMAS))
+    extra = draw(st.lists(st.sampled_from(["Note", "station_id", "Значення", "", '"a,b"']),
+                          max_size=2))
+    names = draw(st.permutations([schema.x_column, schema.y_column] + extra))
+    names = [draw(st.sampled_from(["{}", " {} ", "{}\t"])).format(name) for name in names]
+    width = len(names)
+    counts = draw(st.lists(st.sampled_from([width] * 20 + [0, width - 1, width + 1]),
+                           max_size=6))
+    rows = [draw(st.lists(PLAIN_CELLS, min_size=n, max_size=n)) for n in counts]
+    byte_edits = 0
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        row = draw(st.sampled_from(rows)) if rows else []
+        if row and draw(st.integers(0, 3)):
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(ODD_CELLS))
+        else:
+            byte_edits += 1
+    lines = [",".join(names)] + [",".join(row) for row in rows]
+    if draw(st.integers(0, 4)) == 4:
+        # Longer than a block, anywhere among the drawn rows.
+        plain = ",".join(f"{k}.25" for k in range(width))
+        at = draw(st.integers(1, len(lines)))
+        lines[at:at] = [plain] * (_BLOCK_BYTES // len(plain) + 1)
+    data = (draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+            + draw(st.sampled_from(["\n", "\r\n", ""]))).encode("utf-8")
+    for _ in range(byte_edits):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(EDITS)) + data[at + draw(st.integers(0, 2)):]
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + data, schema
+
+
+class TestPlainColumns:
+    """The split path takes plain input and gives the csv reader's values;
+    on any other input it declines, and the reader path decides."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=csv_bytes())
+    def test_split_path_agrees_with_the_reader_or_declines(self, case):
+        data, schema = case
+        body = data.removeprefix(b"\xef\xbb\xbf")  # as parse_csv hands it on
+        got = _plain_columns(body, schema)
+        if got is not None:
+            assert repr(got) == repr(_reader_columns(body, schema))
+        assert outcome(parsed_columns, data, schema) == outcome(_reader_columns, body, schema)
+
+    BULK = "".join(f"{1 + 11 * i / 999:.6f},{40 + i % 17 * 0.37:.4f}\n" for i in range(1000))
+
+    @pytest.mark.parametrize("text, schema", [
+        ("Month,Values\n" + BULK, CsvSchema()),
+        (("Month,Values\n" + BULK).replace("\n", "\r\n"), CsvSchema()),
+        ("Month,Values\n" + BULK.rstrip("\n"), CsvSchema()),
+        ("Note,Values,Month,Extra\n1,2,3,4\n5,6,7,8\n", CsvSchema()),
+        (" station_id , Значення\n1,2\n", CsvSchema("station_id", "Значення")),
+    ], ids=["lf", "crlf", "no-final-newline", "extra-columns", "named-columns"])
+    def test_plain_input_takes_the_split_path(self, text, schema):
+        data = text.encode("utf-8")
+        got = _plain_columns(data, schema)
+        assert got is not None and repr(got) == repr(_reader_columns(data, schema))
+
+    def test_bulk_input_spans_blocks(self):
+        data = ("Month,Values\n" + self.BULK * 8).encode("ascii")
+        assert len(data) > 2 * _BLOCK_BYTES
+        got = _plain_columns(data, CsvSchema())
+        assert got is not None and repr(got) == repr(_reader_columns(data, CsvSchema()))
+
+    @pytest.mark.parametrize("data", [
+        b"Month,Values",
+        b'"Month",Values\n1,2\n',
+        b"Month,Values\xff\n1,2\n",
+        b"Month,Value\n1,2\n",
+        b"Month,Values,Note\n1,2,\xc3\xa9\n",
+        b'Month,Values,Note\n1,2,"a"\n',
+        b"Month,Values,Note\n1,2,a_b\n",
+        b"Month,Values,Note\n1,2,a\x00b\n",
+        b"Month,Values\n1,2\r3,4\n",
+        b"Month,Values\n1,2,3\n4\n",
+        b"Month,Values\n1,2\n\n",
+        b"Month,Values,Note\n1,2," + b"3" * 131073 + b"\n",
+        b"Month,Values\n",
+        b"Month,Values\n1,abc\n",
+        b"Month,Values\n1,\x1c8\n",
+        b"Month,Values\n1,nan\n",
+        b"Month,Values\n1e999,2\n",
+    ], ids=["no-newline", "quoted-header", "header-not-utf8", "missing-column", "non-ascii-row",
+            "quote", "underscore", "nul", "lone-cr", "commas-right-only-in-total", "blank-row",
+            "row-past-field-limit", "no-rows", "not-a-float", "float-rejects-unstripped",
+            "nan", "overflow"])
+    def test_other_input_is_declined(self, data):
+        assert _plain_columns(data, CsvSchema()) is None
+
+    def test_nul_in_unused_column_follows_the_reader(self):
+        # Python 3.10's reader refuses a NUL anywhere in a line; later ones
+        # keep it as a character.  The split path declines, so parse_csv
+        # does whatever the running interpreter's reader does.
+        data = b"Month,Values,Note\n1,2,a\x00b\n"
+        assert _plain_columns(data, CsvSchema()) is None
+        assert outcome(parsed_columns, data) == outcome(_reader_columns, data)
 
 
 class TestCsvSchema:
