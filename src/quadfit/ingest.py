@@ -75,9 +75,12 @@ def parse_csv(data, schema: CsvSchema = CsvSchema()) -> Series:
             the csv module cannot split the header or a row into fields.
         NonNumericValue: a selected cell is blank, not an ASCII number
             without "_", or non-finite.
+        TypeError: data, or what its read() returns, is not bytes.
     """
     if hasattr(data, "read"):
         data = data.read()
+    if not isinstance(data, (bytes, bytearray)):
+        raise TypeError(f"parse_csv needs bytes or a binary stream, got {type(data).__name__}")
     # Drop a leading BOM as decode("utf-8-sig") would, with the same error
     # messages and offsets, without importing that codec's module.
     if data[:3] == b"\xef\xbb\xbf":
@@ -145,8 +148,13 @@ def _plain_columns(data, schema: CsvSchema):
 
 
 def _reader_columns(data, schema: CsvSchema):
-    """The schema's columns as float lists, read by the csv module; every
-    error parse_csv raises comes from here."""
+    """The schema's columns as float lists, read by the csv module.
+
+    The path for quoted or unusual input, which _plain_columns declines,
+    and the only source of the errors parse_csv raises.  Each selected cell
+    goes through _parse_cell, the one statement of the cell grammar; the
+    loop is kept plain rather than tuned for speed.
+    """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -167,13 +175,6 @@ def _reader_columns(data, schema: CsvSchema):
     x_idx = names.index(schema.x_column)
     y_idx = names.index(schema.y_column)
 
-    # A row goes through _parse_cell, which names a bad cell, only when
-    # float() rejects a cell as it stands or reads it as non-finite, or
-    # when a cell is not plain ASCII or holds a "_"; that last test runs
-    # only when the input as a whole fails it.  Its values are the ones
-    # kept: str.strip() also removes U+001C to U+001F, which float() rejects.
-    check_cells = not text.isascii() or "_" in text
-    isfinite = math.isfinite
     width = len(names)
     xs: list[float] = []
     ys: list[float] = []
@@ -183,20 +184,8 @@ def _reader_columns(data, schema: CsvSchema):
             row_num += 1
             if len(row) != width:
                 raise MalformedRow(row_num, width, len(row))
-            try:
-                x = float(row[x_idx])
-                y = float(row[y_idx])
-            except ValueError:
-                x = y = math.nan
-            if check_cells:
-                cells = row[x_idx] + row[y_idx]
-                if not cells.isascii() or "_" in cells:
-                    x = math.nan  # so that _parse_cell applies the grammar
-            if not (isfinite(x) and isfinite(y)):
-                x = _parse_cell(row[x_idx], row_num, schema.x_column)
-                y = _parse_cell(row[y_idx], row_num, schema.y_column)
-            xs.append(x)
-            ys.append(y)
+            xs.append(_parse_cell(row[x_idx], row_num, schema.x_column))
+            ys.append(_parse_cell(row[y_idx], row_num, schema.y_column))
     except _csv.Error as exc:
         raise MalformedRow(row_num + 1, reason=str(exc)) from exc
 

@@ -63,10 +63,8 @@ def quadratic_roots(a: float, b: float, c: float) -> RootSet:
     """
     if a == 0.0:
         raise NotQuadratic("a = 0: not a quadratic equation")
+    a, b, c, _ = _scaled_up(a, b, c)
     disc = discriminant(a, b, c)
-    a, b, c, shift = _scaled_up(a, b, c)
-    if shift:
-        disc = b * b - 4.0 * a * c
     if abs(disc) <= DOUBLE_ROOT_TOLERANCE * max(b * b, abs(4.0 * a * c)):
         # + 0.0 turns a negative zero from -b/(2a) into plain zero
         root = _finite(-b / (2.0 * a) + 0.0, "the double root")

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import REPO_ROOT
+
 from quadfit import (
     CsvError,
     CsvSchema,
@@ -144,6 +146,12 @@ class TestParseCsv:
     def test_reads_binary_stream(self):
         stream = io.BytesIO(b"Month,Values\n1,2\n")
         assert parse_csv(stream).xs == (1.0,)
+
+    @pytest.mark.parametrize("data", ["Month,Values\n1,2\n", io.StringIO("Month,Values\n1,2\n")],
+                             ids=["str", "text-stream"])
+    def test_text_is_refused_by_name(self, data):
+        with pytest.raises(TypeError, match="^parse_csv needs bytes or a binary stream, got str$"):
+            parse_csv(data)
 
     def test_custom_schema(self):
         s = parse("t,v\n1,2\n", x_column="t", y_column="v")
@@ -311,7 +319,8 @@ class TestPlainColumns:
         ("Month,Values\n" + BULK.rstrip("\n"), CsvSchema()),
         ("Note,Values,Month,Extra\n1,2,3,4\n5,6,7,8\n", CsvSchema()),
         (" station_id , Значення\n1,2\n", CsvSchema("station_id", "Значення")),
-    ], ids=["lf", "crlf", "no-final-newline", "extra-columns", "named-columns"])
+        ((REPO_ROOT / "data" / "pm25_monthly.csv").read_text(encoding="utf-8"), CsvSchema()),
+    ], ids=["lf", "crlf", "no-final-newline", "extra-columns", "named-columns", "bundled-data"])
     def test_plain_input_takes_the_split_path(self, text, schema):
         data = text.encode("utf-8")
         got = _plain_columns(data, schema)
