@@ -10,8 +10,9 @@ normal equations, which square the condition number.
 
 The fitted model keeps its coefficients in powers of t together with its
 window, and every value of it is taken in t, by one helper here.  Its
-coefficients in powers of x are derived once, for printing only: far from
-zero relative to the window they need not reproduce the fit.
+coefficients in powers of x are derived once, for printing and for the
+report's quadratic analysis: far from zero relative to the window they
+need not reproduce the fit.
 Coefficients are always stored in ascending powers, so the first is the
 constant term.
 
@@ -112,8 +113,8 @@ class PolynomialModel:
     Every value is taken in t.  The default window (-1, 1) maps x to itself,
     so for a quadratic ``PolynomialModel((c, b, a))`` is y = a*x^2 + b*x + c.
     ``coeffs`` holds the same polynomial in ascending powers of x, derived
-    once for printing; construction fails with ValueError when a
-    coefficient in either basis is not finite.
+    once for printing and for the report's quadratic analysis; construction
+    fails with ValueError when a coefficient in either basis is not finite.
     """
 
     scaled: tuple[float, ...]

@@ -14,6 +14,7 @@ markers formatted in blocks of _MARKER_BLOCK.
 """
 
 import math
+import sys
 
 from ._record import record
 from .fitting import PolynomialModel, Series, _evaluate
@@ -141,7 +142,11 @@ def _padded(lo: float, hi: float) -> tuple[float, float]:
             inner = math.nextafter(lo, 0.0)
             lo, hi = min(lo, inner), max(hi, inner)
         return lo, hi
-    return lo - AXIS_PADDING * span, hi + AXIS_PADDING * span
+    # Near the end of the float range the pad shrinks, so that the padded
+    # range and its width stay finite.
+    top = sys.float_info.max
+    pad = min(AXIS_PADDING * span, (top - span) / 4)
+    return max(lo - pad, -top), min(hi + pad, top)
 
 
 def sample_curve(model: PolynomialModel, x_min: float, x_max: float, n: int) -> list[tuple[float, float]]:

@@ -1,7 +1,9 @@
 """Closed-form structure of a quadratic: discriminant, roots, vertex form.
 
 Finite coefficients whose discriminant, roots or vertex leave the float
-range raise NumericalOverflow rather than returning inf or nan.
+range raise NumericalOverflow rather than returning inf or nan.  No result
+is a negative zero.  4ac and -b/(2a) keep their finite results when 4a or
+2a alone overflows.
 """
 
 import math
@@ -42,12 +44,19 @@ class RootSet:
 def _finite(value: float, what: str) -> float:
     if not math.isfinite(value):
         raise NumericalOverflow(f"{what} overflows a float")
-    return value
+    return value + 0.0  # -0.0 + 0.0 is 0.0
+
+
+def _four_ac(a: float, c: float) -> float:
+    """4ac, rounded once.  Where 4a alone overflows (|a| > max/4), a*c is
+    0 or at least 2e-16 in magnitude, so 4*(a*c) rounds once too."""
+    four_ac = 4.0 * a * c
+    return four_ac if math.isfinite(four_ac) else 4.0 * (a * c)
 
 
 def discriminant(a: float, b: float, c: float) -> float:
     """b^2 - 4ac."""
-    return _finite(b * b - 4.0 * a * c, "the discriminant")
+    return _finite(b * b - _four_ac(a, c), "the discriminant")
 
 
 def quadratic_roots(a: float, b: float, c: float) -> RootSet:
@@ -55,7 +64,7 @@ def quadratic_roots(a: float, b: float, c: float) -> RootSet:
 
     Uses the cancellation-free formulation: q = -(b + sign(b)*sqrt(disc))/2,
     roots q/a and c/q, so the smaller-magnitude root is never computed as a
-    difference of nearly equal numbers.
+    difference of nearly equal numbers.  A double root is the vertex's h.
 
     Raises:
         NotQuadratic: a == 0 (caller should treat the equation as linear).
@@ -65,10 +74,8 @@ def quadratic_roots(a: float, b: float, c: float) -> RootSet:
         raise NotQuadratic("a = 0: not a quadratic equation")
     a, b, c, _ = _scaled_up(a, b, c)
     disc = discriminant(a, b, c)
-    if abs(disc) <= DOUBLE_ROOT_TOLERANCE * max(b * b, abs(4.0 * a * c)):
-        # + 0.0 turns a negative zero from -b/(2a) into plain zero
-        root = _finite(-b / (2.0 * a) + 0.0, "the double root")
-        return RootSet((root,), multiplicity=2)
+    if abs(disc) <= DOUBLE_ROOT_TOLERANCE * max(b * b, abs(_four_ac(a, c))):
+        return RootSet((to_vertex_form(a, b, c).h,), multiplicity=2)
     if disc < 0.0:
         return RootSet((), multiplicity=0)
     sign_b = 1.0 if b >= 0.0 else -1.0
@@ -87,9 +94,7 @@ def _scaled_up(a: float, b: float, c: float) -> tuple[float, float, float, int]:
     the discriminant; so does b*h/2, and with it the vertex k.  Scaling by
     a power of two is exact and keeps the roots and h.
     """
-    shift = -math.frexp(max(abs(a), abs(b), abs(c)))[1]
-    if shift <= 0:
-        return a, b, c, 0
+    shift = max(0, -math.frexp(max(abs(a), abs(b), abs(c)))[1])
     return math.ldexp(a, shift), math.ldexp(b, shift), math.ldexp(c, shift), shift
 
 
@@ -106,7 +111,7 @@ def to_vertex_form(a: float, b: float, c: float) -> VertexForm:
         raise NotQuadratic("a = 0: not a quadratic polynomial")
     a_s, b_s, c_s, shift = _scaled_up(a, b, c)
     h = -b_s / (2.0 * a_s) if abs(a_s) < 2.0 ** 1023 else -(0.5 * b_s) / a_s
-    h = _finite(h + 0.0, "the vertex h")  # avoid negative zero when b == 0
+    h = _finite(h, "the vertex h")
     k = c_s + b_s * (0.5 * h)
     if math.isinf(k):
         k = 2.0 * (0.5 * c_s + b_s * (0.25 * h))
@@ -122,7 +127,7 @@ def from_vertex_form(v: VertexForm) -> tuple[float, float, float]:
     Raises:
         NumericalOverflow: b or c overflows a float.
     """
-    b = _finite(-2.0 * (v.a * v.h) + 0.0, "the coefficient b")  # 2a may overflow alone
+    b = _finite(-2.0 * (v.a * v.h), "the coefficient b")  # 2a may overflow alone
     c = v.a * v.h * v.h + v.k
     if math.isinf(c):
         c = 2.0 * (0.5 * v.a * v.h * v.h + 0.5 * v.k)

@@ -244,6 +244,24 @@ class TestEndToEnd:
         fields = parse_report(capsys.readouterr().out)
         assert fields["roots"] == "3.0000000000e+00,9.0000000000e+00"
 
+    def test_root_at_zero_prints_without_a_sign(self, tmp_path, capsys):
+        # y = x^2 + 5x: the root 0 is c/q with c = 0 and q < 0.
+        rows = "".join(f"{x},{x * x + 5 * x}\n" for x in range(-2, 3))
+        assert main(["-i", write_csv(tmp_path, "Month,Values\n" + rows)]) == 0
+        fields = parse_report(capsys.readouterr().out)
+        assert fields["roots"] == "-5.0000000000e+00,0.0000000000e+00"
+
+    def test_lead_past_a_quarter_of_the_float_range(self, tmp_path, capsys):
+        # The x^2 coefficient is about 5.1e307, so 4a and 2a overflow, but
+        # 4ac, the double root and the vertex do not.
+        csv_text = "Month,Values\n-1.4e-154,1\n0,0\n1.4e-154,1\n"
+        assert main(["-i", write_csv(tmp_path, csv_text)]) == 0
+        out, err = capsys.readouterr()
+        fields = parse_report(out)
+        assert [fields[key] for key in ("discriminant", "roots", "vertex_h", "vertex_k")] \
+            == ["0.0000000000e+00"] * 4
+        assert err == ""
+
     def test_tiny_y_keeps_its_fit(self, tmp_path, sample_csv_path, capsys):
         # The squares of y * 1e-170 are below the float range, but R^2 and
         # the roots do not change, and the vertex scales with y.

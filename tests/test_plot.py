@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import sys
 import xml.dom.minidom
 from xml.sax.saxutils import escape
 
@@ -375,6 +376,18 @@ class TestRenderPlot:
         grid_ys = {line.getAttribute("y1") for line in grid.getElementsByTagName("line")
                    if line.getAttribute("y1") == line.getAttribute("y2")}
         assert len(grid_ys) >= 2
+
+    def test_x_range_as_wide_as_the_float_range(self):
+        # x spans the largest float: a 5% pad on either side would overflow.
+        series = Series((0.0, 0.0, -sys.float_info.max), (0.0, 0.0, 0.0))
+        model, _ = fit_polynomial(series, 1)
+        svg = render_plot(series, model, fit_report(model, series), SPEC)
+        assert "nan" not in svg
+        dom = xml.dom.minidom.parseString(svg)
+        left, _, width, _ = plot_area(dom)
+        markers, curve = drawn_points(dom)
+        assert [px for px, _ in markers] == [left + width, left + width, left]
+        assert all(left <= px <= left + width for px, _ in curve)
 
     def test_all_x_equal_raises(self):
         # No fit accepts such a series, but render_plot takes any model.

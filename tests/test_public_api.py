@@ -65,13 +65,23 @@ def test_version_matches_pyproject():
     assert quadfit.__version__ == version
 
 
+def demo_files():
+    return {p.name: p.stat().st_mtime_ns for p in (REPO_ROOT / "demos").iterdir()
+            if p.name != "__pycache__"}
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(path, capsys):
+def test_demo_runs(path, tmp_path, capsys):
+    # A demo writes its output beside its own file: run it as if it lived
+    # in tmp_path, so that it leaves demos/ as it was.
+    before = demo_files()
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
+    demo.__file__ = str(tmp_path / path.name)
     demo.main()
     assert capsys.readouterr().out
+    assert demo_files() == before
 
 
 def test_readme_library_block_runs():

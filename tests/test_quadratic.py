@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from quadfit import (
     NotQuadratic,
     NumericalOverflow,
+    RootSet,
     VertexForm,
     discriminant,
     from_vertex_form,
@@ -19,6 +20,40 @@ from quadfit import (
 
 nonzero_lead = st.one_of(st.floats(-10, -0.1), st.floats(0.1, 10))
 small = st.floats(-10, 10)
+
+
+def seeded_triples(seed):
+    """3000 seeded triples mixing subnormal, normal and huge magnitudes and
+    zeros of both signs: TestVertexForm.test_h_is_correctly_rounded's draw,
+    with zeros added."""
+    rng = random.Random(seed)
+
+    def draw():
+        kind = rng.randrange(4)
+        if kind == 0:
+            value = rng.randrange(1, 2 ** 52) * 2.0 ** -1074
+        elif kind == 3:
+            value = 0.0
+        else:
+            # [2**-1022, 2**1024), or [2**1022, 2**1024)
+            low = -1021 if kind == 1 else 1023
+            value = math.ldexp(0.5 + 0.5 * rng.random(), rng.randrange(low, 1025))
+        return rng.choice((-1.0, 1.0)) * value
+
+    for _ in range(3000):
+        yield draw(), draw(), draw()
+
+
+def rounded(exact):
+    """The float nearest an exact value, or None past the float range."""
+    try:
+        return float(exact)
+    except OverflowError:
+        return None
+
+
+def is_negative_zero(value):
+    return value == 0.0 and math.copysign(1.0, value) < 0.0
 
 
 class TestDiscriminant:
@@ -262,3 +297,50 @@ class TestVertexForm:
             # direction of sign(a): exactly a*eps^2.
             assert math.copysign(1.0, poly(x) - v.k) == math.copysign(1.0, a) \
                 or abs(poly(x) - v.k) <= 1e-12
+
+
+class TestWholeFloatRange:
+    def test_discriminant_is_correctly_rounded(self):
+        # b*b and 4ac each round once, and so does their difference, also
+        # where 4a alone overflows; a raise means that one of the three is
+        # past the float range.
+        for a, b, c in seeded_triples(20242):
+            b_squared = rounded(Fraction(b) ** 2)
+            four_ac = rounded(4 * Fraction(a) * Fraction(c))
+            if b_squared is None or four_ac is None:
+                want = None
+            else:
+                want = rounded(Fraction(b_squared) - Fraction(four_ac))
+            if want is None:
+                with pytest.raises(NumericalOverflow):
+                    discriminant(a, b, c)
+            else:
+                assert discriminant(a, b, c) == want, (a, b, c)
+
+    def test_no_result_is_a_negative_zero(self):
+        pinned = [
+            (1.0, 5.0, 0.0),  # the root c/q
+            (9.368403851914586, 1.3270482404361467e-308, -0.0),  # the vertex k
+            (-1.0, 0.0, -0.0),  # c expanded from (a, h, k)
+        ]
+        for a, b, c in pinned + list(seeded_triples(20243)):
+            calls = [lambda: (discriminant(a, b, c),)]
+            if a != 0.0:
+                calls += [
+                    lambda: quadratic_roots(a, b, c).roots,
+                    lambda: vars(to_vertex_form(a, b, c)).values(),
+                    lambda: from_vertex_form(VertexForm(a, b, c)),
+                ]
+            for call in calls:
+                try:
+                    values = call()
+                except NumericalOverflow:
+                    continue
+                assert not any(map(is_negative_zero, values)), (a, b, c, values)
+
+    def test_four_a_overflows_alone(self):
+        # 4a = inf, but 4ac = -4e8 and the roots are finite.
+        assert discriminant(1e308, 0.0, -1e-300) == 4e8
+        assert quadratic_roots(1e308, 0.0, -1e-300).roots == (-1e-304, 1e-304)
+        # 2a = inf as well: -b/(2a) would put this double root at 0.0.
+        assert quadratic_roots(1e308, 1e154, 0.25) == RootSet((-5e-155,), 2)
