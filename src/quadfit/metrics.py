@@ -5,7 +5,7 @@ calls C pow, which need not), and the squares are summed by math.fsum
 (exact compensated summation).  The total sum of squares is computed on
 deviations from the first observation so that constant data yields
 ss_tot == 0.0 exactly, not rounding dust.  A sum that leaves the float
-range raises NumericalOverflow.
+range raises NumericalOverflow, and so does an R^2 past it.
 """
 
 import math
@@ -71,7 +71,8 @@ def fit_report(model: PolynomialModel, series: Series) -> FitReport:
     are reported as summed.
 
     Raises:
-        NumericalOverflow: a sum of squares leaves the float range.
+        NumericalOverflow: a sum of squares, or the ratio ss_res/ss_tot,
+            leaves the float range.
         UndefinedRSquared: constant data that the model does not reproduce.
     """
     # ss_tot first, so that its deviations are freed before the residuals
@@ -82,10 +83,16 @@ def fit_report(model: PolynomialModel, series: Series) -> FitReport:
     ss_res = _finite_fsum(map(operator.mul, residuals, residuals))
     n = len(series)
     if ss_tot >= n * SQUARE_UNDERFLOW_BOUND:
-        return FitReport(ss_res, ss_tot, 1.0 - ss_res / ss_tot, n)
-    deviations = [y - ys[0] for y in ys]
-    top = max(map(abs, deviations))
-    if top != 0.0:
+        res, tot = ss_res, ss_tot
+    else:
+        deviations = [y - ys[0] for y in ys]
+        top = max(map(abs, deviations))
+        if top == 0.0:
+            # A product, not y0 ** 2, so that a huge y0 gives inf, not OverflowError.
+            scale = max(1.0, abs(ys[0]))
+            if ss_res > CONSTANT_DATA_RESIDUAL_TOLERANCE * n * scale * scale:
+                raise UndefinedRSquared(f"constant data with nonzero residual mass ({ss_res:.3e})")
+            return FitReport(ss_res, ss_tot, 1.0, n)
         # Scaling by a power of two is exact and leaves ss_res/ss_tot as it
         # is; this one brings the largest deviation into [0.5, 1).
         exponent = -math.frexp(top)[1]
@@ -94,10 +101,8 @@ def fit_report(model: PolynomialModel, series: Series) -> FitReport:
             scaled = [math.ldexp(r, exponent) for r in residuals]
             res = math.fsum(map(operator.mul, scaled, scaled))
         except OverflowError:
-            res = math.inf  # R^2 = -inf, as 1 - ss_res/ss_tot gives past the float range
-        return FitReport(ss_res, ss_tot, 1.0 - res / tot, n)
-    # A product, not y0 ** 2, so that a huge y0 gives inf, not OverflowError.
-    scale = max(1.0, abs(ys[0]))
-    if ss_res > CONSTANT_DATA_RESIDUAL_TOLERANCE * n * scale * scale:
-        raise UndefinedRSquared(f"constant data with nonzero residual mass ({ss_res:.3e})")
-    return FitReport(ss_res, ss_tot, 1.0, n)
+            res = math.inf
+    ratio = res / tot
+    if ratio == math.inf:
+        raise NumericalOverflow("R^2 overflows a float; the residuals are too large for the spread of y")
+    return FitReport(ss_res, ss_tot, 1.0 - ratio, n)

@@ -3,14 +3,16 @@
 The layout mirrors the usual monthly-series chart: black data markers, a
 purple fitted curve, month names on the x axis when the data covers (part
 of) a calendar year, a two-line title, and a legend carrying the fitted
-equation and R^2.  Every figure is WIDTH x HEIGHT pixels with a
-CURVE_SAMPLES-point curve.  The curve is sampled once per figure, and the
-axes and data-to-pixel transform come from those samples and the data.
-Output depends only on the inputs: fixed colors, fixed fonts by family
-name, and fixed 2-decimal coordinate formatting, so equal inputs give
-byte-identical documents.  render_plot returns the document as one
-string; the command line writes the same bytes in pieces, with the data
-markers formatted in blocks of _MARKER_BLOCK.
+equation and R^2.  Other ticks sit at whole multiples of a 1/2/5 step
+inside the axis, with labels that tell neighbouring ticks apart.  Every
+figure is WIDTH x HEIGHT pixels with a CURVE_SAMPLES-point curve.  The
+curve is sampled once per figure, and the axes and data-to-pixel
+transform come from those samples and the data.  Output depends only on
+the inputs: fixed colors, fixed fonts by family name, and fixed
+2-decimal coordinate formatting, so equal inputs give byte-identical
+documents.  render_plot returns the document as one string; the command
+line writes the same bytes in pieces, with the data markers formatted in
+blocks of _MARKER_BLOCK.
 """
 
 import math
@@ -99,8 +101,16 @@ def format_equation(model: PolynomialModel, r_squared: float) -> str:
     return f"Fitted curve: {' + '.join(terms)}\nR^2 = {r_squared:.4f}"
 
 
-def _nice_ticks(lo: float, hi: float, max_ticks: int) -> list[float]:
-    """At most max_ticks positions at a 1/2/5-stepped interval inside [lo, hi]."""
+def _nice_ticks(lo: float, hi: float, max_ticks: int) -> list[tuple[float, str]]:
+    """Ascending (position, label) pairs of the ticks of [lo, hi].
+
+    The step is the least 1, 2 or 5 times a power of ten that fits at most
+    max_ticks steps into the span.  Each position is the product k * step
+    of a whole k, from k = ceil(lo / step) up; positions lie inside
+    [lo, hi] give or take step * 1e-9, and none repeats.  Labels
+    print with %g, or, where two %g labels read the same, with the fewest
+    more significant digits that tell every tick from the next.
+    """
     span = hi - lo
     # The raw step is held at 1e-322 or more: a subnormal span over
     # max_ticks can underflow to zero, and 10.0 ** -324 is zero.
@@ -109,13 +119,19 @@ def _nice_ticks(lo: float, hi: float, max_ticks: int) -> list[float]:
         step = mult * magnitude
         if span / step <= max_ticks:
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    i = 0
-    while first + i * step <= hi + step * 1e-9:
-        ticks.append(first + i * step)
-        i += 1
-    return ticks
+    slack = step * 1e-9
+    positions = []
+    for k in range(math.ceil(lo / step), math.ceil(hi / step) + 1):
+        # Near a float's precision neighbouring multiples round to one
+        # float, and a multiple can round past an end.
+        pos = k * step
+        if lo - slack <= pos <= hi + slack and pos not in positions[-1:]:
+            positions.append(pos)
+    # 17 significant digits tell any two floats apart.
+    for digits in range(6, 18):
+        labels = [f"{pos:.{digits}g}" for pos in positions]
+        if len(set(labels)) == len(labels):
+            return list(zip(positions, labels))
 
 
 def month_ticks(x_min: float, x_max: float) -> list[tuple[float, str]]:
@@ -129,7 +145,7 @@ def month_ticks(x_min: float, x_max: float) -> list[tuple[float, str]]:
     if 1.0 <= x_min and x_max <= 12.0:
         return [(float(m), MONTH_LABELS[m - 1])
                 for m in range(1, 13) if x_min <= m <= x_max]
-    return [(pos, f"{pos:g}") for pos in _nice_ticks(x_min, x_max, 12)]
+    return _nice_ticks(x_min, x_max, 12)
 
 
 def _padded(lo: float, hi: float) -> tuple[float, float]:
@@ -213,7 +229,7 @@ def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec:
     xticks = month_ticks(x_min, x_max)
     yticks = _nice_ticks(y_lo, y_hi, 10)
     x_px = pixels([pos for pos, _ in xticks], [y_lo] * len(xticks))[::2]
-    y_px = pixels([x_lo] * len(yticks), yticks)[1::2]
+    y_px = pixels([x_lo] * len(yticks), [pos for pos, _ in yticks])[1::2]
 
     # Grid under everything else, clipped to the plotting area.
     out.append('<g stroke="%s" stroke-width="1">' % GRID_COLOR)
@@ -244,11 +260,11 @@ def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec:
                    f'x2="{px:.2f}" y2="{bottom + 5:.2f}" stroke="black"/>')
         out.append(f'<text x="{px:.2f}" y="{bottom + 20:.2f}" '
                    f'text-anchor="middle">{_escape(label)}</text>')
-    for py, pos in zip(y_px, yticks):
+    for py, (_, label) in zip(y_px, yticks):
         out.append(f'<line x1="{left - 5:.2f}" y1="{py:.2f}" '
                    f'x2="{left:.2f}" y2="{py:.2f}" stroke="black"/>')
         out.append(f'<text x="{left - 9:.2f}" y="{py + 4:.2f}" '
-                   f'text-anchor="end">{pos:g}</text>')
+                   f'text-anchor="end">{label}</text>')
     out.append('</g>')
 
     # Axis labels and the two-line title.

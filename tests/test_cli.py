@@ -607,6 +607,7 @@ CELL = FINITE | st.sampled_from(OFF_GRAMMAR)
 @given(rows=st.lists(st.tuples(CELL, CELL), min_size=3, max_size=8),
        degree=st.integers(1, 3))
 @example(rows=[(0.0, 0.0), (0.0, 5e-324), (1.0, 0.0)], degree=1)
+@example(rows=[(999999999999999.8, -2.0), (1e15, 3.0)], degree=1)
 @example(rows=[(1.0, 1e154), (2.0, 1e154), (3.0, 1.1e154)], degree=2)
 @example(rows=[(1.0, 2.0), (2.0, "1_0"), ("\uff13", 5.0)], degree=1)
 def test_any_finite_csv_gives_report_or_one_error(rows, degree):

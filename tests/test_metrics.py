@@ -1,8 +1,9 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import exact_report, gauss_solve
@@ -77,6 +78,14 @@ class TestRSquared:
         series = Series((1, 2, 3), (5.0, 5.0, 5.0))
         with pytest.raises(UndefinedRSquared):
             fit_report(PolynomialModel((6.0, -1.5, 0.5)), series)
+
+    @pytest.mark.parametrize("coeff, ys", [
+        (5e153, (0.0, 1e-150, 3e-150)),  # ss_res / ss_tot passes the float range
+        (1.0, (0.0, 1e-160, 3e-160)),    # so does the ratio of the rescaled sums
+    ])
+    def test_r_squared_past_the_float_range_raises(self, coeff, ys):
+        with pytest.raises(NumericalOverflow):
+            fit_report(PolynomialModel((coeff,)), Series((1, 2, 3), ys))
 
 
 class TestFitReport:
@@ -187,14 +196,23 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @given(coeffs=st.lists(FINITE, min_size=1, max_size=11),
        points=st.lists(st.tuples(FINITE, st.floats(-1e150, 1e150)),
                        min_size=1, max_size=30))
+@example(coeffs=[1.0], points=[(1.0, 0.0), (2.0, 1e-160), (3.0, 3e-160)])
 def test_fit_report_ss_res_matches_pointwise_evaluation(coeffs, points):
-    # |y| <= 1e150 keeps ss_tot finite, so only the residuals can overflow.
+    # |y| <= 1e150 keeps ss_tot finite, so only the residuals, or their
+    # ratio to ss_tot in R^2, can overflow.
     model = PolynomialModel(tuple(coeffs))
     series = Series(tuple(x for x, _ in points), tuple(y for _, y in points))
     want = reference_ss_res(model, series)
     try:
         got = fit_report(model, series).ss_res
     except NumericalOverflow:
+        if want is not None:
+            # Each sum is off by a few roundings at most.
+            ys = [Fraction(y) for y in series.ys]
+            mean = sum(ys) / len(ys)
+            ratio = Fraction(want) / sum((y - mean) ** 2 for y in ys)
+            assert ratio > Fraction(sys.float_info.max) * Fraction(1 - 1e-9)
+            return
         got = None
     except UndefinedRSquared:
         assert total_sum_of_squares(series.ys) == 0.0

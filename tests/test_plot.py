@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import random
 import sys
@@ -29,6 +30,7 @@ from quadfit.plot import (
     CURVE_SAMPLES,
     WIDTH,
     _escape,
+    _nice_ticks,
     month_ticks,
     sample_curve,
 )
@@ -222,6 +224,45 @@ class TestMonthTicks:
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
             month_ticks(3, 3)
+
+    def test_pressure_labels_tell_neighbours_apart(self):
+        # %g keeps 6 significant digits: 101.325 twice, then 101.326 four times.
+        labels = [label for _, label in _nice_ticks(101.3252, 101.3262, 10)]
+        assert labels == ["101.3252", "101.3254", "101.3256", "101.3258", "101.326", "101.3262"]
+
+    def test_minute_timestamp_labels_tell_neighbours_apart(self):
+        # %g printed 1.7e+09 seven times.
+        labels = [label for _, label in month_ticks(1700000000, 1700000660)]
+        assert labels == ["1.7e+09"] + [f"1.700000{d}e+09" for d in range(1, 7)]
+
+
+def offset_ranges(offset):
+    """(lo, hi) at an offset, from a few ulps wide to wider than the offset."""
+    for ulps in (1, 2, 3, 5, 8, 13, 100, 1000):
+        hi = offset
+        for _ in range(ulps):
+            hi = math.nextafter(hi, math.inf)
+        yield offset, hi
+    for span in (1e-9, 1e-3, 0.3, 1.0, 7.0, 660.0, 1e4, 1e9, 1e16):
+        if offset + span > offset:
+            yield offset, offset + span
+            yield -offset - span, -offset
+
+
+@pytest.mark.parametrize("offset", [0.0, 2024.0, 1e8, 1.7e9, 1e15])
+@pytest.mark.parametrize("ticks", [month_ticks, lambda lo, hi: _nice_ticks(lo, hi, 10)],
+                         ids=["x", "y"])
+def test_ticks_ascend_inside_the_range_with_distinct_labels(ticks, offset):
+    for lo, hi in offset_ranges(offset):
+        pairs = ticks(lo, hi)
+        positions = [pos for pos, _ in pairs]
+        labels = [label for _, label in pairs]
+        assert positions and all(a < b for a, b in zip(positions, positions[1:])), (lo, hi)
+        # Within a billionth of the span: the end slack that keeps a tick
+        # whose multiple rounds just past an end.
+        slack = (hi - lo) * 1e-9
+        assert all(lo - slack <= pos <= hi + slack for pos in positions), (lo, hi)
+        assert len(set(labels)) == len(labels), (lo, hi)
 
 
 class TestRenderPlot:

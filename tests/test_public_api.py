@@ -1,5 +1,6 @@
 """The package exports only names the README, demos or CLI use, every demo
-runs, the value classes keep their contract, and the CLI imports stay lean."""
+runs, the value classes keep their contract, the CLI imports stay lean, and
+a failing property reports as a test failure."""
 
 import ast
 import importlib.util
@@ -166,3 +167,23 @@ def test_cli_import_loads_only_what_the_pipeline_uses(tmp_path):
     assert "quadfit.cli" in added
     assert [m for m in added if m not in PIPELINE_MODULES and m.split(".")[0] != "quadfit"] == []
     assert (tmp_path / "chart.svg").exists() and (tmp_path / "fit.txt").exists()
+
+
+def test_failing_property_reports_as_a_failure(tmp_path):
+    # Under the project's warning filters.  hypothesis's pytest plugin may
+    # import libcst to print a patch, and libcst's import warns that
+    # mypy_extensions.TypedDict is deprecated; as an error, that warning
+    # turned the failure into an INTERNALERROR.
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "@given(st.integers())\n"
+        "def test_small(n):\n"
+        "    assert n < 10\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(REPO_ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert result.stdout.splitlines()[-1].startswith("1 failed")
