@@ -10,9 +10,9 @@ import sys
 
 from . import __version__
 from .errors import CsvError, QuadfitError
-from .fitting import DEFAULT_DEGREE, PolynomialModel, fit_polynomial
+from .fitting import DEFAULT_DEGREE, PolynomialModel, _fit
 from .ingest import CsvSchema, parse_csv
-from .metrics import FitReport, fit_report
+from .metrics import FitReport, _residual_report
 from .plot import PlotSpec, _svg_chunks, format_equation
 from .quadratic import discriminant, quadratic_roots, to_vertex_form
 
@@ -233,8 +233,11 @@ def run(args: Args) -> None:
     else:
         with open(args.input, "rb") as fh:
             series = parse_csv(fh, schema)
-    model, _ = fit_polynomial(series, args.degree)
-    report = fit_report(model, series)
+    # The report sums the residual the fit leaves behind, as fit_report
+    # would sum y minus the model at each x; the render does not need it.
+    model, residuals = _fit(series, args.degree)
+    report = _residual_report(series.ys, residuals)
+    del residuals
 
     text = format_report(model, report)
 

@@ -9,9 +9,12 @@ so the fit takes O(n*d) time and a few length-n vectors, and never forms
 normal equations, which square the condition number.
 
 The fitted model keeps its coefficients in powers of t together with its
-window, and every value of it is taken in t, by one helper here.  Its
-coefficients in powers of x are derived once, for printing and for the
-report's quadratic analysis: far from zero relative to the window they
+window, and every value of it is taken in t, by one helper here.  The one
+exception is the fit's own residual, y minus the fit at each point: the
+recurrence keeps it up to date as it projects, and hands it back with the
+model, so that the command line's ss_res and R^2 need no evaluation.  The
+model's coefficients in powers of x are derived once, for printing and for
+the report's quadratic analysis: far from zero relative to the window they
 need not reproduce the fit.
 Coefficients are always stored in ascending powers, so the first is the
 constant term.
@@ -40,6 +43,10 @@ from .errors import (
 RANK_TOLERANCE = 1e-10
 
 DEFAULT_DEGREE = 2
+
+# The two causes a NumericalOverflow from the fit names.
+_TOO_LARGE = "the x or y values are too large"
+_TOO_CLOSE = "the x values are too close together"
 
 
 @record
@@ -163,16 +170,18 @@ def eval_poly(model: PolynomialModel, x: float) -> float:
     return _evaluate(model, (x,))[0]
 
 
-def _orthogonal_fit(ts: list[float], ys, degree: int) -> list[float]:
-    """Least-squares coefficients in ascending powers of t, by Forsythe's method.
+def _orthogonal_fit(ts: list[float], ys, mean: float, degree: int) -> tuple[list[float], list[float]]:
+    """Least-squares coefficients in ascending powers of t, by Forsythe's
+    method, and the residual y - fit at each point.
 
     Builds the monic polynomials orthogonal over the points,
     p_{k+1} = (t - a_k) p_k - b_k p_{k-1}, projects the running residual
     onto each (modified Gram-Schmidt), and accumulates c_k p_k in powers
     of t.  Each p_k is held both as its values at the points and as its
     power-in-t coefficients.  The first two are written in closed form:
-    p_0 = 1, whose squared norm is n, and p_1 = t - mean(t); the
-    recurrence takes over from k = 1.
+    p_0 = 1, whose squared norm is n and whose coefficient is mean, the
+    mean of ys; and p_1 = t - mean(t).  The recurrence takes over from
+    k = 1.
 
     Raises:
         RankDeficient: some ||p_k|| falls below RANK_TOLERANCE times the
@@ -180,9 +189,8 @@ def _orthogonal_fit(ts: list[float], ys, degree: int) -> list[float]:
     """
     n = len(ts)
     coeffs = [0.0] * (degree + 1)
-    c = math.fsum(ys) / n
-    coeffs[0] += c
-    residual = [y - c for y in ys]
+    coeffs[0] = mean
+    residual = [y - mean for y in ys]
     a = math.fsum(ts) / n
     p_prev, p = [1.0] * n, [t - a for t in ts]
     poly_prev, poly = [1.0], [-a, 1.0]
@@ -200,12 +208,18 @@ def _orthogonal_fit(ts: list[float], ys, degree: int) -> list[float]:
         for j, q in enumerate(poly):
             coeffs[j] += c * q
         if k == degree:
-            break
+            # The last step needs no next polynomial, so p_{k-1} is freed
+            # before the residual is built: the fit's peak memory stays at
+            # that of the steps before it.
+            del p_prev
+            return coeffs, [r - c * v for r, v in zip(residual, p)]
         residual = [r - c * v for r, v in zip(residual, p)]
         tp = list(map(operator.mul, ts, p))
         a = math.fsum(map(operator.mul, tp, p)) / norm2
         b = norm2 / norm2_prev
         p_prev, p = p, [u - a * v - b * w for u, v, w in zip(tp, p, p_prev)]
+        # Not kept alive while the next residual is built.
+        del tp
         nxt = [0.0] + poly
         for j, q in enumerate(poly):
             nxt[j] -= a * q
@@ -213,7 +227,7 @@ def _orthogonal_fit(ts: list[float], ys, degree: int) -> list[float]:
             nxt[j] -= b * q
         poly_prev, poly = poly, nxt
         norm2_prev = norm2
-    return coeffs
+    return coeffs, residual
 
 
 def _validation_error(series: Series, degree: int):
@@ -240,6 +254,59 @@ def _validation_error(series: Series, degree: int):
     return DegenerateAbscissa("all x values are equal; data window is undefined")
 
 
+def _overflow(reason: str) -> NumericalOverflow:
+    return NumericalOverflow(f"the fit overflows a float; {reason}")
+
+
+def _fit(series: Series, degree: int) -> tuple[PolynomialModel, list[float]]:
+    """The least-squares model of fit_polynomial, and the residual y - fit
+    at each point that the fit leaves behind.
+
+    Each step that can leave the float range names its own cause in the
+    NumericalOverflow it raises: the sum of y and the x span, the window,
+    the sums in t, and the conversion to powers of x.  The sum of y needs
+    no window and is taken first, so when both fail the values are named.
+    """
+    err = _validation_error(series, degree)
+    if err is not None:
+        raise err
+
+    xs, ys = series.xs, series.ys
+    lo, hi = min(xs), max(xs)
+    try:
+        mean = math.fsum(ys) / len(ys)
+    except OverflowError:
+        raise _overflow(_TOO_LARGE) from None
+    # An x span past the float range counts as overflow, though the
+    # halved map could hold it.
+    if hi - lo == math.inf:
+        raise _overflow(_TOO_LARGE)
+    try:
+        window = DomainWindow(lo, hi)
+    except ValueError:
+        # The halved bounds coincide: the window has no half-width.
+        raise _overflow(_TOO_CLOSE) from None
+    try:
+        scaled, residual = _orthogonal_fit(_to_t(window, xs), ys, mean, degree)
+    except (OverflowError, ValueError):
+        # math.fsum raises OverflowError past the float range and
+        # ValueError on inf - inf.
+        raise _overflow(_TOO_LARGE) from None
+    if not all(map(math.isfinite, scaled)):
+        raise _overflow(_TOO_LARGE)
+    try:
+        model = PolynomialModel(scaled, window)
+    except ValueError:
+        # The coefficients in x need 1/half**degree, which overflows for a
+        # narrow window.  The conversion is linear in the coefficients, so
+        # the window alone is at fault when it overflows for coefficients
+        # scaled exactly below 1 too; otherwise their size is.
+        exponent = -math.frexp(max(map(abs, scaled)))[1]
+        unit = convert_domain([math.ldexp(c, exponent) for c in scaled], window)
+        raise _overflow(_TOO_LARGE if all(map(math.isfinite, unit)) else _TOO_CLOSE) from None
+    return model, residual
+
+
 def fit_polynomial(series: Series, degree: int = DEFAULT_DEGREE) -> tuple[PolynomialModel, DomainWindow]:
     """Least-squares polynomial fit with domain scaling for conditioning.
 
@@ -253,36 +320,14 @@ def fit_polynomial(series: Series, degree: int = DEFAULT_DEGREE) -> tuple[Polyno
         InvalidDegree, InsufficientData, DegenerateAbscissa: unfittable input.
         RankDeficient: x values too clustered for the degree (pathological
             spacing).
-        NumericalOverflow: the x span, a sum or a coefficient overflows a
-            float, or the x values lie so close together that the window's
-            half-width is 0 or its reciprocal overflows.
+        NumericalOverflow: the x span, a sum or a coefficient in t
+            overflows a float ("the x or y values are too large"), or the
+            x values lie so close together that the window has no
+            half-width or the coefficients in powers of x overflow ("the x
+            values are too close together").
     """
-    err = _validation_error(series, degree)
-    if err is not None:
-        raise err
-
-    lo, hi = min(series.xs), max(series.xs)
-    try:
-        # An x span past the float range counts as overflow, though the
-        # halved map could hold it.
-        if hi - lo == math.inf:
-            raise OverflowError
-        window = DomainWindow(lo, hi)
-        scaled = _orthogonal_fit(_to_t(window, series.xs), series.ys, degree)
-        return PolynomialModel(scaled, window), window
-    except (OverflowError, ValueError):
-        # The coefficients in x need 1/half, which overflows for a window
-        # a few subnormals wide, and PolynomialModel rejects them with
-        # ValueError, as DomainWindow rejects a window with no half-width.
-        # math.fsum raises OverflowError past the float range and
-        # ValueError on inf - inf.  The first two come from x values too
-        # close together, not too large.
-        half = hi / 2 - lo / 2
-        if half == 0.0 or 1.0 / half == math.inf:
-            reason = "the x values are too close together"
-        else:
-            reason = "the x or y values are too large"
-        raise NumericalOverflow(f"the fit overflows a float; {reason}") from None
+    model, _ = _fit(series, degree)
+    return model, model.window
 
 
 def convert_domain(scaled_coeffs, window: DomainWindow) -> list[float]:

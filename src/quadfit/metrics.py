@@ -65,23 +65,29 @@ def total_sum_of_squares(ys) -> float:
 def fit_report(model: PolynomialModel, series: Series) -> FitReport:
     """Bundle ss_res, ss_tot and R^2 = 1 - ss_res/ss_tot for a model on its data.
 
-    When all observations are equal, the ratio is undefined; a model that
-    reproduces the constant within tolerance scores 1.  Below
-    SQUARE_UNDERFLOW_BOUND, R^2 comes from rescaled sums; ss_res and ss_tot
-    are reported as summed.
+    The residuals are y minus the model at each x, evaluated here, so the
+    report describes whatever model it is given.  The command line reports
+    on the residual vector the fit itself leaves behind instead, by the
+    same sums.  When all observations are equal, the ratio is undefined;
+    a model that reproduces the constant within tolerance scores 1.  Below
+    SQUARE_UNDERFLOW_BOUND, R^2 comes from rescaled sums; ss_res and
+    ss_tot are reported as summed.
 
     Raises:
         NumericalOverflow: a sum of squares, or the ratio ss_res/ss_tot,
             leaves the float range.
         UndefinedRSquared: constant data that the model does not reproduce.
     """
-    # ss_tot first, so that its deviations are freed before the residuals
-    # are built; both sums raise the same NumericalOverflow.
-    ss_tot = total_sum_of_squares(series.ys)
     ys = series.ys
-    residuals = list(map(operator.sub, ys, _evaluate(model, series.xs)))
+    return _residual_report(ys, list(map(operator.sub, ys, _evaluate(model, series.xs))))
+
+
+def _residual_report(ys, residuals) -> FitReport:
+    """FitReport of observations ys from their residuals y - fit: the sums
+    and rules of fit_report, raising what it raises."""
+    ss_tot = total_sum_of_squares(ys)
     ss_res = _finite_fsum(map(operator.mul, residuals, residuals))
-    n = len(series)
+    n = len(ys)
     if ss_tot >= n * SQUARE_UNDERFLOW_BOUND:
         res, tot = ss_res, ss_tot
     else:

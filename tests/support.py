@@ -13,8 +13,11 @@ third of |center|): standard-form coefficients of a polynomial on, say,
 from __future__ import annotations
 
 import itertools
+import random
 
 from hypothesis import strategies as st
+
+from quadfit import Series
 
 X_BOUND = 20.0
 Y_BOUND = 100.0
@@ -56,3 +59,16 @@ def random_fit_instance(rng, max_n: int = 50, max_degree: int = 4):
         xs.append(center - half + (acc / span) * 2.0 * half)
     ys = [rng.uniform(-Y_BOUND, Y_BOUND) for _ in range(n)]
     return xs, ys, degree
+
+
+def noisy_quadratic(rows: int, seed: int) -> Series:
+    """The README's fitted quadratic plus N(0, 1.5^2) noise, x evenly over
+    [1, 12], values rounded as a CSV of 6 and 4 decimals would hold them."""
+    rng = random.Random(seed)
+    xs, ys = [], []
+    for i in range(rows):
+        x = 1.0 + 11.0 * i / (rows - 1)
+        y = 71.061363636 + x * (-11.840434565 + x * 0.89802697303) + rng.gauss(0.0, 1.5)
+        xs.append(round(x, 6))
+        ys.append(round(y, 4))
+    return Series(xs, ys)

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import normal_equations_fit
+from support import noisy_quadratic
 from conftest import DERIVED_XS, DERIVED_YS, REPO_ROOT
 
 from quadfit import (
@@ -354,6 +355,16 @@ class TestFailureModes:
         assert capsys.readouterr().err == ("quadfit: NumericalOverflow: the fit overflows a "
                                            "float; the x values are too close together\n")
 
+    @pytest.mark.parametrize("degree", ["2", "3"])
+    def test_tiny_x_spacing(self, capsys, monkeypatch, degree):
+        # The coefficients in powers of x need 1/half**degree, which
+        # overflows though 1/half does not.
+        csv_text = "Month,Values\n1e-300,1\n2e-300,2\n3e-300,0\n4e-300,5\n5e-300,1\n"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(csv_text.encode())))
+        assert main(["-i", "-", "--degree", degree]) == 1
+        assert capsys.readouterr() == ("", "quadfit: NumericalOverflow: the fit overflows a "
+                                           "float; the x values are too close together\n")
+
     def test_quadratic_structure_overflow(self, tmp_path, capsys):
         # The fit and its sums of squares are finite, but b*b in the
         # discriminant and the vertex k is not.
@@ -539,6 +550,25 @@ def noisy_csv(rows: int) -> str:
         x = 1.0 + 11.0 * i / (rows - 1)
         lines.append(f"{x:.6f},{(x - 6.0) ** 2 + (i * 7919) % 101 / 20.0:.4f}")
     return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows, degree", [
+    *((None, degree) for degree in range(1, 11)), (20_000, 10),
+], ids=[*(f"bundled-{degree}" for degree in range(1, 11)), "seeded-20000-10"])
+def test_report_equals_the_library_path(tmp_path, capsys, sample_csv_path, rows, degree):
+    # The command line reports on the fit's own residual; the library's
+    # fit_report evaluates the model.  Both must print the same report.
+    if rows is None:
+        data = sample_csv_path.read_bytes()
+    else:
+        series = noisy_quadratic(rows, seed=20)
+        data = "".join(map("{},{}\n".format, ("Month", *series.xs), ("Values", *series.ys))).encode()
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    assert main(["-i", str(path), "--degree", str(degree)]) == 0
+    series = parse_csv(data)
+    model, _ = fit_polynomial(series, degree)
+    assert capsys.readouterr() == (format_report(model, fit_report(model, series)), "")
 
 
 class TestStreamedSvg:

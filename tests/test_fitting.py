@@ -207,11 +207,30 @@ class TestFitPolynomial:
     @pytest.mark.parametrize("xs, ys", [
         ((-1e308, 0.0, 1e308), (1.0, 2.0, 3.0)),
         ((1.0, 2.0, 3.0), (1e308, -1e308, 1e308)),
-    ], ids=["x-span", "y-sums"])
+        # The coefficients in t are finite, and only their size makes those
+        # in powers of x overflow.
+        ((0.0, 1.0, 2.0), (1.1136231012689191e307, -7.851356164947664e307, 6.618344288753492e307)),
+    ], ids=["x-span", "y-sums", "x-coefficients"])
     def test_huge_values_name_the_magnitude(self, xs, ys):
         with pytest.raises(NumericalOverflow,
                            match="^the fit overflows a float; the x or y values are too large$"):
             fit_polynomial(Series(xs, ys), 2)
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_tiny_x_spacing_names_the_x_values(self, degree):
+        # 1/half is finite here, but the coefficients in powers of x need
+        # 1/half**degree, which is not.
+        xs = (1e-300, 2e-300, 3e-300, 4e-300, 5e-300)
+        with pytest.raises(NumericalOverflow,
+                           match="^the fit overflows a float; the x values are too close together$"):
+            fit_polynomial(Series(xs, (1.0, 2.0, 0.0, 5.0, 1.0)), degree)
+
+    def test_degree_zero_y_overflow_names_the_magnitude(self):
+        # The window has no half-width, but the sum of y, which needs no
+        # window, is taken first and overflows.
+        with pytest.raises(NumericalOverflow,
+                           match="^the fit overflows a float; the x or y values are too large$"):
+            fit_polynomial(Series((0.0, 5e-324, 0.0), (1e308, 1.7e308, 1e308)), 0)
 
     def test_degree_zero_gives_mean(self):
         model, _ = fit_polynomial(Series((1, 2, 3, 4), (2, 4, 6, 8)), 0)

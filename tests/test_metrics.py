@@ -27,7 +27,12 @@ from quadfit import (
     fit_report,
     parse_csv,
 )
-from quadfit.metrics import CONSTANT_DATA_RESIDUAL_TOLERANCE, total_sum_of_squares
+from quadfit.fitting import _fit
+from quadfit.metrics import (
+    CONSTANT_DATA_RESIDUAL_TOLERANCE,
+    _residual_report,
+    total_sum_of_squares,
+)
 
 
 class TestTotalSumOfSquares:
@@ -223,6 +228,35 @@ def test_fit_report_ss_res_matches_pointwise_evaluation(coeffs, points):
         assert got.hex() == want.hex()
 
 
+# Unit roundoff of a binary64 float.
+U = 2.0 ** -53
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=fit_instances(max_n=25, max_degree=3))
+def test_fit_residual_ss_res_matches_fit_report(data):
+    # The command line sums the residual the fit leaves behind, fit_report
+    # the data minus the model it evaluates.  On these well-conditioned
+    # fits each vector is off the exact residual by a few roundings of the
+    # largest |y|, so they differ by at most D = 16 n u max|y|, and their
+    # sums of squares by at most D (2 sqrt(ss_res) + D).
+    xs, ys, degree = data
+    series = Series(tuple(xs), tuple(ys))
+    model, residuals = _fit(series, degree)
+    fitted = _residual_report(series.ys, residuals)
+    evaluated = fit_report(model, series)
+    bound = 16 * len(ys) * U * max(map(abs, ys))
+    assert abs(fitted.ss_res - evaluated.ss_res) <= bound * (2 * math.sqrt(evaluated.ss_res) + bound)
+    # Both within the oracle tolerance on R^2, 1e-9, which is ss_res within
+    # 1e-9 ss_tot; exactly constant data has an exact ss_res of 0.
+    _, _, want, ss_tot, _ = exact_report(xs, ys, degree)
+    for report in (fitted, evaluated):
+        if ss_tot == 0:
+            assert report.ss_res <= CONSTANT_DATA_RESIDUAL_TOLERANCE * len(ys) * max(1.0, ys[0] ** 2)
+        else:
+            assert abs(Fraction(report.ss_res) - want) <= Fraction(1e-9) * ss_tot
+
+
 @pytest.mark.parametrize("degree", range(1, 11))
 def test_ss_res_matches_oracle_on_bundled_data(degree, sample_csv_path):
     # To the 11 digits the report prints.  At degree 10 an evaluation in
@@ -256,10 +290,6 @@ def test_r_squared_does_not_depend_on_the_x_origin(name, degree, sample_csv_path
         series = Series(tuple(xs), ys)
         r_squared.append(fit_report(fit_polynomial(series, degree)[0], series).r_squared)
     assert abs(r_squared[1] - r_squared[0]) <= 1e-9
-
-
-# Unit roundoff of a binary64 float.
-U = 2.0 ** -53
 
 
 def pinv_norm_bound(ts, degree):

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import os
-import random
 import sys
 import xml.dom.minidom
 from xml.sax.saxutils import escape
@@ -11,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracle import exact_report
+from support import noisy_quadratic
 from conftest import DERIVED_XS, DERIVED_YS
 
 from quadfit import (
@@ -41,19 +41,6 @@ SPEC = PlotSpec(description="Kyiv, Shcherbakovskaya St.",
 
 # SHA-256 of the figure test_bulk_figure_bytes_are_pinned renders.
 BULK_FIGURE_SHA256 = "48db9b64f1b81dfeb308384ecba2fab7d495ea7c63cc0748286edcfd509fdeaf"
-
-
-def noisy_quadratic(rows: int, seed: int) -> Series:
-    """The README's fitted quadratic plus N(0, 1.5^2) noise, x evenly over
-    [1, 12], values rounded as a CSV of 6 and 4 decimals would hold them."""
-    rng = random.Random(seed)
-    xs, ys = [], []
-    for i in range(rows):
-        x = 1.0 + 11.0 * i / (rows - 1)
-        y = 71.061363636 + x * (-11.840434565 + x * 0.89802697303) + rng.gauss(0.0, 1.5)
-        xs.append(round(x, 6))
-        ys.append(round(y, 4))
-    return Series(xs, ys)
 
 
 def quadratic_year():
