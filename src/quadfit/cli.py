@@ -233,10 +233,10 @@ def run(args: Args) -> None:
     else:
         with open(args.input, "rb") as fh:
             series = parse_csv(fh, schema)
-    # The report sums the residual the fit leaves behind, as fit_report
-    # would sum y minus the model at each x; the render does not need it.
-    model, residuals = _fit(series, args.degree)
-    report = _residual_report(series.ys, residuals)
+    # The report sums the residual and ss_tot the fit leaves behind, on its
+    # scale of y, as fit_report would; the render does not need them.
+    model, residuals, ss_tot, exponent = _fit(series, args.degree)
+    report = _residual_report(series.ys, residuals, ss_tot, exponent)
     del residuals
 
     text = format_report(model, report)

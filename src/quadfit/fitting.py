@@ -170,27 +170,43 @@ def eval_poly(model: PolynomialModel, x: float) -> float:
     return _evaluate(model, (x,))[0]
 
 
-def _orthogonal_fit(ts: list[float], ys, mean: float, degree: int) -> tuple[list[float], list[float]]:
-    """Least-squares coefficients in ascending powers of t, by Forsythe's
-    method, and the residual y - fit at each point.
+def _centred_deviations(ys) -> tuple[list[float], float, int]:
+    """d - mean(d), mean(d) and e for d = (y - ys[0]) * 2**e, with max |d| in
+    [1/2, 1) unless 2**e would overflow (e = 0 for constant data).  Nearby
+    floats differ exactly (Chan, Golub and LeVeque, Am. Stat. 37(3), 1983),
+    and no sum of d underflows or overflows; OverflowError if y - ys[0] does."""
+    y0 = ys[0]
+    top = max(max(ys) - y0, y0 - min(ys))
+    if top == math.inf:
+        raise OverflowError("y - y0 overflows")
+    exponent = min(-math.frexp(top)[1], 1023)
+    scale = 2.0 ** exponent
+    deviations = [(y - y0) * scale for y in ys]
+    mean = math.fsum(deviations) / len(deviations)
+    return [d - mean for d in deviations], mean, exponent
+
+
+def _orthogonal_fit(ts: list[float], ys, degree: int) -> tuple[list[float], list[float], float, int]:
+    """Least-squares coefficients in ascending powers of t, by Forsythe's method
+    on _centred_deviations(ys), with (y - fit) * 2**e, ss_tot * 4**e and e.
 
     Builds the monic polynomials orthogonal over the points,
     p_{k+1} = (t - a_k) p_k - b_k p_{k-1}, projects the running residual
     onto each (modified Gram-Schmidt), and accumulates c_k p_k in powers
     of t.  Each p_k is held both as its values at the points and as its
     power-in-t coefficients.  The first two are written in closed form:
-    p_0 = 1, whose squared norm is n and whose coefficient is mean, the
-    mean of ys; and p_1 = t - mean(t).  The recurrence takes over from
-    k = 1.
+    p_0 = 1, whose squared norm is n, whose coefficient is the mean
+    deviation, and after which the residual's squared norm is ss_tot; and
+    p_1 = t - mean(t).  The recurrence takes over from k = 1.
 
     Raises:
         RankDeficient: some ||p_k|| falls below RANK_TOLERANCE times the
             largest, so the points cannot resolve a degree-k term.
     """
     n = len(ts)
-    coeffs = [0.0] * (degree + 1)
-    coeffs[0] = mean
-    residual = [y - mean for y in ys]
+    residual, mean, exponent = _centred_deviations(ys)
+    coeffs = [mean] + [0.0] * degree
+    ss_tot = math.fsum(map(operator.mul, residual, residual))
     a = math.fsum(ts) / n
     p_prev, p = [1.0] * n, [t - a for t in ts]
     poly_prev, poly = [1.0], [-a, 1.0]
@@ -212,7 +228,8 @@ def _orthogonal_fit(ts: list[float], ys, mean: float, degree: int) -> tuple[list
             # before the residual is built: the fit's peak memory stays at
             # that of the steps before it.
             del p_prev
-            return coeffs, [r - c * v for r, v in zip(residual, p)]
+            residual = [r - c * v for r, v in zip(residual, p)]
+            break
         residual = [r - c * v for r, v in zip(residual, p)]
         tp = list(map(operator.mul, ts, p))
         a = math.fsum(map(operator.mul, tp, p)) / norm2
@@ -227,7 +244,9 @@ def _orthogonal_fit(ts: list[float], ys, mean: float, degree: int) -> tuple[list
             nxt[j] -= b * q
         poly_prev, poly = poly, nxt
         norm2_prev = norm2
-    return coeffs, residual
+    coeffs = [math.ldexp(c, -exponent) for c in coeffs]
+    coeffs[0] += ys[0]
+    return coeffs, residual, ss_tot, exponent
 
 
 def _validation_error(series: Series, degree: int):
@@ -258,14 +277,13 @@ def _overflow(reason: str) -> NumericalOverflow:
     return NumericalOverflow(f"the fit overflows a float; {reason}")
 
 
-def _fit(series: Series, degree: int) -> tuple[PolynomialModel, list[float]]:
-    """The least-squares model of fit_polynomial, and the residual y - fit
-    at each point that the fit leaves behind.
+def _fit(series: Series, degree: int) -> tuple[PolynomialModel, list[float], float, int]:
+    """The least-squares model of fit_polynomial, with the residual,
+    ss_tot and e that _orthogonal_fit leaves behind for the report.
 
     Each step that can leave the float range names its own cause in the
-    NumericalOverflow it raises: the sum of y and the x span, the window,
-    the sums in t, and the conversion to powers of x.  The sum of y needs
-    no window and is taken first, so when both fail the values are named.
+    NumericalOverflow it raises: the x span, the window, the deviations of
+    y and the sums in t, and the conversion to powers of x.
     """
     err = _validation_error(series, degree)
     if err is not None:
@@ -273,10 +291,6 @@ def _fit(series: Series, degree: int) -> tuple[PolynomialModel, list[float]]:
 
     xs, ys = series.xs, series.ys
     lo, hi = min(xs), max(xs)
-    try:
-        mean = math.fsum(ys) / len(ys)
-    except OverflowError:
-        raise _overflow(_TOO_LARGE) from None
     # An x span past the float range counts as overflow, though the
     # halved map could hold it.
     if hi - lo == math.inf:
@@ -287,10 +301,10 @@ def _fit(series: Series, degree: int) -> tuple[PolynomialModel, list[float]]:
         # The halved bounds coincide: the window has no half-width.
         raise _overflow(_TOO_CLOSE) from None
     try:
-        scaled, residual = _orthogonal_fit(_to_t(window, xs), ys, mean, degree)
+        scaled, residual, ss_tot, exponent = _orthogonal_fit(_to_t(window, xs), ys, degree)
     except (OverflowError, ValueError):
-        # math.fsum raises OverflowError past the float range and
-        # ValueError on inf - inf.
+        # y - y0, math.fsum and math.ldexp raise OverflowError past the
+        # float range, and math.fsum ValueError on inf - inf.
         raise _overflow(_TOO_LARGE) from None
     if not all(map(math.isfinite, scaled)):
         raise _overflow(_TOO_LARGE)
@@ -301,10 +315,10 @@ def _fit(series: Series, degree: int) -> tuple[PolynomialModel, list[float]]:
         # narrow window.  The conversion is linear in the coefficients, so
         # the window alone is at fault when it overflows for coefficients
         # scaled exactly below 1 too; otherwise their size is.
-        exponent = -math.frexp(max(map(abs, scaled)))[1]
-        unit = convert_domain([math.ldexp(c, exponent) for c in scaled], window)
+        shift = -math.frexp(max(map(abs, scaled)))[1]
+        unit = convert_domain([math.ldexp(c, shift) for c in scaled], window)
         raise _overflow(_TOO_LARGE if all(map(math.isfinite, unit)) else _TOO_CLOSE) from None
-    return model, residual
+    return model, residual, ss_tot, exponent
 
 
 def fit_polynomial(series: Series, degree: int = DEFAULT_DEGREE) -> tuple[PolynomialModel, DomainWindow]:
@@ -326,7 +340,7 @@ def fit_polynomial(series: Series, degree: int = DEFAULT_DEGREE) -> tuple[Polyno
             half-width or the coefficients in powers of x overflow ("the x
             values are too close together").
     """
-    model, _ = _fit(series, degree)
+    model = _fit(series, degree)[0]
     return model, model.window
 
 

@@ -2,10 +2,10 @@
 
 Each square is a product d * d, which IEEE 754 rounds correctly (d ** 2
 calls C pow, which need not), and the squares are summed by math.fsum
-(exact compensated summation).  The total sum of squares is computed on
-deviations from the first observation so that constant data yields
-ss_tot == 0.0 exactly, not rounding dust.  A sum that leaves the float
-range raises NumericalOverflow, and so does an R^2 past it.
+(exact compensated summation), on the fit's scale (y - y0) * 2**e; R^2 is
+the ratio of two such sums, and each is scaled back for the report.  A sum
+that leaves the float range raises NumericalOverflow, and so does an R^2
+past it.
 """
 
 import math
@@ -13,19 +13,14 @@ import operator
 
 from ._record import record
 from .errors import NumericalOverflow, UndefinedRSquared
-from .fitting import PolynomialModel, Series, _evaluate
+from .fitting import PolynomialModel, Series, _centred_deviations, _evaluate
 
 # With constant data y0, residual mass up to this bound per observation,
 # times max(1, y0^2), still counts as a perfect fit (R^2 = 1); anything
 # larger is undefined.
 CONSTANT_DATA_RESIDUAL_TOLERANCE = 1e-12
 
-# A square below 2**-1022, the smallest normal float, keeps fewer than 53
-# bits: it is off by up to 2**-1075, and is 0 below that.  With ss_tot at
-# least n times this bound, n such errors come to at most 2**-53 of ss_tot,
-# one rounding; below it, R^2 is taken from sums of rescaled deviations and
-# residuals, and exactly constant data is told apart from underflow.
-SQUARE_UNDERFLOW_BOUND = 2.0 ** -1022
+_SUM_OVERFLOW = "a sum of squares overflows a float; the values are too large"
 
 
 @record
@@ -38,40 +33,37 @@ class FitReport:
     n: int
 
 
-def _finite_fsum(values) -> float:
-    """math.fsum of values, or NumericalOverflow when it is not finite."""
+def _scaled_back(total: float, exponent: int) -> float:
+    """A sum of squares taken on the scale 2**exponent, times 2**(-2 exponent)."""
     try:
-        total = math.fsum(values)
+        return math.ldexp(total, -2 * exponent)
     except OverflowError:
-        total = math.inf
-    if not math.isfinite(total):
-        raise NumericalOverflow("a sum of squares overflows a float; the values are too large")
-    return total
+        raise NumericalOverflow(_SUM_OVERFLOW) from None
+
+
+def _scaled_ss_tot(ys) -> tuple[float, int]:
+    """ss_tot * 2**(2e) and e, summed on fitting's deviations (y - ys[0]) * 2**e."""
+    try:
+        centred, _, exponent = _centred_deviations(ys)
+    except OverflowError:
+        raise NumericalOverflow(_SUM_OVERFLOW) from None
+    return math.fsum(map(operator.mul, centred, centred)), exponent
 
 
 def total_sum_of_squares(ys) -> float:
-    """Sum of squared deviations from the mean.
-
-    Deviations are taken around ys[0] first (the sum is translation
-    invariant), which makes the result exactly zero for constant input.
-    """
-    first = ys[0]
-    shifted = [y - first for y in ys]
-    mean = _finite_fsum(shifted) / len(shifted)
-    deviations = [d - mean for d in shifted]
-    return _finite_fsum(map(operator.mul, deviations, deviations))
+    """Sum of squared deviations from the mean, exactly zero for constant input."""
+    return _scaled_back(*_scaled_ss_tot(ys))
 
 
 def fit_report(model: PolynomialModel, series: Series) -> FitReport:
     """Bundle ss_res, ss_tot and R^2 = 1 - ss_res/ss_tot for a model on its data.
 
     The residuals are y minus the model at each x, evaluated here, so the
-    report describes whatever model it is given.  The command line reports
-    on the residual vector the fit itself leaves behind instead, by the
-    same sums.  When all observations are equal, the ratio is undefined;
-    a model that reproduces the constant within tolerance scores 1.  Below
-    SQUARE_UNDERFLOW_BOUND, R^2 comes from rescaled sums; ss_res and
-    ss_tot are reported as summed.
+    report describes whatever model it is given; the command line sums the
+    residual the fit leaves behind instead.  The model's values are rounded
+    on y's grid, so where y's spread is a few ulps of its size, this R^2 is
+    as coarse as the spread.  When all observations are equal, the ratio is
+    undefined; a model that reproduces the constant within tolerance scores 1.
 
     Raises:
         NumericalOverflow: a sum of squares, or the ratio ss_res/ss_tot,
@@ -79,36 +71,36 @@ def fit_report(model: PolynomialModel, series: Series) -> FitReport:
         UndefinedRSquared: constant data that the model does not reproduce.
     """
     ys = series.ys
-    return _residual_report(ys, list(map(operator.sub, ys, _evaluate(model, series.xs))))
+    ss_tot, exponent = _scaled_ss_tot(ys)
+    residuals = list(map(operator.sub, ys, _evaluate(model, series.xs)))
+    top = max(map(abs, residuals))
+    if not math.isfinite(top):
+        raise NumericalOverflow(_SUM_OVERFLOW)
+    # Scaled as y's deviations are, or shift places further down, so that none exceeds 1.
+    shift = max(0, exponent + math.frexp(top)[1])
+    scaled = [math.ldexp(r, exponent - shift) for r in residuals]
+    return _residual_report(ys, scaled, ss_tot, exponent, shift)
 
 
-def _residual_report(ys, residuals) -> FitReport:
-    """FitReport of observations ys from their residuals y - fit: the sums
-    and rules of fit_report, raising what it raises."""
-    ss_tot = total_sum_of_squares(ys)
-    ss_res = _finite_fsum(map(operator.mul, residuals, residuals))
+def _residual_report(ys, residuals, ss_tot: float, exponent: int, shift: int = 0) -> FitReport:
+    """FitReport of observations ys from their residuals y - fit, scaled by
+    2**(exponent - shift), and their ss_tot, scaled by 2**(2 exponent): the
+    sums and rules of fit_report, raising what it raises."""
     n = len(ys)
-    if ss_tot >= n * SQUARE_UNDERFLOW_BOUND:
-        res, tot = ss_res, ss_tot
-    else:
-        deviations = [y - ys[0] for y in ys]
-        top = max(map(abs, deviations))
-        if top == 0.0:
-            # A product, not y0 ** 2, so that a huge y0 gives inf, not OverflowError.
-            scale = max(1.0, abs(ys[0]))
-            if ss_res > CONSTANT_DATA_RESIDUAL_TOLERANCE * n * scale * scale:
-                raise UndefinedRSquared(f"constant data with nonzero residual mass ({ss_res:.3e})")
-            return FitReport(ss_res, ss_tot, 1.0, n)
-        # Scaling by a power of two is exact and leaves ss_res/ss_tot as it
-        # is; this one brings the largest deviation into [0.5, 1).
-        exponent = -math.frexp(top)[1]
-        tot = total_sum_of_squares([math.ldexp(d, exponent) for d in deviations])
-        try:
-            scaled = [math.ldexp(r, exponent) for r in residuals]
-            res = math.fsum(map(operator.mul, scaled, scaled))
-        except OverflowError:
-            res = math.inf
-    ratio = res / tot
-    if ratio == math.inf:
-        raise NumericalOverflow("R^2 overflows a float; the residuals are too large for the spread of y")
-    return FitReport(ss_res, ss_tot, 1.0 - ratio, n)
+    # Scaled residuals are small and finite, but max() can pass over a nan.
+    res = math.fsum(map(operator.mul, residuals, residuals))
+    if not math.isfinite(res):
+        raise NumericalOverflow(_SUM_OVERFLOW)
+    ss_res = _scaled_back(res, exponent - shift)
+    if ss_tot == 0.0:
+        # Constant data, so exponent is 0; a product, not y0 ** 2, is inf for a huge y0.
+        scale = max(1.0, abs(ys[0]))
+        if ss_res > CONSTANT_DATA_RESIDUAL_TOLERANCE * n * scale * scale:
+            raise UndefinedRSquared(f"constant data with nonzero residual mass ({ss_res:.3e})")
+        return FitReport(ss_res, ss_tot, 1.0, n)
+    try:
+        ratio = math.ldexp(res / ss_tot, 2 * shift)
+    except OverflowError:
+        raise NumericalOverflow(
+            "R^2 overflows a float; the residuals are too large for the spread of y") from None
+    return FitReport(ss_res, _scaled_back(ss_tot, exponent), 1.0 - ratio, n)

@@ -123,9 +123,10 @@ def _nice_ticks(lo: float, hi: float, max_ticks: int) -> list[tuple[float, str]]
     positions = []
     for k in range(math.ceil(lo / step), math.ceil(hi / step) + 1):
         # Near a float's precision neighbouring multiples round to one
-        # float, and a multiple can round past an end.
+        # float, and a multiple can round past an end.  At the end of the
+        # float range a multiple, and an end plus the slack, can be inf.
         pos = k * step
-        if lo - slack <= pos <= hi + slack and pos not in positions[-1:]:
+        if math.isfinite(pos) and lo - slack <= pos <= hi + slack and pos not in positions[-1:]:
             positions.append(pos)
     # 17 significant digits tell any two floats apart.
     for digits in range(6, 18):

@@ -9,12 +9,13 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import normal_equations_fit
+from oracle import exact_report, normal_equations_fit
 from support import noisy_quadratic
 from conftest import DERIVED_XS, DERIVED_YS, REPO_ROOT
 
@@ -628,6 +629,11 @@ def drawn_xs(svg: str) -> list[float]:
     return out
 
 
+# y values a few ulps apart, whose R^2 a fit that rounds on y's own grid
+# gets wrong.
+NEAR_CONSTANT_ROWS = [(1.0, 1.0), (2.0, 1.0000000000000002), (3.0, 1.0), (4.0, 1.0),
+                      (5.0, 1.0000000000000004)]
+
 # Cells that float() reads but the numeric-cell grammar refuses.
 OFF_GRAMMAR = ("1_0", "\u0662", "\uff13", "2_5e-1", "\u0661.5")
 CELL = FINITE | st.sampled_from(OFF_GRAMMAR)
@@ -640,6 +646,10 @@ CELL = FINITE | st.sampled_from(OFF_GRAMMAR)
 @example(rows=[(999999999999999.8, -2.0), (1e15, 3.0)], degree=1)
 @example(rows=[(1.0, 1e154), (2.0, 1e154), (3.0, 1.1e154)], degree=2)
 @example(rows=[(1.0, 2.0), (2.0, "1_0"), ("\uff13", 5.0)], degree=1)
+@example(rows=[(0.0, 0.0), (0.0, 0.0), (1.797693134662316e+308, 0.0)], degree=1)
+# A spread of a few ulps of y: exact R^2 0.28125 and 27/56.
+@example(rows=NEAR_CONSTANT_ROWS, degree=1)
+@example(rows=NEAR_CONSTANT_ROWS, degree=2)
 def test_any_finite_csv_gives_report_or_one_error(rows, degree):
     # A float's str() is its repr, which round-trips.
     text = "Month,Values\n" + "".join(f"{x},{y}\n" for x, y in rows)
@@ -665,6 +675,11 @@ def test_any_finite_csv_gives_report_or_one_error(rows, degree):
     if svg is not None:
         xs = drawn_xs(svg)
         assert xs and all(0.0 <= x <= WIDTH for x in xs)
+        # The printed R^2 is the exact one to its six decimals: within half
+        # a unit of the last, give or take the oracle's 1e-9.
+        printed = Fraction(re.search(r"^r_squared=(.*)$", out.getvalue(), re.M).group(1))
+        *_, want = exact_report([x for x, _ in rows], [y for _, y in rows], degree)
+        assert abs(printed - (1 if want is None else want)) <= Fraction(1, 2 * 10**6) + Fraction(1, 10**9)
 
 
 SAMPLE_CSV = REPO_ROOT / "data" / "pm25_monthly.csv"

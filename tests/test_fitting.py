@@ -225,12 +225,19 @@ class TestFitPolynomial:
                            match="^the fit overflows a float; the x values are too close together$"):
             fit_polynomial(Series(xs, (1.0, 2.0, 0.0, 5.0, 1.0)), degree)
 
-    def test_degree_zero_y_overflow_names_the_magnitude(self):
-        # The window has no half-width, but the sum of y, which needs no
-        # window, is taken first and overflows.
+    def test_degree_zero_huge_y_names_the_narrow_window(self):
+        # The fit sums y's deviations from the first value, which stay in
+        # the float range here, so only the window, which has no
+        # half-width, is at fault.
         with pytest.raises(NumericalOverflow,
-                           match="^the fit overflows a float; the x or y values are too large$"):
+                           match="^the fit overflows a float; the x values are too close together$"):
             fit_polynomial(Series((0.0, 5e-324, 0.0), (1e308, 1.7e308, 1e308)), 0)
+
+    def test_degree_zero_fits_y_whose_sum_overflows(self):
+        # The sum of these y values passes the float range, but their
+        # deviations from the first do not, and the mean is correctly rounded.
+        model, _ = fit_polynomial(Series((0.0, 1.0, 2.0), (1e308, 1.7e308, 1e308)), 0)
+        assert model.scaled == (1.2333333333333333e308,)
 
     def test_degree_zero_gives_mean(self):
         model, _ = fit_polynomial(Series((1, 2, 3, 4), (2, 4, 6, 8)), 0)

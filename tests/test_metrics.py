@@ -184,11 +184,21 @@ class TestFitReport:
 
 
 def reference_ss_res(model, series):
-    """ss_res point by point through eval_poly, each residual squared as
-    d * d, or None when it overflows."""
-    residuals = [y - eval_poly(model, x) for x, y in zip(series.xs, series.ys)]
+    """ss_res point by point through eval_poly, or None when it overflows.
+
+    Each residual is scaled by 2**k, squared as d * d, and the sum scaled
+    back by 2**(-2k).  2**k is the power of two that takes y's largest
+    deviation from its first value into [1/2, 1), or a smaller one that
+    keeps every scaled residual below 1.  Scaling by a power of two is
+    exact, so this is the plain sum of squares unless a square underflows,
+    where the scaled one keeps more bits.
+    """
+    ys = series.ys
+    residuals = [y - eval_poly(model, x) for x, y in zip(series.xs, ys)]
+    k = min(-math.frexp(max(abs(y - ys[0]) for y in ys))[1],
+            -math.frexp(max(abs(d) for d in residuals))[1])
     try:
-        total = math.fsum(d * d for d in residuals)
+        total = math.ldexp(math.fsum(math.ldexp(d, k) * math.ldexp(d, k) for d in residuals), -2 * k)
     except OverflowError:
         return None
     return total if math.isfinite(total) else None
@@ -202,6 +212,10 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
        points=st.lists(st.tuples(FINITE, st.floats(-1e150, 1e150)),
                        min_size=1, max_size=30))
 @example(coeffs=[1.0], points=[(1.0, 0.0), (2.0, 1e-160), (3.0, 3e-160)])
+# The model overflows at the first point, and the other residuals, scaled
+# as y's spread is, have squares past the float range.
+@example(coeffs=[2.9173184279657142e302, 3.4789556872075708e16],
+         points=[(5.167327149794274e291, 0.0), (0.0, 0.0), (0.0, 1.2786682062094304e148)])
 def test_fit_report_ss_res_matches_pointwise_evaluation(coeffs, points):
     # |y| <= 1e150 keeps ss_tot finite, so only the residuals, or their
     # ratio to ss_tot in R^2, can overflow.
@@ -242,8 +256,8 @@ def test_fit_residual_ss_res_matches_fit_report(data):
     # sums of squares by at most D (2 sqrt(ss_res) + D).
     xs, ys, degree = data
     series = Series(tuple(xs), tuple(ys))
-    model, residuals = _fit(series, degree)
-    fitted = _residual_report(series.ys, residuals)
+    model, residuals, ss_tot, exponent = _fit(series, degree)
+    fitted = _residual_report(series.ys, residuals, ss_tot, exponent)
     evaluated = fit_report(model, series)
     bound = 16 * len(ys) * U * max(map(abs, ys))
     assert abs(fitted.ss_res - evaluated.ss_res) <= bound * (2 * math.sqrt(evaluated.ss_res) + bound)
@@ -255,6 +269,25 @@ def test_fit_residual_ss_res_matches_fit_report(data):
             assert report.ss_res <= CONSTANT_DATA_RESIDUAL_TOLERANCE * len(ys) * max(1.0, ys[0] ** 2)
         else:
             assert abs(Fraction(report.ss_res) - want) <= Fraction(1e-9) * ss_tot
+
+
+# The smallest normal float is why the fit scales y's deviations by a
+# power of two, as well as shifting them: their squares would underflow.
+NEAR_CONSTANT_CENTRES = (1.0, 0.1, 1e8, 123.456, 1e-5, -7.5, 2.2250738585072014e-308, 1e150)
+
+
+@settings(max_examples=60, deadline=None)
+@given(centre=st.sampled_from(NEAR_CONSTANT_CENTRES), degree=st.integers(1, 3),
+       steps=st.lists(st.integers(-6, 6), min_size=4, max_size=12))
+def test_near_constant_data_gets_the_exact_r_squared(centre, degree, steps):
+    # y within 6 ulps of a centre, so y's own grid is as coarse as its
+    # spread; the command line's R^2 is still within 1e-9 of the exact one.
+    ys = [centre + k * math.ulp(centre) for k in steps]
+    xs = [float(i) for i in range(1, len(ys) + 1)]
+    model, residuals, ss_tot, exponent = _fit(Series(tuple(xs), tuple(ys)), degree)
+    got = _residual_report(ys, residuals, ss_tot, exponent).r_squared
+    *_, want = exact_report(xs, ys, degree)
+    assert abs(Fraction(got) - (1 if want is None else want)) <= Fraction(1, 10**9)
 
 
 @pytest.mark.parametrize("degree", range(1, 11))
