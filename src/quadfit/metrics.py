@@ -50,11 +50,6 @@ def _scaled_ss_tot(ys) -> tuple[float, int]:
     return math.fsum(map(operator.mul, centred, centred)), exponent
 
 
-def total_sum_of_squares(ys) -> float:
-    """Sum of squared deviations from the mean, exactly zero for constant input."""
-    return _scaled_back(*_scaled_ss_tot(ys))
-
-
 def fit_report(model: PolynomialModel, series: Series) -> FitReport:
     """Bundle ss_res, ss_tot and R^2 = 1 - ss_res/ss_tot for a model on its data.
 
@@ -76,8 +71,10 @@ def fit_report(model: PolynomialModel, series: Series) -> FitReport:
     top = max(map(abs, residuals))
     if not math.isfinite(top):
         raise NumericalOverflow(_SUM_OVERFLOW)
-    # Scaled as y's deviations are, or shift places further down, so that none exceeds 1.
-    shift = max(0, exponent + math.frexp(top)[1])
+    # Scaled by their own largest value into [1/2, 1), shift places below
+    # y's deviations (above them where shift < 0): no square overflows,
+    # and only one negligible beside the largest underflows.
+    shift = exponent + math.frexp(top)[1]
     scaled = [math.ldexp(r, exponent - shift) for r in residuals]
     return _residual_report(ys, scaled, ss_tot, exponent, shift)
 

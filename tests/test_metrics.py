@@ -31,8 +31,13 @@ from quadfit.fitting import _fit
 from quadfit.metrics import (
     CONSTANT_DATA_RESIDUAL_TOLERANCE,
     _residual_report,
-    total_sum_of_squares,
 )
+
+
+def total_sum_of_squares(ys):
+    """fit_report's ss_tot, for the constant model ys[0] at x = 0, 1, ..."""
+    series = Series(tuple(map(float, range(len(ys)))), tuple(ys))
+    return fit_report(PolynomialModel((ys[0],)), series).ss_tot
 
 
 class TestTotalSumOfSquares:
@@ -183,22 +188,11 @@ class TestFitReport:
                                               rel=1e-8, abs=1e-8)
 
 
-def reference_ss_res(model, series):
-    """ss_res point by point through eval_poly, or None when it overflows.
-
-    Each residual is scaled by 2**k, squared as d * d, and the sum scaled
-    back by 2**(-2k).  2**k is the power of two that takes y's largest
-    deviation from its first value into [1/2, 1), or a smaller one that
-    keeps every scaled residual below 1.  Scaling by a power of two is
-    exact, so this is the plain sum of squares unless a square underflows,
-    where the scaled one keeps more bits.
-    """
-    ys = series.ys
-    residuals = [y - eval_poly(model, x) for x, y in zip(series.xs, ys)]
-    k = min(-math.frexp(max(abs(y - ys[0]) for y in ys))[1],
-            -math.frexp(max(abs(d) for d in residuals))[1])
+def reference_ss_res(residuals):
+    """ss_res of pointwise residuals, each squared as d * d, or None when
+    it overflows."""
     try:
-        total = math.ldexp(math.fsum(math.ldexp(d, k) * math.ldexp(d, k) for d in residuals), -2 * k)
+        total = math.fsum(d * d for d in residuals)
     except OverflowError:
         return None
     return total if math.isfinite(total) else None
@@ -212,16 +206,19 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
        points=st.lists(st.tuples(FINITE, st.floats(-1e150, 1e150)),
                        min_size=1, max_size=30))
 @example(coeffs=[1.0], points=[(1.0, 0.0), (2.0, 1e-160), (3.0, 3e-160)])
-# The model overflows at the first point, and the other residuals, scaled
-# as y's spread is, have squares past the float range.
+# The model overflows at the first point, so no residual is squared.
 @example(coeffs=[2.9173184279657142e302, 3.4789556872075708e16],
          points=[(5.167327149794274e291, 0.0), (0.0, 0.0), (0.0, 1.2786682062094304e148)])
+# A residual of 1e-150 beside y's spread of 1e150: scaled as y's
+# deviations are, its square underflows to 0; the exact ss_res is 1e-300.
+@example(coeffs=[-1e-150, 1e150], points=[(0.0, 0.0), (1.0, 1e150)])
 def test_fit_report_ss_res_matches_pointwise_evaluation(coeffs, points):
     # |y| <= 1e150 keeps ss_tot finite, so only the residuals, or their
     # ratio to ss_tot in R^2, can overflow.
     model = PolynomialModel(tuple(coeffs))
     series = Series(tuple(x for x, _ in points), tuple(y for _, y in points))
-    want = reference_ss_res(model, series)
+    residuals = [y - eval_poly(model, x) for x, y in zip(series.xs, series.ys)]
+    want = reference_ss_res(residuals)
     try:
         got = fit_report(model, series).ss_res
     except NumericalOverflow:
@@ -234,12 +231,21 @@ def test_fit_report_ss_res_matches_pointwise_evaluation(coeffs, points):
             return
         got = None
     except UndefinedRSquared:
-        assert total_sum_of_squares(series.ys) == 0.0
+        assert len(set(series.ys)) == 1
         assert want > CONSTANT_DATA_RESIDUAL_TOLERANCE * len(series)
         return
     assert (got is None) == (want is None)
-    if got is not None:
+    if got is None:
+        return
+    if all(d * d >= sys.float_info.min for d in residuals if d):
         assert got.hex() == want.hex()
+    else:
+        # A plain square below the smallest normal float keeps fewer than
+        # 53 bits, or none.  fit_report scales its residuals up first, so
+        # it is held to the exact sum: a rounding of each square and one of
+        # the sum, and one more where ss_res itself is subnormal.
+        exact = sum(Fraction(d) ** 2 for d in residuals)
+        assert abs(Fraction(got) - exact) <= Fraction(2.0 ** -51) * exact + Fraction(2.0 ** -1074)
 
 
 # Unit roundoff of a binary64 float.
