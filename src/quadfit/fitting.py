@@ -5,8 +5,8 @@ window and fits there with Forsythe's orthogonal polynomials (G. E.
 Forsythe, "Generation and use of orthogonal polynomials for data-fitting
 with a digital computer", J. SIAM 5(2), 1957).  The polynomials come from
 a three-term recurrence and the residual is projected onto each in turn,
-so the fit takes O(n*d) time and a few length-n vectors, and never forms
-normal equations, which square the condition number.
+so the fit takes O(n*d) time, holds at most five length-n lists at once,
+and never forms normal equations, which square the condition number.
 
 The fitted model keeps its coefficients in powers of t together with its
 window, and every value of it is taken in t, by one helper here.  The one
@@ -199,6 +199,12 @@ def _orthogonal_fit(ts: list[float], ys, degree: int) -> tuple[list[float], list
     deviation, and after which the residual's squared norm is ss_tot; and
     p_1 = t - mean(t).  The recurrence takes over from k = 1.
 
+    At most five length-n lists are alive at once: t, the residual,
+    p_{k-1}, p_k, and the residual or p_{k+1} being built.  Neither p_0 nor
+    t * p_k is stored: the step from p_1 drops b * p_0, which is b, and
+    t * p_k is formed where the sum for a and the recurrence use it, so
+    every float is the same product, taken in the same order.
+
     Raises:
         RankDeficient: some ||p_k|| falls below RANK_TOLERANCE times the
             largest, so the points cannot resolve a degree-k term.
@@ -208,7 +214,7 @@ def _orthogonal_fit(ts: list[float], ys, degree: int) -> tuple[list[float], list
     coeffs = [mean] + [0.0] * degree
     ss_tot = math.fsum(map(operator.mul, residual, residual))
     a = math.fsum(ts) / n
-    p_prev, p = [1.0] * n, [t - a for t in ts]
+    p_prev, p = None, [t - a for t in ts]
     poly_prev, poly = [1.0], [-a, 1.0]
     norm2_prev = norm2_max = float(n)
     for k in range(1, degree + 1):
@@ -231,12 +237,13 @@ def _orthogonal_fit(ts: list[float], ys, degree: int) -> tuple[list[float], list
             residual = [r - c * v for r, v in zip(residual, p)]
             break
         residual = [r - c * v for r, v in zip(residual, p)]
-        tp = list(map(operator.mul, ts, p))
-        a = math.fsum(map(operator.mul, tp, p)) / norm2
+        a = math.fsum(map(operator.mul, map(operator.mul, ts, p), p)) / norm2
         b = norm2 / norm2_prev
-        p_prev, p = p, [u - a * v - b * w for u, v, w in zip(tp, p, p_prev)]
-        # Not kept alive while the next residual is built.
-        del tp
+        if p_prev is None:
+            # b * p_0 is b * 1.0, which is b.
+            p_prev, p = p, [t * v - a * v - b for t, v in zip(ts, p)]
+        else:
+            p_prev, p = p, [t * v - a * v - b * w for t, v, w in zip(ts, p, p_prev)]
         nxt = [0.0] + poly
         for j, q in enumerate(poly):
             nxt[j] -= a * q

@@ -97,9 +97,12 @@ def _plain_columns(data, schema: CsvSchema):
     and whose rows are ASCII without a quote, "_", NUL or a CR outside a
     CRLF ending, each with one comma fewer than the header has names, none
     longer than the csv field limit, and whose selected cells float() reads
-    from bytes as finite.  The csv reader splits such input into the same
-    cells, and keeps the same values.  Rows are split in blocks cut at
-    newlines, so that one block's cells are freed before the next is cut.
+    from bytes, with a finite sum over both columns: that one sum is inf or
+    nan when a cell is, and declines the rare finite columns whose sum
+    overflows.  The csv reader splits such input into the same cells, and
+    keeps the same values.  Rows are split in blocks cut at newlines, so
+    that one block's cells are freed before the next is cut; only a block
+    that holds a CR is copied to turn its CRLF endings into LF.
     """
     header_end = data.find(b"\n") + 1
     if not header_end:
@@ -123,8 +126,10 @@ def _plain_columns(data, schema: CsvSchema):
     start = header_end
     while start < len(data):
         stop = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
-        block = data[start:stop].replace(b"\r\n", b"\n")
+        block = data[start:stop]
         start = stop
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n")
         if not block.endswith(b"\n"):
             block += b"\n"
         if not block.isascii() or any(c in block for c in b'"_\r\0'):
@@ -142,7 +147,8 @@ def _plain_columns(data, schema: CsvSchema):
             ys += map(float, cells[y_idx::width])
         except ValueError:
             return None
-    if not xs or not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
+    # Not finite when a cell is not, or when finite cells overflow the sum.
+    if not xs or not math.isfinite(sum(xs) + sum(ys)):
         return None
     return xs, ys
 

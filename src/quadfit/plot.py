@@ -187,18 +187,23 @@ def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec:
     Axes cover the data and the sampled curve, whose end points are the
     data's x range, padded by AXIS_PADDING on each side.
     """
-    return "".join(_svg_chunks(series, model, report, spec))
+    return "".join(_svg_chunks(series, model, report, spec, min(series.xs), max(series.xs)))
 
 
-def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec: PlotSpec):
+def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec: PlotSpec,
+                x_min: float, x_max: float):
     """render_plot's document in pieces: everything before the data
     markers, the markers in blocks of _MARKER_BLOCK, then the rest.
+
+    x_min and x_max are the least and greatest of series.xs, which the
+    caller already holds: render_plot takes them from the data, and the
+    command line from the fitted model's window, which the fit built from
+    the same two values.
 
     Everything that can fail (bounds, ticks, legend, escaping) runs before
     the first piece is yielded, so a caller that writes the pieces to a
     file can take the first one before it opens the file.
     """
-    x_min, x_max = min(series.xs), max(series.xs)
     curve_xs, curve_ys = zip(*sample_curve(model, x_min, x_max, CURVE_SAMPLES))
     x_lo, x_hi = _padded(x_min, x_max)
     y_lo, y_hi = _padded(min(min(series.ys), min(curve_ys)), max(max(series.ys), max(curve_ys)))
@@ -290,9 +295,14 @@ def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec:
     # One marker per line, each block ending in a newline.
     marker = f'<circle cx="%.2f" cy="%.2f" r="4" fill="{DATA_COLOR}"/>\n'
     xs, ys = series.xs, series.ys
-    for i in range(0, len(xs), _MARKER_BLOCK):
-        coords = pixels(xs[i:i + _MARKER_BLOCK], ys[i:i + _MARKER_BLOCK])
-        yield (marker * (len(coords) // 2)) % tuple(coords)
+    # Built once, and no longer than the data needs: a 12-point figure
+    # would spend more on a 4096-marker template than on its markers.
+    per_block = min(len(xs), _MARKER_BLOCK)
+    full_block = marker * per_block
+    for i in range(0, len(xs), per_block):
+        coords = pixels(xs[i:i + per_block], ys[i:i + per_block])
+        template = full_block if len(coords) == 2 * per_block else marker * (len(coords) // 2)
+        yield template % tuple(coords)
     yield "\n".join(out[markers_at:])
 
 

@@ -576,10 +576,22 @@ class TestStreamedSvg:
     """The CLI writes render_plot's document in blocks of markers."""
 
     @pytest.mark.parametrize("rows", [2, _MARKER_BLOCK - 1, _MARKER_BLOCK,
-                                      _MARKER_BLOCK + 1, 2 * _MARKER_BLOCK + 3])
+                                      _MARKER_BLOCK + 1, 2 * _MARKER_BLOCK + 3,
+                                      "offset", "descending"])
     def test_file_equals_render_plot(self, tmp_path, rows, capsys):
         # A one-point figure has an empty x range, which render_plot refuses.
-        text = noisy_csv(rows)
+        # The CLI takes the x range from the fit's window, render_plot from
+        # the data: offset months, and rows whose least and greatest x are
+        # not the first and last, check that the two agree.
+        if rows == "offset":
+            text = "Month,Values\n" + "".join(
+                f"{202401 + i / 12:.6f},{(i % 12 - 6) ** 2 + i * 7919 % 101 / 20:.4f}\n"
+                for i in range(60))
+        elif rows == "descending":
+            header, *lines = noisy_csv(_MARKER_BLOCK + 1).splitlines(keepends=True)
+            text = header + "".join(reversed(lines))
+        else:
+            text = noisy_csv(rows)
         svg_path = tmp_path / "chart.svg"
         assert main(["-i", write_csv(tmp_path, text), "--svg", str(svg_path),
                      "--degree", "1", *README_FLAGS]) == 0

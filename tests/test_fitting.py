@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from quadfit import (
     eval_poly,
     fit_polynomial,
 )
-from quadfit.fitting import convert_domain
+from quadfit.fitting import _fit, convert_domain
 
 
 class TestSeries:
@@ -300,6 +301,24 @@ class TestFitPolynomial:
         assert abs(lifted.coeffs[0] - (base.coeffs[0] + offset)) <= 1e-8 * scale
         for got, want in zip(lifted.coeffs[1:], base.coeffs[1:]):
             assert abs(got - want) <= 1e-8 * scale
+
+
+class TestFitMemory:
+    @pytest.mark.parametrize("degree, lists", [(2, 4.5), (10, 5.5)])
+    def test_peak_stays_within_a_few_length_n_lists(self, degree, lists):
+        # A list of n new floats costs 32 bytes a value.  Degree 2 holds
+        # four such lists at its peak and degree 10 five: t, the residual,
+        # p_{k-1} after the first step, p_k, and the list being built.
+        n = 20_000
+        xs = [1.0 + 11.0 * i / (n - 1) for i in range(n)]
+        series = Series(xs, [(x - 6.0) ** 2 + (i * 7919) % 101 / 20.0 for i, x in enumerate(xs)])
+        tracemalloc.start()
+        try:
+            _fit(series, degree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= lists * 32 * n
 
 
 class TestConvertDomain:

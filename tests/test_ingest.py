@@ -332,6 +332,36 @@ class TestPlainColumns:
         got = _plain_columns(data, CsvSchema())
         assert got is not None and repr(got) == repr(_reader_columns(data, CsvSchema()))
 
+    def test_crlf_in_a_later_block_only(self):
+        # The first block is LF only and is not copied to replace CRLF; the
+        # blocks after it hold CRLF endings, which are.
+        data = ("Month,Values\n" + self.BULK * 5
+                + (self.BULK * 4).replace("\n", "\r\n")).encode("ascii")
+        assert len(data) > 2 * _BLOCK_BYTES and data.index(b"\r") > _BLOCK_BYTES + 100
+        got = _plain_columns(data, CsvSchema())
+        assert got is not None and repr(got) == repr(_reader_columns(data, CsvSchema()))
+
+    def test_lone_cr_in_a_later_lf_only_block_declines(self):
+        # float() would read the cell b"\r2" as 2.0; the reader ends the
+        # row at the CR.
+        data = ("Month,Values\n" + self.BULK * 5 + "1,\r2\n" + self.BULK).encode("ascii")
+        assert data.index(b"\r") > _BLOCK_BYTES + 100
+        assert _plain_columns(data, CsvSchema()) is None
+        assert outcome(parsed_columns, data) == outcome(_reader_columns, data)
+
+    def test_overflowing_column_sum_declines_to_the_reader(self):
+        data = b"Month,Values\n1.7e308,1\n1.7e308,2\n"
+        assert _plain_columns(data, CsvSchema()) is None
+        assert parse_csv(data) == Series((1.7e308, 1.7e308), (1.0, 2.0))
+
+    def test_opposite_infinities_in_one_column_decline(self):
+        # Their sum is nan, not inf; the reader names the first of them.
+        data = b"Month,Values\n1,1e999\n2,-1e999\n"
+        assert _plain_columns(data, CsvSchema()) is None
+        with pytest.raises(NonNumericValue) as exc:
+            parse_csv(data)
+        assert (exc.value.row, exc.value.column, exc.value.value) == (1, "Values", "1e999")
+
     @pytest.mark.parametrize("data", [
         b"Month,Values",
         b'"Month",Values\n1,2\n',
