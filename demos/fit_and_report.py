@@ -18,8 +18,9 @@ def main() -> None:
     series = parse_csv(DATA.read_bytes())
     print(f"loaded {len(series)} observations from {DATA.name}")
 
-    # Degree 2 is the default; the model comes back in plain ascending
-    # powers: coeffs[0] + coeffs[1]*x + coeffs[2]*x^2.
+    # Degree 2 is the default.  The model holds its coefficients in powers
+    # of t, x mapped onto [-1, 1] by the window; coeffs is the same
+    # polynomial in plain ascending powers: coeffs[0] + coeffs[1]*x + ...
     model, window = fit_polynomial(series)
     print(f"fitted over x in [{window.x_min:g}, {window.x_max:g}]")
     for k, c in enumerate(model.coeffs):

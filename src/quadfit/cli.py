@@ -245,7 +245,7 @@ def run(args: Args) -> None:
     # that can fail in a render runs by then, so a render that fails
     # leaves no SVG file, stdout empty and no report file.
     if spec is not None:
-        chunks = _svg_chunks(series, model, report, spec, model.window.x_min, model.window.x_max)
+        chunks = _svg_chunks(series, model, report, spec)
         first = next(chunks)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(first)

@@ -19,6 +19,9 @@ need not reproduce the fit.
 Coefficients are always stored in ascending powers, so the first is the
 constant term.
 
+A Series measures each column's bounds once, as it is built, and one
+helper forms y's scale and ss_tot for the fit and fit_report alike.
+
 All arithmetic is 64-bit binary floating point; no external math library
 is used anywhere in the package.  Finite input that the fit cannot hold
 in floats raises NumericalOverflow.
@@ -53,9 +56,9 @@ _TOO_CLOSE = "the x values are too close together"
 class Series:
     """Paired observation vectors: abscissa (e.g. month index) and value.
 
-    Both vectors are stored as tuples of floats.  Construction fails with
-    ValueError unless the vectors have equal nonzero length and every
-    element is finite.
+    Both vectors are stored as tuples of floats, with each one's (min, max)
+    measured once.  Construction fails with ValueError unless the vectors
+    have equal nonzero length and every element is finite.
     """
 
     xs: tuple[float, ...]
@@ -70,8 +73,7 @@ class Series:
             raise ValueError("series must contain at least one observation")
         if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
             raise ValueError("series values must be finite")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        _store_columns(self, xs, ys)
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -82,9 +84,17 @@ def _checked_series(xs: list[float], ys: list[float]) -> Series:
     and checks: the caller has already made every value a finite float,
     and the two lists equal in length and nonempty."""
     series = object.__new__(Series)
+    _store_columns(series, xs, ys)
+    return series
+
+
+def _store_columns(series: Series, xs, ys) -> None:
+    """Store the columns as tuples, with (min, max) of each as _x_bounds and
+    _y_bounds, which are derived and so take no part in ==, hash or repr."""
     object.__setattr__(series, "xs", tuple(xs))
     object.__setattr__(series, "ys", tuple(ys))
-    return series
+    object.__setattr__(series, "_x_bounds", (min(xs), max(xs)))
+    object.__setattr__(series, "_y_bounds", (min(ys), max(ys)))
 
 
 @record
@@ -151,11 +161,8 @@ def _to_t(window: DomainWindow, xs) -> list[float]:
 def _horner(coeffs, xs) -> list[float]:
     """Values at xs of the polynomial with ascending coefficients coeffs (at
     least one), by Horner's scheme: one pass over all points per step."""
-    top = coeffs[-1]
-    if len(coeffs) == 1:
-        return [top] * len(xs)
-    values = [top * x + coeffs[-2] for x in xs]
-    for c in reversed(coeffs[:-2]):
+    values = [coeffs[-1]] * len(xs)
+    for c in reversed(coeffs[:-1]):
         values = [v * x + c for v, x in zip(values, xs)]
     return values
 
@@ -170,25 +177,30 @@ def eval_poly(model: PolynomialModel, x: float) -> float:
     return _evaluate(model, (x,))[0]
 
 
-def _centred_deviations(ys) -> tuple[list[float], float, int]:
-    """d - mean(d), mean(d) and e for d = (y - ys[0]) * 2**e, with max |d| in
-    [1/2, 1) unless 2**e would overflow (e = 0 for constant data).  Nearby
-    floats differ exactly (Chan, Golub and LeVeque, Am. Stat. 37(3), 1983),
-    and no sum of d underflows or overflows; OverflowError if y - ys[0] does."""
+def _centred_deviations(series: Series) -> tuple[list[float], float, float, int]:
+    """c = d - mean(d), mean(d), the sum of c * c (ss_tot * 4**e) and e, for
+    d = (y - y0) * 2**e, y0 the first y, with max |d| in [1/2, 1) unless 2**e
+    would overflow (e = 0 for constant data).  Nearby floats differ exactly
+    (Chan, Golub and LeVeque, Am. Stat. 37(3), 1983), and no sum of d
+    underflows or overflows; OverflowError if y - y0 does."""
+    ys = series.ys
     y0 = ys[0]
-    top = max(max(ys) - y0, y0 - min(ys))
+    lo, hi = series._y_bounds
+    top = max(hi - y0, y0 - lo)
     if top == math.inf:
         raise OverflowError("y - y0 overflows")
     exponent = min(-math.frexp(top)[1], 1023)
     scale = 2.0 ** exponent
     deviations = [(y - y0) * scale for y in ys]
     mean = math.fsum(deviations) / len(deviations)
-    return [d - mean for d in deviations], mean, exponent
+    centred = [d - mean for d in deviations]
+    return centred, mean, math.fsum(map(operator.mul, centred, centred)), exponent
 
 
-def _orthogonal_fit(ts: list[float], ys, degree: int) -> tuple[list[float], list[float], float, int]:
+def _orthogonal_fit(ts: list[float], series: Series,
+                    degree: int) -> tuple[list[float], list[float], float, int]:
     """Least-squares coefficients in ascending powers of t, by Forsythe's method
-    on _centred_deviations(ys), with (y - fit) * 2**e, ss_tot * 4**e and e.
+    on _centred_deviations(series), with (y - fit) * 2**e, ss_tot * 4**e and e.
 
     Builds the monic polynomials orthogonal over the points,
     p_{k+1} = (t - a_k) p_k - b_k p_{k-1}, projects the running residual
@@ -210,9 +222,8 @@ def _orthogonal_fit(ts: list[float], ys, degree: int) -> tuple[list[float], list
             largest, so the points cannot resolve a degree-k term.
     """
     n = len(ts)
-    residual, mean, exponent = _centred_deviations(ys)
+    residual, mean, ss_tot, exponent = _centred_deviations(series)
     coeffs = [mean] + [0.0] * degree
-    ss_tot = math.fsum(map(operator.mul, residual, residual))
     a = math.fsum(ts) / n
     p_prev, p = None, [t - a for t in ts]
     poly_prev, poly = [1.0], [-a, 1.0]
@@ -252,7 +263,7 @@ def _orthogonal_fit(ts: list[float], ys, degree: int) -> tuple[list[float], list
         poly_prev, poly = poly, nxt
         norm2_prev = norm2
     coeffs = [math.ldexp(c, -exponent) for c in coeffs]
-    coeffs[0] += ys[0]
+    coeffs[0] += series.ys[0]
     return coeffs, residual, ss_tot, exponent
 
 
@@ -296,8 +307,7 @@ def _fit(series: Series, degree: int) -> tuple[PolynomialModel, list[float], flo
     if err is not None:
         raise err
 
-    xs, ys = series.xs, series.ys
-    lo, hi = min(xs), max(xs)
+    lo, hi = series._x_bounds
     # An x span past the float range counts as overflow, though the
     # halved map could hold it.
     if hi - lo == math.inf:
@@ -308,7 +318,7 @@ def _fit(series: Series, degree: int) -> tuple[PolynomialModel, list[float], flo
         # The halved bounds coincide: the window has no half-width.
         raise _overflow(_TOO_CLOSE) from None
     try:
-        scaled, residual, ss_tot, exponent = _orthogonal_fit(_to_t(window, xs), ys, degree)
+        scaled, residual, ss_tot, exponent = _orthogonal_fit(_to_t(window, series.xs), series, degree)
     except (OverflowError, ValueError):
         # y - y0, math.fsum and math.ldexp raise OverflowError past the
         # float range, and math.fsum ValueError on inf - inf.

@@ -41,15 +41,6 @@ def _scaled_back(total: float, exponent: int) -> float:
         raise NumericalOverflow(_SUM_OVERFLOW) from None
 
 
-def _scaled_ss_tot(ys) -> tuple[float, int]:
-    """ss_tot * 2**(2e) and e, summed on fitting's deviations (y - ys[0]) * 2**e."""
-    try:
-        centred, _, exponent = _centred_deviations(ys)
-    except OverflowError:
-        raise NumericalOverflow(_SUM_OVERFLOW) from None
-    return math.fsum(map(operator.mul, centred, centred)), exponent
-
-
 def fit_report(model: PolynomialModel, series: Series) -> FitReport:
     """Bundle ss_res, ss_tot and R^2 = 1 - ss_res/ss_tot for a model on its data.
 
@@ -66,7 +57,10 @@ def fit_report(model: PolynomialModel, series: Series) -> FitReport:
         UndefinedRSquared: constant data that the model does not reproduce.
     """
     ys = series.ys
-    ss_tot, exponent = _scaled_ss_tot(ys)
+    try:
+        _, _, ss_tot, exponent = _centred_deviations(series)
+    except OverflowError:
+        raise NumericalOverflow(_SUM_OVERFLOW) from None
     residuals = list(map(operator.sub, ys, _evaluate(model, series.xs)))
     top = max(map(abs, residuals))
     if not math.isfinite(top):

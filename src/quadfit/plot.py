@@ -187,26 +187,22 @@ def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec:
     Axes cover the data and the sampled curve, whose end points are the
     data's x range, padded by AXIS_PADDING on each side.
     """
-    return "".join(_svg_chunks(series, model, report, spec, min(series.xs), max(series.xs)))
+    return "".join(_svg_chunks(series, model, report, spec))
 
 
-def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec: PlotSpec,
-                x_min: float, x_max: float):
+def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec: PlotSpec):
     """render_plot's document in pieces: everything before the data
     markers, the markers in blocks of _MARKER_BLOCK, then the rest.
-
-    x_min and x_max are the least and greatest of series.xs, which the
-    caller already holds: render_plot takes them from the data, and the
-    command line from the fitted model's window, which the fit built from
-    the same two values.
 
     Everything that can fail (bounds, ticks, legend, escaping) runs before
     the first piece is yielded, so a caller that writes the pieces to a
     file can take the first one before it opens the file.
     """
+    x_min, x_max = series._x_bounds
+    y_min, y_max = series._y_bounds
     curve_xs, curve_ys = zip(*sample_curve(model, x_min, x_max, CURVE_SAMPLES))
     x_lo, x_hi = _padded(x_min, x_max)
-    y_lo, y_hi = _padded(min(min(series.ys), min(curve_ys)), max(max(series.ys), max(curve_ys)))
+    y_lo, y_hi = _padded(min(y_min, min(curve_ys)), max(y_max, max(curve_ys)))
     left, top, width, height = _MARGIN_LEFT, _MARGIN_TOP, _PLOT_WIDTH, _PLOT_HEIGHT
     right = left + width
     bottom = top + height

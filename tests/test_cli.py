@@ -1,4 +1,5 @@
 import ast
+import builtins
 import contextlib
 import io
 import itertools
@@ -580,9 +581,8 @@ class TestStreamedSvg:
                                       "offset", "descending"])
     def test_file_equals_render_plot(self, tmp_path, rows, capsys):
         # A one-point figure has an empty x range, which render_plot refuses.
-        # The CLI takes the x range from the fit's window, render_plot from
-        # the data: offset months, and rows whose least and greatest x are
-        # not the first and last, check that the two agree.
+        # Offset months, and rows whose least and greatest x are not the
+        # first and last, check the axes against the data's own bounds.
         if rows == "offset":
             text = "Month,Values\n" + "".join(
                 f"{202401 + i / 12:.6f},{(i % 12 - 6) ** 2 + i * 7919 % 101 / 20:.4f}\n"
@@ -621,6 +621,34 @@ class TestStreamedSvg:
                      "--report", str(report_path)]) == 1
         assert not svg_path.exists() and not report_path.exists()
         assert capsys.readouterr() == ("", "quadfit: NumericalOverflow: the legend overflows\n" * 2)
+
+
+@pytest.mark.parametrize("svg", [False, True])
+def test_each_column_is_scanned_once(tmp_path, monkeypatch, capsys, svg):
+    # The Series measures each column's bounds as it is built; the fit's
+    # window, y's scale and the chart's axes all read them there.
+    rows = 1000
+    scans = []
+
+    def counting(name):
+        real = getattr(builtins, name)
+
+        def scan(*args, **kwargs):
+            if len(args) == 1 and hasattr(args[0], "__len__") and len(args[0]) == rows:
+                scans.append(name)
+            return real(*args, **kwargs)
+        return scan
+
+    argv = ["-i", write_csv(tmp_path, noisy_csv(rows))]
+    if svg:
+        argv += ["--svg", str(tmp_path / "chart.svg")]
+    monkeypatch.setattr(builtins, "min", counting("min"))
+    monkeypatch.setattr(builtins, "max", counting("max"))
+    code = main(argv)
+    monkeypatch.undo()
+    assert code == 0
+    assert sorted(scans) == ["max", "max", "min", "min"]
+
 
 # Any finite float, with the extremes and subnormals drawn often.
 FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(

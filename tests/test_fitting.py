@@ -10,6 +10,7 @@ from support import fit_instances, spaced_abscissae
 from conftest import DERIVED_COEFFS, DERIVED_XS, DERIVED_YS
 
 from quadfit import (
+    CsvSchema,
     DegenerateAbscissa,
     DomainWindow,
     InsufficientData,
@@ -20,8 +21,10 @@ from quadfit import (
     Series,
     eval_poly,
     fit_polynomial,
+    parse_csv,
 )
 from quadfit.fitting import _fit, convert_domain
+from quadfit.ingest import _plain_columns
 
 
 class TestSeries:
@@ -42,6 +45,22 @@ class TestSeries:
     def test_nonfinite(self, bad):
         with pytest.raises(ValueError):
             Series((1.0, 2.0), (1.0, bad))
+
+    def test_bounds_are_measured_on_every_path(self):
+        # Series() and both parse_csv paths store each column's (min, max),
+        # which is derived: ==, hash and repr see the fields alone.
+        xs, ys = (3.0, -1.5, 7.25, 0.0), (2.0, 9.5, -4.0, 2.0)
+        plain = "Month,Values\n" + "".join(f"{x},{y}\n" for x, y in zip(xs, ys))
+        quoted = "Month,Values\n" + "".join(f'"{x}",{y}\n' for x, y in zip(xs, ys))
+        schema = CsvSchema()
+        assert _plain_columns(plain.encode(), schema) is not None
+        assert _plain_columns(quoted.encode(), schema) is None
+        built = [Series(xs, ys), parse_csv(plain.encode()), parse_csv(quoted.encode())]
+        for s in built:
+            assert s._x_bounds == (min(s.xs), max(s.xs)) == (-1.5, 7.25)
+            assert s._y_bounds == (min(s.ys), max(s.ys)) == (-4.0, 9.5)
+            assert s == built[0] and hash(s) == hash(built[0])
+            assert repr(s) == f"Series(xs={xs!r}, ys={ys!r})"
 
 
 class TestEvalPoly:
