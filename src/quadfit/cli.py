@@ -236,7 +236,7 @@ def run(args: Args) -> None:
     # The report sums the residual and ss_tot the fit leaves behind, on its
     # scale of y, as fit_report would; the render does not need them.
     model, residuals, ss_tot, exponent = _fit(series, args.degree)
-    report = _residual_report(series.ys, residuals, ss_tot, exponent)
+    report = _residual_report(residuals, exponent, ss_tot, exponent)
     del residuals
 
     text = format_report(model, report)

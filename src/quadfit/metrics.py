@@ -2,10 +2,10 @@
 
 Each square is a product d * d, which IEEE 754 rounds correctly (d ** 2
 calls C pow, which need not), and the squares are summed by math.fsum
-(exact compensated summation), on the fit's scale (y - y0) * 2**e; R^2 is
-the ratio of two such sums, and each is scaled back for the report.  A sum
-that leaves the float range raises NumericalOverflow, and so does an R^2
-past it.
+(exact compensated summation), each times its own power of two: ss_tot on
+the fit's scale (y - y0) * 2**e.  R^2 is the ratio of the two sums, and
+each is scaled back for the report.  A sum that leaves the float range
+raises NumericalOverflow, and so does an R^2 past it.
 """
 
 import math
@@ -14,11 +14,6 @@ import operator
 from ._record import record
 from .errors import NumericalOverflow, UndefinedRSquared
 from .fitting import PolynomialModel, Series, _centred_deviations, _evaluate
-
-# With constant data y0, residual mass up to this bound per observation,
-# times max(1, y0^2), still counts as a perfect fit (R^2 = 1); anything
-# larger is undefined.
-CONSTANT_DATA_RESIDUAL_TOLERANCE = 1e-12
 
 _SUM_OVERFLOW = "a sum of squares overflows a float; the values are too large"
 
@@ -49,48 +44,44 @@ def fit_report(model: PolynomialModel, series: Series) -> FitReport:
     residual the fit leaves behind instead.  The model's values are rounded
     on y's grid, so where y's spread is a few ulps of its size, this R^2 is
     as coarse as the spread.  When all observations are equal, the ratio is
-    undefined; a model that reproduces the constant within tolerance scores 1.
+    undefined; a model that reproduces every y exactly scores 1.
 
     Raises:
         NumericalOverflow: a sum of squares, or the ratio ss_res/ss_tot,
             leaves the float range.
         UndefinedRSquared: constant data that the model does not reproduce.
     """
-    ys = series.ys
     try:
         _, _, ss_tot, exponent = _centred_deviations(series)
     except OverflowError:
         raise NumericalOverflow(_SUM_OVERFLOW) from None
-    residuals = list(map(operator.sub, ys, _evaluate(model, series.xs)))
+    residuals = list(map(operator.sub, series.ys, _evaluate(model, series.xs)))
     top = max(map(abs, residuals))
     if not math.isfinite(top):
         raise NumericalOverflow(_SUM_OVERFLOW)
-    # Scaled by their own largest value into [1/2, 1), shift places below
-    # y's deviations (above them where shift < 0): no square overflows,
+    # Scaled by their own largest value into [1/2, 1): no square overflows,
     # and only one negligible beside the largest underflows.
-    shift = exponent + math.frexp(top)[1]
-    scaled = [math.ldexp(r, exponent - shift) for r in residuals]
-    return _residual_report(ys, scaled, ss_tot, exponent, shift)
+    scale = -math.frexp(top)[1]
+    return _residual_report([math.ldexp(r, scale) for r in residuals], scale, ss_tot, exponent)
 
 
-def _residual_report(ys, residuals, ss_tot: float, exponent: int, shift: int = 0) -> FitReport:
-    """FitReport of observations ys from their residuals y - fit, scaled by
-    2**(exponent - shift), and their ss_tot, scaled by 2**(2 exponent): the
-    sums and rules of fit_report, raising what it raises."""
-    n = len(ys)
+def _residual_report(residuals, scale: int, ss_tot: float, exponent: int) -> FitReport:
+    """FitReport from the residuals y - fit times 2**scale and ss_tot times
+    4**exponent: the sums and rules of fit_report, raising what it raises."""
+    n = len(residuals)
     # Scaled residuals are small and finite, but max() can pass over a nan.
     res = math.fsum(map(operator.mul, residuals, residuals))
     if not math.isfinite(res):
         raise NumericalOverflow(_SUM_OVERFLOW)
-    ss_res = _scaled_back(res, exponent - shift)
+    ss_res = _scaled_back(res, scale)
     if ss_tot == 0.0:
-        # Constant data, so exponent is 0; a product, not y0 ** 2, is inf for a huge y0.
-        scale = max(1.0, abs(ys[0]))
-        if ss_res > CONSTANT_DATA_RESIDUAL_TOLERANCE * n * scale * scale:
-            raise UndefinedRSquared(f"constant data with nonzero residual mass ({ss_res:.3e})")
+        # Constant data: R^2 is 1 only for a model that reproduces every y.
+        # res is tested, not ss_res, which can underflow for one that misses.
+        if res != 0.0:
+            raise UndefinedRSquared(f"constant data with nonzero residuals (ss_res={ss_res:.3e})")
         return FitReport(ss_res, ss_tot, 1.0, n)
     try:
-        ratio = math.ldexp(res / ss_tot, 2 * shift)
+        ratio = math.ldexp(res / ss_tot, 2 * (exponent - scale))
     except OverflowError:
         raise NumericalOverflow(
             "R^2 overflows a float; the residuals are too large for the spread of y") from None

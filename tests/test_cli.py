@@ -286,7 +286,8 @@ class TestEndToEnd:
                                                             rel=1e-9, abs=0.0)
 
     def test_large_constant_data(self, tmp_path, capsys):
-        # The fitted constant may be an ulp off so large a y.
+        # The fit works on y - y0, so it reproduces constant data exactly,
+        # however large y is.
         rows = "".join(f"{x},4090082241507.382\n" for x in range(1, 7))
         path = write_csv(tmp_path, "Month,Values\n" + rows)
         assert main(["-i", path, "--degree", "1"]) == 0
@@ -690,6 +691,7 @@ CELL = FINITE | st.sampled_from(OFF_GRAMMAR)
 # A spread of a few ulps of y: exact R^2 0.28125 and 27/56.
 @example(rows=NEAR_CONSTANT_ROWS, degree=1)
 @example(rows=NEAR_CONSTANT_ROWS, degree=2)
+@example(rows=[(float(x), 4090082241507.382) for x in range(1, 7)], degree=2)
 def test_any_finite_csv_gives_report_or_one_error(rows, degree):
     # A float's str() is its repr, which round-trips.
     text = "Month,Values\n" + "".join(f"{x},{y}\n" for x, y in rows)
@@ -715,11 +717,19 @@ def test_any_finite_csv_gives_report_or_one_error(rows, degree):
     if svg is not None:
         xs = drawn_xs(svg)
         assert xs and all(0.0 <= x <= WIDTH for x in xs)
+        report = parse_report(out.getvalue())
+        _, _, ss_res, ss_tot, want = exact_report([x for x, _ in rows], [y for _, y in rows], degree)
         # The printed R^2 is the exact one to its six decimals: within half
         # a unit of the last, give or take the oracle's 1e-9.
-        printed = Fraction(re.search(r"^r_squared=(.*)$", out.getvalue(), re.M).group(1))
-        *_, want = exact_report([x for x, _ in rows], [y for _, y in rows], degree)
+        printed = Fraction(report["r_squared"])
         assert abs(printed - (1 if want is None else want)) <= Fraction(1, 2 * 10**6) + Fraction(1, 10**9)
+        # The sums to their 11 digits and the oracle's 1e-9 of ss_tot; one
+        # that underflows is off by up to the smallest subnormal.
+        tiny = Fraction(2.0 ** -1074)
+        assert abs(Fraction(report["ss_tot"]) - ss_tot) <= Fraction(1e-10) * ss_tot + tiny
+        assert abs(Fraction(report["ss_res"]) - ss_res) <= Fraction(1e-9) * ss_tot + tiny
+        if ss_tot == 0:
+            assert Fraction(report["ss_tot"]) == Fraction(report["ss_res"]) == 0
 
 
 SAMPLE_CSV = REPO_ROOT / "data" / "pm25_monthly.csv"

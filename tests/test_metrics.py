@@ -20,6 +20,7 @@ from conftest import (
 from quadfit import (
     NumericalOverflow,
     PolynomialModel,
+    QuadfitError,
     Series,
     UndefinedRSquared,
     eval_poly,
@@ -28,10 +29,7 @@ from quadfit import (
     parse_csv,
 )
 from quadfit.fitting import _fit
-from quadfit.metrics import (
-    CONSTANT_DATA_RESIDUAL_TOLERANCE,
-    _residual_report,
-)
+from quadfit.metrics import _residual_report
 
 
 def total_sum_of_squares(ys):
@@ -89,6 +87,14 @@ class TestRSquared:
         with pytest.raises(UndefinedRSquared):
             fit_report(PolynomialModel((6.0, -1.5, 0.5)), series)
 
+    @pytest.mark.parametrize("coeff, y", [
+        (1.0000000000000002, 1.0),  # one ulp off
+        (5e-324, 0.0),              # off by so little that ss_res underflows to 0
+    ])
+    def test_constant_data_missed_by_any_amount_is_undefined(self, coeff, y):
+        with pytest.raises(UndefinedRSquared):
+            fit_report(PolynomialModel((coeff,)), Series((1, 2, 3), (y, y, y)))
+
     @pytest.mark.parametrize("coeff, ys", [
         (5e153, (0.0, 1e-150, 3e-150)),  # ss_res / ss_tot passes the float range
         (1.0, (0.0, 1e-160, 3e-160)),    # so does the ratio of the rescaled sums
@@ -113,10 +119,11 @@ class TestFitReport:
         report = fit_report(model, series)
         assert report.r_squared == 1.0
         assert report.ss_tot == 0.0
-        assert report.ss_res <= 1e-12
+        assert report.ss_res == 0.0
 
     def test_large_constant_data(self):
-        # The fitted constant fsum(ys)/n may be an ulp off a large y.
+        # The fit works on y - y0, so it reproduces constant data exactly,
+        # however large y is.
         for m in (1.1, 2.3, 4.090082241507382, 7.7):
             for k in range(16):
                 value = m * 10.0 ** k
@@ -232,7 +239,7 @@ def test_fit_report_ss_res_matches_pointwise_evaluation(coeffs, points):
         got = None
     except UndefinedRSquared:
         assert len(set(series.ys)) == 1
-        assert want > CONSTANT_DATA_RESIDUAL_TOLERANCE * len(series)
+        assert any(residuals)
         return
     assert (got is None) == (want is None)
     if got is None:
@@ -263,7 +270,7 @@ def test_fit_residual_ss_res_matches_fit_report(data):
     xs, ys, degree = data
     series = Series(tuple(xs), tuple(ys))
     model, residuals, ss_tot, exponent = _fit(series, degree)
-    fitted = _residual_report(series.ys, residuals, ss_tot, exponent)
+    fitted = _residual_report(residuals, exponent, ss_tot, exponent)
     evaluated = fit_report(model, series)
     bound = 16 * len(ys) * U * max(map(abs, ys))
     assert abs(fitted.ss_res - evaluated.ss_res) <= bound * (2 * math.sqrt(evaluated.ss_res) + bound)
@@ -272,9 +279,32 @@ def test_fit_residual_ss_res_matches_fit_report(data):
     _, _, want, ss_tot, _ = exact_report(xs, ys, degree)
     for report in (fitted, evaluated):
         if ss_tot == 0:
-            assert report.ss_res <= CONSTANT_DATA_RESIDUAL_TOLERANCE * len(ys) * max(1.0, ys[0] ** 2)
+            assert report.ss_res == 0.0
         else:
             assert abs(Fraction(report.ss_res) - want) <= Fraction(1e-9) * ss_tot
+
+
+CONSTANT_YS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 4090082241507.382,
+               1e308, -1e308, -1.7976931348623157e308)
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=st.sampled_from(CONSTANT_YS) | FINITE,
+       offset=st.sampled_from((0.0, 1e15, -1e15)) | st.floats(-1e15, 1e15),
+       span=st.floats(-300, 300).map(lambda k: 10.0 ** k),
+       n=st.integers(2, 12), data=st.data())
+def test_fitted_models_reproduce_constant_data(y, offset, span, n, data):
+    # Wherever the fit succeeds, its residual on constant data is exactly
+    # 0, both as the fit leaves it and as fit_report evaluates the model.
+    degree = data.draw(st.integers(0, min(4, n - 1)))
+    series = Series(tuple(offset + span * i / (n - 1) for i in range(n)), (y,) * n)
+    try:
+        model, residuals, ss_tot, exponent = _fit(series, degree)
+    except QuadfitError:
+        return
+    for report in (_residual_report(residuals, exponent, ss_tot, exponent),
+                   fit_report(model, series)):
+        assert report.ss_res == 0.0 and report.r_squared == 1.0
 
 
 # The smallest normal float is why the fit scales y's deviations by a
@@ -291,7 +321,7 @@ def test_near_constant_data_gets_the_exact_r_squared(centre, degree, steps):
     ys = [centre + k * math.ulp(centre) for k in steps]
     xs = [float(i) for i in range(1, len(ys) + 1)]
     model, residuals, ss_tot, exponent = _fit(Series(tuple(xs), tuple(ys)), degree)
-    got = _residual_report(ys, residuals, ss_tot, exponent).r_squared
+    got = _residual_report(residuals, exponent, ss_tot, exponent).r_squared
     *_, want = exact_report(xs, ys, degree)
     assert abs(Fraction(got) - (1 if want is None else want)) <= Fraction(1, 10**9)
 
