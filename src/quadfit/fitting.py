@@ -5,8 +5,20 @@ window and fits there with Forsythe's orthogonal polynomials (G. E.
 Forsythe, "Generation and use of orthogonal polynomials for data-fitting
 with a digital computer", J. SIAM 5(2), 1957).  The polynomials come from
 a three-term recurrence and the residual is projected onto each in turn,
-so the fit takes O(n*d) time, holds at most five length-n lists at once,
-and never forms normal equations, which square the condition number.
+so the fit takes O(n*d) time and never forms normal equations, which
+square the condition number.
+
+Half of the recurrence depends on t alone: mean(t), each ||p_k||^2 and
+each a_k.  Where os.fork exists, no other Python thread runs and n*d
+reaches _HELPER_MIN_WORK, the fit forks one helper process that computes
+those scalars on its copy of t and writes each to a pipe as soon as it
+has it, while the fitting process computes everything else and takes
+each scalar from the pipe in place of computing it.  From the first
+scalar that does not arrive whole, the fitting process computes that one
+and every later one itself, by the same code, so the helper changes no
+float and no error.  The helper never writes to stdout or stderr, and is
+reaped before the fit returns or raises.  The fitting process holds at
+most five length-n lists at once, and the helper four of its own.
 
 The fitted model keeps its coefficients in powers of t together with its
 window, and every value of it is taken in t, by one helper here.  The one
@@ -27,8 +39,10 @@ is used anywhere in the package.  Finite input that the fit cannot hold
 in floats raises NumericalOverflow.
 """
 
+import _thread
 import math
 import operator
+import os
 
 from ._record import record
 from .errors import (
@@ -44,6 +58,11 @@ from .errors import (
 # exact arithmetic the norms equal the R diagonal of a QR factorization of
 # the scaled Vandermonde matrix, so the test is the classical one.
 RANK_TOLERANCE = 1e-10
+
+# A fit of n points at degree d starts a helper process once n * d reaches
+# this.  Below it, the fork and reap, about 1.2 ms on a 2-vCPU machine,
+# cost more than the helper saves.
+_HELPER_MIN_WORK = 2 ** 15
 
 DEFAULT_DEGREE = 2
 
@@ -197,58 +216,40 @@ def _centred_deviations(series: Series) -> tuple[list[float], float, float, int]
     return centred, mean, math.fsum(map(operator.mul, centred, centred)), exponent
 
 
-def _orthogonal_fit(ts: list[float], series: Series,
-                    degree: int) -> tuple[list[float], list[float], float, int]:
-    """Least-squares coefficients in ascending powers of t, by Forsythe's method
-    on _centred_deviations(series), with (y - fit) * 2**e, ss_tot * 4**e and e.
+def _polynomials(ts: list[float], degree: int, scalar):
+    """Yield p_k, its coefficients in powers of t and ||p_k||^2, for
+    k = 1, ..., degree: the half of Forsythe's recurrence that depends on t
+    alone.
 
-    Builds the monic polynomials orthogonal over the points,
-    p_{k+1} = (t - a_k) p_k - b_k p_{k-1}, projects the running residual
-    onto each (modified Gram-Schmidt), and accumulates c_k p_k in powers
-    of t.  Each p_k is held both as its values at the points and as its
-    power-in-t coefficients.  The first two are written in closed form:
-    p_0 = 1, whose squared norm is n, whose coefficient is the mean
-    deviation, and after which the residual's squared norm is ss_tot; and
-    p_1 = t - mean(t).  The recurrence takes over from k = 1.
+    p_1 = t - mean(t), and p_{k+1} = (t - a_k) p_k - b_k p_{k-1}, where
+    a_k = (t p_k, p_k) / ||p_k||^2 and b_k = ||p_k||^2 / ||p_{k-1}||^2 with
+    ||p_0||^2 = n.  Each p_k is held both as its values at the points and
+    as its power-in-t coefficients.  Each of the scalars mean(t),
+    ||p_k||^2 and a_k (for k < degree), in that order, is
+    scalar(compute): compute() itself, or the same float taken from the
+    helper that computes it.
 
-    At most five length-n lists are alive at once: t, the residual,
-    p_{k-1}, p_k, and the residual or p_{k+1} being built.  Neither p_0 nor
-    t * p_k is stored: the step from p_1 drops b * p_0, which is b, and
-    t * p_k is formed where the sum for a and the recurrence use it, so
-    every float is the same product, taken in the same order.
-
-    Raises:
-        RankDeficient: some ||p_k|| falls below RANK_TOLERANCE times the
-            largest, so the points cannot resolve a degree-k term.
+    Neither p_0 nor t * p_k is stored: the step from p_1 drops b * p_0,
+    which is b, and t * p_k is formed where the sum for a and the
+    recurrence use it, so every float is the same product, taken in the
+    same order.  Three length-n lists are alive at once: p_{k-1}, p_k and
+    p_{k+1} while it is built.
     """
     n = len(ts)
-    residual, mean, ss_tot, exponent = _centred_deviations(series)
-    coeffs = [mean] + [0.0] * degree
-    a = math.fsum(ts) / n
+    a = scalar(lambda: math.fsum(ts) / n)
     p_prev, p = None, [t - a for t in ts]
     poly_prev, poly = [1.0], [-a, 1.0]
-    norm2_prev = norm2_max = float(n)
+    norm2_prev = float(n)
     for k in range(1, degree + 1):
-        # Compared squared, and before any division: norm2_max >= n > 0,
-        # so a zero norm2 always raises here.
-        norm2 = math.fsum(map(operator.mul, p, p))
-        norm2_max = max(norm2_max, norm2)
-        if norm2 < RANK_TOLERANCE * RANK_TOLERANCE * norm2_max:
-            raise RankDeficient(
-                f"x values cannot resolve a degree-{k} term within tolerance"
-            )
-        c = math.fsum(map(operator.mul, residual, p)) / norm2
-        for j, q in enumerate(poly):
-            coeffs[j] += c * q
+        norm2 = scalar(lambda: math.fsum(map(operator.mul, p, p)))
         if k == degree:
-            # The last step needs no next polynomial, so p_{k-1} is freed
-            # before the residual is built: the fit's peak memory stays at
-            # that of the steps before it.
+            # p_{k-1} is freed before the caller builds its last residual:
+            # the fit's peak memory stays at that of the steps before it.
             del p_prev
-            residual = [r - c * v for r, v in zip(residual, p)]
-            break
-        residual = [r - c * v for r, v in zip(residual, p)]
-        a = math.fsum(map(operator.mul, map(operator.mul, ts, p), p)) / norm2
+            yield p, poly, norm2
+            return
+        yield p, poly, norm2
+        a = scalar(lambda: math.fsum(map(operator.mul, map(operator.mul, ts, p), p)) / norm2)
         b = norm2 / norm2_prev
         if p_prev is None:
             # b * p_0 is b * 1.0, which is b.
@@ -262,6 +263,123 @@ def _orthogonal_fit(ts: list[float], series: Series,
             nxt[j] -= b * q
         poly_prev, poly = poly, nxt
         norm2_prev = norm2
+
+
+def _scalars(lines):
+    """scalar(compute) for _polynomials: each scalar read from the next of
+    lines, until one is missing or lacks its newline; from then on,
+    compute() for that scalar and every later one."""
+    def scalar(compute):
+        nonlocal lines
+        line = next(lines, b"")
+        if line.endswith(b"\n"):
+            return float(line)
+        lines = iter(())
+        return compute()
+    return scalar
+
+
+def _sent(fd: int, value: float) -> float:
+    """value, once written to fd as one line of text that reads back as the
+    same float: one write of far less than PIPE_BUF bytes, so a reader of
+    a pipe never sees part of a line.  A NaN reads back without its sign,
+    which no comparison sees, and a fit that meets one raises
+    NumericalOverflow either way."""
+    os.write(fd, b"%r\n" % value)
+    return value
+
+
+def _start_helper(ts: list[float], degree: int):
+    """(pid, file) of a forked helper that runs _polynomials on ts and
+    writes each scalar to the pipe the file reads, as soon as it is
+    computed; None where the fit is too small to gain from one, where fork
+    is missing or could not start a process, or while other Python threads
+    run, whose locks a forked process may inherit held.
+
+    The helper writes nothing else and ends through os._exit on every
+    path, so it never runs the parent's clean-up or flushes its buffers.
+    """
+    if len(ts) * degree < _HELPER_MIN_WORK or not hasattr(os, "fork") or _thread._count():
+        return None
+    fds = ()
+    try:
+        fds = read_fd, write_fd = os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            for _ in _polynomials(ts, degree, lambda compute: _sent(write_fd, compute())):
+                pass
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _stop_helper(pid: int, file) -> None:
+    """Close the helper's pipe, which ends its next write, and reap it."""
+    file.close()
+    try:
+        os.waitpid(pid, 0)
+    except ChildProcessError:
+        # Reaped already, as where SIGCHLD is ignored.
+        pass
+
+
+def _orthogonal_fit(ts: list[float], series: Series,
+                    degree: int) -> tuple[list[float], list[float], float, int]:
+    """Least-squares coefficients in ascending powers of t, by Forsythe's method
+    on _centred_deviations(series), with (y - fit) * 2**e, ss_tot * 4**e and e.
+
+    Projects the running residual onto each p_k of _polynomials in turn
+    (modified Gram-Schmidt), and accumulates c_k p_k in powers of t.  p_0
+    = 1 is written in closed form: its squared norm is n, its coefficient
+    the mean deviation, and after it the residual's squared norm is ss_tot.
+
+    When n * degree reaches _HELPER_MIN_WORK, a forked helper computes
+    the scalars of _polynomials that depend on t alone, mean(t), ||p_k||^2
+    and a_k, on the second processor, while this process computes the
+    deviations, each p_k, c_k and the residual.  Each scalar is taken from
+    the helper's pipe while its lines come whole; from the first that does
+    not, this process computes that scalar and every later one itself.
+    Both compute each scalar by the same code from the same floats, so a
+    helper that fails, or is killed, gives the same floats and the same
+    exception at the same step as no helper does.  The helper is reaped
+    before this returns or raises.
+
+    This process holds at most five length-n lists at once: t, the
+    residual, p_{k-1}, p_k, and the residual or p_{k+1} being built.  The
+    helper holds four of its own: its copy of t, p_{k-1}, p_k and p_{k+1}.
+
+    Raises:
+        RankDeficient: some ||p_k|| falls below RANK_TOLERANCE times the
+            largest, so the points cannot resolve a degree-k term.
+    """
+    helper = _start_helper(ts, degree)
+    try:
+        scalar = _scalars(iter(helper[1] if helper else ()))
+        residual, mean, ss_tot, exponent = _centred_deviations(series)
+        coeffs = [mean] + [0.0] * degree
+        norm2_max = float(len(ts))
+        for k, (p, poly, norm2) in enumerate(_polynomials(ts, degree, scalar), 1):
+            # Compared squared, and before any division: norm2_max >= n > 0,
+            # so a zero norm2 always raises here.
+            norm2_max = max(norm2_max, norm2)
+            if norm2 < RANK_TOLERANCE * RANK_TOLERANCE * norm2_max:
+                raise RankDeficient(
+                    f"x values cannot resolve a degree-{k} term within tolerance"
+                )
+            c = math.fsum(map(operator.mul, residual, p)) / norm2
+            for j, q in enumerate(poly):
+                coeffs[j] += c * q
+            residual = [r - c * v for r, v in zip(residual, p)]
+    finally:
+        if helper:
+            _stop_helper(*helper)
     coeffs = [math.ldexp(c, -exponent) for c in coeffs]
     coeffs[0] += series.ys[0]
     return coeffs, residual, ss_tot, exponent

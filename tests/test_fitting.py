@@ -1,4 +1,8 @@
 import math
+import os
+import random
+import signal
+import threading
 import tracemalloc
 
 import pytest
@@ -17,12 +21,14 @@ from quadfit import (
     InvalidDegree,
     NumericalOverflow,
     PolynomialModel,
+    QuadfitError,
     RankDeficient,
     Series,
     eval_poly,
     fit_polynomial,
     parse_csv,
 )
+from quadfit import fitting
 from quadfit.fitting import _fit, convert_domain
 from quadfit.ingest import _plain_columns
 
@@ -324,20 +330,210 @@ class TestFitPolynomial:
 
 class TestFitMemory:
     @pytest.mark.parametrize("degree, lists", [(2, 4.5), (10, 5.5)])
-    def test_peak_stays_within_a_few_length_n_lists(self, degree, lists):
+    def test_peak_stays_within_a_few_length_n_lists(self, degree, lists, monkeypatch):
         # A list of n new floats costs 32 bytes a value.  Degree 2 holds
         # four such lists at its peak and degree 10 five: t, the residual,
         # p_{k-1} after the first step, p_k, and the list being built.
+        # The budget holds with the helper process and without it.
         n = 20_000
         xs = [1.0 + 11.0 * i / (n - 1) for i in range(n)]
         series = Series(xs, [(x - 6.0) ** 2 + (i * 7919) % 101 / 20.0 for i, x in enumerate(xs)])
-        tracemalloc.start()
+        for min_work in (1, math.inf):
+            monkeypatch.setattr(fitting, "_HELPER_MIN_WORK", min_work)
+            tracemalloc.start()
+            try:
+                _fit(series, degree)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= lists * 32 * n
+
+
+def outcome(series, degree):
+    """What _fit gives, each float as its hex text so that -0.0 and 0.0
+    differ: the model in t, the residual, ss_tot and e, or the error's
+    type and message.  No process outlives the fit either way."""
+    try:
+        model, residual, ss_tot, exponent = _fit(series, degree)
+        result = ([c.hex() for c in model.scaled], [r.hex() for r in residual],
+                  ss_tot.hex(), exponent)
+    except QuadfitError as exc:
+        result = type(exc), str(exc)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return result
+
+
+def in_process(monkeypatch, series, degree):
+    """outcome(series, degree) with no helper, the fork threshold left as
+    it was found."""
+    min_work = fitting._HELPER_MIN_WORK
+    monkeypatch.setattr(fitting, "_HELPER_MIN_WORK", math.inf)
+    try:
+        return outcome(series, degree)
+    finally:
+        monkeypatch.setattr(fitting, "_HELPER_MIN_WORK", min_work)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the helpers that fits fork, with every fit of degree
+    one or more large enough to start one."""
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(fitting, "_HELPER_MIN_WORK", 1)
+    return pids
+
+
+def offset_series(n, x_offset, y_offset, y_scale, seed):
+    rng = random.Random(seed)
+    xs = [x_offset + 0.37 * i + (i * i % 7) * 0.01 for i in range(n)]
+    return Series(xs, [y_offset + y_scale * rng.gauss(0.0, 1.0) for _ in xs])
+
+
+# Each cause of NumericalOverflow from a fit of degree one or more.
+OVERFLOWS = [
+    ((1.0, 2.0, 3.0), (1e308, -1e308, 1e308), 2),  # y - y0
+    ((0.0, 1.0, 2.0, 3.0), (0.0, 1.7e308, -1.7e308, 0.0), 3),  # a coefficient in t
+    ((0.0, 1.0, 2.0), (1.1136231012689191e307, -7.851356164947664e307, 6.618344288753492e307), 2),
+    ((1e-300, 2e-300, 3e-300, 4e-300, 5e-300), (1.0, 2.0, 0.0, 5.0, 1.0), 3),  # 1/half**degree
+    ((-1e308, 0.0, 1e308), (1.0, 2.0, 3.0), 2),  # the x span
+    ((0.0, 5e-324, 0.0), (1.0, 2.0, 3.0), 1),  # no half-width
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper is forked")
+class TestHelperProcess:
+    """A fit large enough to fork a helper for the sums in t alone gives
+    the same floats, or the same error, as one computed in process."""
+
+    @pytest.mark.parametrize("degree", range(1, 11))
+    def test_bit_identical_to_the_fit_in_process(self, degree, forks, monkeypatch):
+        cases = [(x_offset, y_offset, y_scale)
+                 for x_offset in (0.0, 2024.0, 1e6, 1e12)
+                 for y_offset, y_scale in ((0.0, 1e-300), (0.0, 1e-12), (0.0, 1.0),
+                                           (4090082241507.382, 1.0), (0.0, 1e150), (0.0, 1e300))]
+        for seed, (x_offset, y_offset, y_scale) in enumerate(cases):
+            series = offset_series(40, x_offset, y_offset, y_scale, seed)
+            alone = in_process(monkeypatch, series, degree)
+            assert outcome(series, degree) == alone
+        assert len(forks) == len(cases)
+
+    @pytest.mark.parametrize("k", [2, 5, 9])
+    def test_rank_deficiency_raises_at_the_same_step(self, k, forks, monkeypatch):
+        # k clusters, each of twelve x values 1e-13 apart, resolve terms up
+        # to degree k - 1.
+        xs = [j + i * 1e-13 for j in range(k) for i in range(12)]
+        series = Series(xs, [float(i % 3) for i in range(len(xs))])
+        want = (RankDeficient, f"x values cannot resolve a degree-{k} term within tolerance")
+        assert in_process(monkeypatch, series, 10) == want
+        assert outcome(series, 10) == want
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("xs, ys, degree", OVERFLOWS)
+    def test_each_overflow_raises_the_same_error(self, xs, ys, degree, forks, monkeypatch):
+        series = Series(xs, ys)
+        alone = in_process(monkeypatch, series, degree)
+        assert alone[0] is NumericalOverflow
+        assert outcome(series, degree) == alone
+
+    @pytest.mark.parametrize("cut", [False, True], ids=["ends", "cuts-a-line"])
+    @pytest.mark.parametrize("sent", range(9))
+    def test_a_helper_that_stops_is_finished_in_process(self, sent, cut, forks, monkeypatch, capfd):
+        # Degree 4 takes nine scalars: mean(t), then ||p_k||^2 for k = 1..4
+        # and a_k for k = 1..3.  This helper sends the first `sent`, then
+        # writes part of a line or nothing, and fails.
+        series = offset_series(200, 3.0, 0.0, 1.0, sent)
+        alone = in_process(monkeypatch, series, 4)
+        count = [0]
+        whole = fitting._sent
+
+        def failing_sent(fd, value):
+            if count[0] == sent:
+                if cut:
+                    os.write(fd, repr(value)[:-1].encode())
+                raise OverflowError("the helper fails")
+            count[0] += 1
+            return whole(fd, value)
+
+        monkeypatch.setattr(fitting, "_sent", failing_sent)
+        assert outcome(series, 4) == alone
+        assert len(forks) == 1
+        assert capfd.readouterr() == ("", "")
+
+    def test_the_fit_takes_its_scalars_from_the_helper(self, forks, monkeypatch):
+        # A helper that sends each scalar doubled changes the fit, so the
+        # helper path above is not the fit in process by another route.
+        series = offset_series(200, 3.0, 0.0, 1.0, 0)
+        alone = in_process(monkeypatch, series, 3)
+        whole = fitting._sent
+        monkeypatch.setattr(fitting, "_sent", lambda fd, value: whole(fd, 2 * value) / 2)
+        assert outcome(series, 3) != alone
+
+    def test_fits_in_process_while_another_thread_runs(self, forks, monkeypatch):
+        # A forked process inherits the locks other threads hold, and
+        # Python 3.12 and later warn about fork in a threaded process.
+        series = offset_series(200, 3.0, 0.0, 1.0, 0)
+        alone = in_process(monkeypatch, series, 3)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
         try:
-            _fit(series, degree)
-            peak = tracemalloc.get_traced_memory()[1]
+            got = outcome(series, 3)
         finally:
-            tracemalloc.stop()
-        assert peak <= lists * 32 * n
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert (got, forks) == (alone, [])
+
+    def test_fits_in_process_without_fork(self, monkeypatch):
+        series = offset_series(200, 3.0, 0.0, 1.0, 0)
+        alone = in_process(monkeypatch, series, 3)
+        monkeypatch.setattr(fitting, "_HELPER_MIN_WORK", 1)
+        monkeypatch.delattr(os, "fork")
+        assert outcome(series, 3) == alone
+
+    def test_fits_in_process_when_fork_fails(self, monkeypatch):
+        series = offset_series(200, 3.0, 0.0, 1.0, 0)
+        alone = in_process(monkeypatch, series, 3)
+        fds = []
+        pipe = os.pipe
+
+        def recorded_pipe():
+            fds.extend(pipe())
+            return tuple(fds)
+
+        def failing_fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(fitting, "_HELPER_MIN_WORK", 1)
+        monkeypatch.setattr(os, "pipe", recorded_pipe)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert outcome(series, 3) == alone
+        assert len(fds) == 2
+        for fd in fds:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    def test_a_helper_reaped_elsewhere_is_no_error(self, forks, monkeypatch):
+        # Where SIGCHLD is ignored, children are reaped as they exit, and
+        # waitpid fails once they have.
+        series = offset_series(200, 3.0, 0.0, 1.0, 0)
+        alone = in_process(monkeypatch, series, 3)
+        handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            got = outcome(series, 3)
+        finally:
+            signal.signal(signal.SIGCHLD, handler)
+        assert (got, len(forks)) == (alone, 1)
 
 
 class TestConvertDomain:

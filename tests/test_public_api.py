@@ -152,21 +152,26 @@ def test_cli_import_loads_only_what_the_pipeline_uses(tmp_path):
     # -S keeps site-packages .pth files from importing modules first.  The
     # child also runs the command line, so modules that parsing the
     # arguments, reading, fitting, rendering or writing would load are
-    # counted too.
+    # counted too.  The bundled data fits in process; 4,000 rows at degree
+    # 10 reach the fit's helper-process threshold.
     script = ("import sys; before = set(sys.modules); import quadfit.cli; "
               "code = quadfit.cli.main(sys.argv[1:]); "
               "print(code, sorted(set(sys.modules) - before))")
-    argv = ["-i", str(REPO_ROOT / "data" / "pm25_monthly.csv"),
-            "--svg", str(tmp_path / "chart.svg"), "--report", str(tmp_path / "fit.txt")]
+    large = tmp_path / "large.csv"
+    large.write_text("Month,Values\n" + "".join(f"{i},{i % 7}\n" for i in range(4_000)), encoding="ascii")
+    assert 4_000 * 10 >= quadfit.fitting._HELPER_MIN_WORK
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-    out = subprocess.run([sys.executable, "-S", "-c", script, *argv], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    code, added = out.split(" ", 1)
-    added = ast.literal_eval(added)
-    assert code == "0"
-    assert "quadfit.cli" in added
-    assert [m for m in added if m not in PIPELINE_MODULES and m.split(".")[0] != "quadfit"] == []
-    assert (tmp_path / "chart.svg").exists() and (tmp_path / "fit.txt").exists()
+    for data, degree in ((REPO_ROOT / "data" / "pm25_monthly.csv", 2), (large, 10)):
+        svg, report = tmp_path / f"{data.stem}.svg", tmp_path / f"{data.stem}.txt"
+        argv = ["-i", str(data), "--degree", str(degree), "--svg", str(svg), "--report", str(report)]
+        out = subprocess.run([sys.executable, "-S", "-c", script, *argv], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        code, added = out.split(" ", 1)
+        added = ast.literal_eval(added)
+        assert code == "0"
+        assert "quadfit.cli" in added
+        assert [m for m in added if m not in PIPELINE_MODULES and m.split(".")[0] != "quadfit"] == []
+        assert svg.exists() and report.exists()
 
 
 def test_failing_property_reports_as_a_failure(tmp_path):
