@@ -246,10 +246,15 @@ def run(args: Args) -> None:
     # leaves no SVG file, stdout empty and no report file.
     if spec is not None:
         chunks = _svg_chunks(series, model, report, spec)
-        first = next(chunks)
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(first)
-            fh.writelines(chunks)
+        try:
+            first = next(chunks)
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(first)
+                fh.writelines(chunks)
+        finally:
+            # A write that fails leaves the render suspended; closing it
+            # stops its marker helper before the error is reported.
+            chunks.close()
 
     if args.report == "-":
         sys.stdout.write(text)

@@ -9,16 +9,17 @@ so the fit takes O(n*d) time and never forms normal equations, which
 square the condition number.
 
 Half of the recurrence depends on t alone: mean(t), each ||p_k||^2 and
-each a_k.  Where os.fork exists, no other Python thread runs and n*d
-reaches _HELPER_MIN_WORK, the fit forks one helper process that computes
-those scalars on its copy of t and writes each to a pipe as soon as it
-has it, while the fitting process computes everything else and takes
-each scalar from the pipe in place of computing it.  From the first
-scalar that does not arrive whole, the fitting process computes that one
-and every later one itself, by the same code, so the helper changes no
-float and no error.  The helper never writes to stdout or stderr, and is
-reaped before the fit returns or raises.  The fitting process holds at
-most five length-n lists at once, and the helper four of its own.
+each a_k.  Where n*d reaches _HELPER_MIN_WORK, the fit starts one helper
+process (see _helper, which says where a process may fork and how long
+the fit waits) that computes those scalars on its copy of t and writes
+each to a pipe as soon as it has it, while the fitting process computes
+everything else and takes each scalar from the pipe in place of
+computing it.  From the first scalar that does not arrive whole, or in
+time, the fitting process computes that one and every later one itself,
+by the same code, so the helper changes no float and no error.  The
+helper is killed and reaped before the fit returns or raises.  The
+fitting process holds at most five length-n lists at once, and the
+helper four of its own.
 
 The fitted model keeps its coefficients in powers of t together with its
 window, and every value of it is taken in t, by one helper here.  The one
@@ -39,7 +40,6 @@ is used anywhere in the package.  Finite input that the fit cannot hold
 in floats raises NumericalOverflow.
 """
 
-import _thread
 import math
 import operator
 import os
@@ -60,8 +60,8 @@ from .errors import (
 RANK_TOLERANCE = 1e-10
 
 # A fit of n points at degree d starts a helper process once n * d reaches
-# this.  Below it, the fork and reap, about 1.2 ms on a 2-vCPU machine,
-# cost more than the helper saves.
+# this.  Below it, the helper's start, kill and reap, 1.1 ms from a 23 MiB
+# process on a 2-vCPU Xeon, cost more than the helper saves.
 _HELPER_MIN_WORK = 2 ** 15
 
 DEFAULT_DEGREE = 2
@@ -265,17 +265,15 @@ def _polynomials(ts: list[float], degree: int, scalar):
         norm2_prev = norm2
 
 
-def _scalars(lines):
-    """scalar(compute) for _polynomials: each scalar read from the next of
-    lines, until one is missing or lacks its newline; from then on,
-    compute() for that scalar and every later one."""
+def _scalars(chunks):
+    """scalar(compute) for _polynomials: each scalar read from the next whole
+    line of chunks, until they end; from then on, compute() for that
+    scalar and every later one."""
+    lines = (line for chunk in chunks for line in chunk.splitlines())
+
     def scalar(compute):
-        nonlocal lines
-        line = next(lines, b"")
-        if line.endswith(b"\n"):
-            return float(line)
-        lines = iter(())
-        return compute()
+        line = next(lines, None)
+        return compute() if line is None else float(line)
     return scalar
 
 
@@ -289,44 +287,10 @@ def _sent(fd: int, value: float) -> float:
     return value
 
 
-def _start_helper(ts: list[float], degree: int):
-    """(pid, file) of a forked helper that runs _polynomials on ts and
-    writes each scalar to the pipe the file reads, as soon as it is
-    computed; None where the fit is too small to gain from one, where fork
-    is missing or could not start a process, or while other Python threads
-    run, whose locks a forked process may inherit held.
-
-    The helper writes nothing else and ends through os._exit on every
-    path, so it never runs the parent's clean-up or flushes its buffers.
-    """
-    if len(ts) * degree < _HELPER_MIN_WORK or not hasattr(os, "fork") or _thread._count():
-        return None
-    fds = ()
-    try:
-        fds = read_fd, write_fd = os.pipe()
-        pid = os.fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        return None
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            for _ in _polynomials(ts, degree, lambda compute: _sent(write_fd, compute())):
-                pass
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _stop_helper(pid: int, file) -> None:
-    """Close the helper's pipe, which ends its next write, and reap it."""
-    file.close()
-    try:
-        os.waitpid(pid, 0)
-    except ChildProcessError:
-        # Reaped already, as where SIGCHLD is ignored.
+def _send_scalars(ts: list[float], degree: int, fd: int) -> None:
+    """The helper's work: run _polynomials on ts, writing each scalar to
+    fd as soon as it is computed."""
+    for _ in _polynomials(ts, degree, lambda compute: _sent(fd, compute())):
         pass
 
 
@@ -344,12 +308,12 @@ def _orthogonal_fit(ts: list[float], series: Series,
     the scalars of _polynomials that depend on t alone, mean(t), ||p_k||^2
     and a_k, on the second processor, while this process computes the
     deviations, each p_k, c_k and the residual.  Each scalar is taken from
-    the helper's pipe while its lines come whole; from the first that does
-    not, this process computes that scalar and every later one itself.
-    Both compute each scalar by the same code from the same floats, so a
-    helper that fails, or is killed, gives the same floats and the same
-    exception at the same step as no helper does.  The helper is reaped
-    before this returns or raises.
+    the helper's pipe while its lines come whole and in time; from the
+    first that does not, this process computes that scalar and every later
+    one itself.  Both compute each scalar by the same code from the same
+    floats, so a helper that fails, stops or is killed gives the same
+    floats and the same exception at the same step as no helper does.  The
+    helper is killed and reaped before this returns or raises.
 
     This process holds at most five length-n lists at once: t, the
     residual, p_{k-1}, p_k, and the residual or p_{k+1} being built.  The
@@ -359,9 +323,12 @@ def _orthogonal_fit(ts: list[float], series: Series,
         RankDeficient: some ||p_k|| falls below RANK_TOLERANCE times the
             largest, so the points cannot resolve a degree-k term.
     """
-    helper = _start_helper(ts, degree)
+    helper = None
+    if len(ts) * degree >= _HELPER_MIN_WORK:
+        from ._helper import start  # loaded only where a helper starts
+        helper = start(lambda fd: _send_scalars(ts, degree, fd))
     try:
-        scalar = _scalars(iter(helper[1] if helper else ()))
+        scalar = _scalars(helper.chunks() if helper else ())
         residual, mean, ss_tot, exponent = _centred_deviations(series)
         coeffs = [mean] + [0.0] * degree
         norm2_max = float(len(ts))
@@ -379,7 +346,7 @@ def _orthogonal_fit(ts: list[float], series: Series,
             residual = [r - c * v for r, v in zip(residual, p)]
     finally:
         if helper:
-            _stop_helper(*helper)
+            helper.stop()
     coeffs = [math.ldexp(c, -exponent) for c in coeffs]
     coeffs[0] += series.ys[0]
     return coeffs, residual, ss_tot, exponent

@@ -13,7 +13,13 @@ third of |center|): standard-form coefficients of a polynomial on, say,
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import random
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -72,3 +78,37 @@ def noisy_quadratic(rows: int, seed: int) -> Series:
         xs.append(round(x, 6))
         ys.append(round(y, 4))
     return Series(xs, ys)
+
+
+# A script prefix under which os.fork sends SIGSTOP to each child right
+# after the fork and records its pid in `stopped`.
+STOPPING_FORK = """
+import os, signal
+stopped, _fork = [], os.fork
+def _stopping_fork():
+    pid = _fork()
+    if pid:
+        os.kill(pid, signal.SIGSTOP)
+        stopped.append(pid)
+    return pid
+os.fork = _stopping_fork
+"""
+
+
+def run_isolated(script: str, *argv: str):
+    """The JSON value that script prints last, run in a fresh interpreter
+    under -X dev -W error with the package on its path.  A script that
+    hangs fails the test after 60 s instead of hanging the suite; it runs in
+    its own process group, which is then killed with every process in it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    with subprocess.Popen([sys.executable, "-X", "dev", "-W", "error", "-c", script, *argv],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise
+    assert proc.returncode == 0 and stderr == "", stderr
+    return json.loads(stdout.splitlines()[-1])

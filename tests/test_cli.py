@@ -544,25 +544,35 @@ class TestProcessEntry:
         assert [ast.unparse(stmt) for stmt in guard.body] == [f"{target}()"]
         assert callable(getattr(cli, target))
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the fit forks only where os.fork exists")
-    @pytest.mark.parametrize("overflow", [False, True], ids=["exit-0", "exit-1"])
-    def test_no_process_outlives_a_large_fit(self, tmp_path, overflow):
-        # 20,000 rows at degree 10 fork a helper for the fit, which is
-        # reaped before the fit returns or raises.  The command line leads
+    @pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="helpers fork only where pidfds exist")
+    @pytest.mark.parametrize("rows, degree, overflow, svg", [
+        pytest.param(20_000, 10, False, None, id="exit-0"),
+        pytest.param(20_000, 10, True, None, id="exit-1"),
+        pytest.param(100_000, 2, False, "chart.svg", id="svg-exit-0"),
+        pytest.param(100_000, 2, False, "/dev/full", id="svg-full-exit-1", marks=needs_dev_full),
+    ])
+    def test_no_process_outlives_a_large_fit(self, tmp_path, rows, degree, overflow, svg):
+        # 20,000 rows at degree 10 fork a helper for the fit, and 1e5 rows
+        # with --svg one for the fit and one for the chart's markers.  Each
+        # is reaped before the fit or the render returns or raises, here
+        # where the chart cannot be written too.  The command line leads
         # its own process group, so any helper left would still be in it.
-        lines = noisy_csv(20_000).splitlines()
+        lines = noisy_csv(rows).splitlines()
         if overflow:
             # y - y0 overflows, in the fit, after the helper has started.
             lines[1] = lines[1].split(",")[0] + ",-1.7e308"
             lines[2] = lines[2].split(",")[0] + ",1.7e308"
         csv = tmp_path / "large.csv"
         csv.write_text("\n".join(lines) + "\n", encoding="ascii")
+        argv = ["-i", str(csv), "--degree", str(degree)]
+        if svg:
+            argv += ["--svg", str(tmp_path / svg)]
         env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-        with subprocess.Popen([sys.executable, "-m", "quadfit.cli", "-i", str(csv), "--degree", "10"],
+        with subprocess.Popen([sys.executable, "-m", "quadfit.cli", *argv],
                               stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
                               start_new_session=True) as proc:
             stderr = proc.communicate(timeout=60)[1]
-        assert proc.returncode == (1 if overflow else 0), stderr
+        assert proc.returncode == (1 if overflow or svg == "/dev/full" else 0), stderr
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
 

@@ -1,3 +1,4 @@
+import _signal
 import math
 import os
 import random
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import max_rel_err, normal_equations_fit, quadratic_fit_cramer
-from support import fit_instances, spaced_abscissae
+from support import STOPPING_FORK, fit_instances, run_isolated, spaced_abscissae
 from conftest import DERIVED_COEFFS, DERIVED_XS, DERIVED_YS
 
 from quadfit import (
@@ -525,15 +526,82 @@ class TestHelperProcess:
 
     def test_a_helper_reaped_elsewhere_is_no_error(self, forks, monkeypatch):
         # Where SIGCHLD is ignored, children are reaped as they exit, and
-        # waitpid fails once they have.
+        # waitpid fails once they have.  A reaped child's pid may name
+        # another process by then, so the helper is killed through a pidfd
+        # and never by pid.
         series = offset_series(200, 3.0, 0.0, 1.0, 0)
         alone = in_process(monkeypatch, series, 3)
+        kills, pidfd_kills = [], []
+        send = _signal.pidfd_send_signal
+
+        def recorded_send(pidfd, sig, *args):
+            pidfd_kills.append(sig)
+            return send(pidfd, sig, *args)
+
+        monkeypatch.setattr(os, "kill", lambda *args: kills.append(args))
+        monkeypatch.setattr(_signal, "pidfd_send_signal", recorded_send)
         handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
             got = outcome(series, 3)
         finally:
             signal.signal(signal.SIGCHLD, handler)
-        assert (got, len(forks)) == (alone, 1)
+        assert (got, len(forks), kills, pidfd_kills) == (alone, 1, [], [signal.SIGKILL])
+
+    def test_a_stopped_helper_is_killed_and_the_fit_finished_in_process(self):
+        # A helper stopped right after the fork sends nothing.  The fit waits
+        # for it no longer than it has worked itself (or 20 ms), computes
+        # every scalar in process, and kills and reaps it: it returns well
+        # within 5 s, where it takes about 0.1 s, and never hangs.
+        script = STOPPING_FORK + """
+import json, math, time
+from quadfit import fitting
+n = 20_000
+xs = [1.0 + 11.0 * i / (n - 1) for i in range(n)]
+series = fitting.Series(xs, [(x - 6.0) ** 2 + (i * 7919) % 101 / 20.0 for i, x in enumerate(xs)])
+
+def result():
+    model, residual, ss_tot, exponent = fitting._fit(series, 10)
+    return [c.hex() for c in model.scaled], [r.hex() for r in residual], ss_tot.hex(), exponent
+
+start = time.monotonic()
+got = result()
+seconds = time.monotonic() - start
+try:
+    os.waitpid(-1, os.WNOHANG)
+    reaped = False
+except ChildProcessError:
+    reaped = True
+fitting._HELPER_MIN_WORK = math.inf
+print(json.dumps([got == result(), len(stopped), reaped, seconds < 5.0]))
+"""
+        assert run_isolated(script) == [True, 1, True, True]
+
+    def test_fits_in_process_while_a_c_thread_runs(self):
+        # A thread that C code started is no Python thread, but a forked
+        # process inherits its locks all the same, and Python 3.12 and later
+        # warn about the fork.  This one runs libc's sleep(60).
+        script = """
+import ctypes, json, math, os, warnings
+from quadfit import fitting
+libc = ctypes.CDLL(None)
+libc.pthread_create.argtypes = [ctypes.POINTER(ctypes.c_ulong), ctypes.c_void_p,
+                                ctypes.c_void_p, ctypes.c_void_p]
+libc.pthread_create.restype = ctypes.c_int
+thread = ctypes.c_ulong()
+sleep = ctypes.cast(libc.sleep, ctypes.c_void_p)
+assert libc.pthread_create(ctypes.byref(thread), None, sleep, ctypes.c_void_p(60)) == 0
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+n = 20_000
+xs = [1.0 + 11.0 * i / (n - 1) for i in range(n)]
+series = fitting.Series(xs, [(x - 6.0) ** 2 + (i * 7919) % 101 / 20.0 for i, x in enumerate(xs)])
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    got = fitting.fit_polynomial(series, 10)
+fitting._HELPER_MIN_WORK = math.inf
+print(json.dumps([[str(w.message) for w in caught], len(forks), got == fitting.fit_polynomial(series, 10)]))
+"""
+        assert run_isolated(script) == [[], 0, True]
 
 
 class TestConvertDomain:

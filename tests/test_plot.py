@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracle import exact_report
-from support import noisy_quadratic
+from support import STOPPING_FORK, noisy_quadratic, run_isolated
 from conftest import DERIVED_XS, DERIVED_YS
 
 from quadfit import (
@@ -24,8 +24,10 @@ from quadfit import (
     parse_csv,
     render_plot,
 )
+from quadfit import _helper, plot
 from quadfit.plot import (
     _MARKER_BLOCK,
+    _SPLIT_MIN_MARKERS,
     AXIS_PADDING,
     CURVE_SAMPLES,
     WIDTH,
@@ -424,6 +426,83 @@ class TestRenderPlot:
         report = fit_report(model, series)
         with pytest.raises(ValueError):
             render_plot(series, model, report, SPEC)
+
+
+@pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="the helper is forked where pidfds exist")
+class TestMarkerHelper:
+    """From _SPLIT_MIN_MARKERS markers a helper process formats the second
+    half of them; the document is byte-identical to one rendered without."""
+
+    @staticmethod
+    def figure(rows, monkeypatch):
+        """(render_plot's document, the helpers it forked, the same document
+        rendered in process) for rows noisy points fitted at degree 1, which
+        stays below the fit's own helper threshold."""
+        series = noisy_quadratic(rows, rows)
+        model, _ = fit_polynomial(series, 1)
+        report = fit_report(model, series)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        svg = render_plot(series, model, report, SPEC)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.setattr(plot, "_SPLIT_MIN_MARKERS", math.inf)
+        return svg, len(forks), render_plot(series, model, report, SPEC)
+
+    @pytest.mark.parametrize("rows", [_SPLIT_MIN_MARKERS - 1, _SPLIT_MIN_MARKERS, _SPLIT_MIN_MARKERS + 1,
+                                      5 * _MARKER_BLOCK, 5 * _MARKER_BLOCK + 1])
+    def test_byte_identical_to_the_render_in_process(self, rows, monkeypatch):
+        assert _SPLIT_MIN_MARKERS % _MARKER_BLOCK == 0
+        svg, forks, alone = self.figure(rows, monkeypatch)
+        assert (svg == alone, forks) == (True, int(rows >= _SPLIT_MIN_MARKERS))
+
+    @pytest.mark.parametrize("lines, cut", [(0, 0), (1, 3), (_MARKER_BLOCK + 100, 0), (_MARKER_BLOCK + 100, 7)],
+                             ids=["nothing", "cuts-the-first-line", "mid-block", "cuts-a-line"])
+    def test_a_helper_that_stops_early_is_finished_in_process(self, lines, cut, monkeypatch, capfd):
+        # The helper writes its first `lines` markers, less `cut` bytes of
+        # the last, and fails.
+        whole = _helper.write
+
+        def partial(fd, data):
+            end = 0
+            for _ in range(lines):
+                end = data.index(b"\n", end) + 1
+            whole(fd, data[:end - cut])
+            raise OSError("the helper fails")
+
+        monkeypatch.setattr(_helper, "write", partial)
+        svg, forks, alone = self.figure(5 * _MARKER_BLOCK + 1, monkeypatch)
+        assert (svg == alone, forks) == (True, 1)
+        assert capfd.readouterr() == ("", "")
+
+    def test_a_stopped_helper_is_killed_and_the_command_finished_in_process(self, tmp_path):
+        # 1e5 rows at degree 2 start both helpers, and each is stopped right
+        # after the fork.  The command waits for each no longer than it has
+        # worked itself (or 20 ms), does its share in process, and kills and
+        # reaps it: it ends well within 10 s, where it takes about 0.2 s.
+        series = noisy_quadratic(100_000, 3)
+        csv = tmp_path / "bulk.csv"
+        csv.write_text("Month,Values\n" + "".join(f"{x},{y}\n" for x, y in zip(series.xs, series.ys)),
+                       encoding="ascii")
+        script = STOPPING_FORK + """
+import json, math, sys, time
+from quadfit import cli, fitting, plot
+csv, out = sys.argv[1:]
+start = time.monotonic()
+code = cli.main(["-i", csv, "--svg", out + "/stopped.svg", "--report", out + "/stopped.txt"])
+seconds = time.monotonic() - start
+try:
+    os.waitpid(-1, os.WNOHANG)
+    reaped = False
+except ChildProcessError:
+    reaped = True
+fitting._HELPER_MIN_WORK = plot._SPLIT_MIN_MARKERS = math.inf
+alone = cli.main(["-i", csv, "--svg", out + "/alone.svg", "--report", out + "/alone.txt"])
+print(json.dumps([code, alone, len(stopped), reaped, seconds < 10.0]))
+"""
+        assert run_isolated(script, str(csv), str(tmp_path)) == [0, 0, 2, True, True]
+        for suffix in ("svg", "txt"):
+            assert (tmp_path / f"stopped.{suffix}").read_bytes() == (tmp_path / f"alone.{suffix}").read_bytes()
 
 
 class TestGoldenFigure:
