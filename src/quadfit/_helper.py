@@ -1,16 +1,16 @@
 """One forked helper process that computes part of a result beside its
-parent: the fit's sums in t alone, and the second share of the SVG's data
-markers.
+parent: the last rows of a large parse, the fit's sums in t alone, and
+the second share of the SVG's data markers.
 
-start(work) forks a child that runs work(fd), which writes whole
-newline-terminated lines to the pipe fd, and ends through os._exit on
-every path, so it never runs the parent's clean-up, flushes its buffers
-or writes to stdout or stderr.  The parent takes the lines that arrive
-whole from the Helper's chunks() and computes the rest itself, by the
-same code, so a helper that fails, stops or is killed changes no output
-and no error, only the time.  Its stop() kills the child and reaps it.
-Callers import this module only where they start a helper, so a run
-that starts none loads neither it nor select.
+start(work) forks a child that runs work(fd), which writes its result to
+the pipe fd, and ends through os._exit on every path, so it never runs
+the parent's clean-up, flushes its buffers or writes to stdout or stderr.
+The parent takes what arrives from the Helper's read(), or the whole
+newline-terminated lines of it from chunks(), and computes whatever did
+not arrive whole itself, by the same code, so a helper that fails, stops
+or is killed changes no output and no error, only the time.  Its stop()
+kills the child and reaps it.  Callers import this module only where they
+start a helper, so a run that starts none loads neither it nor select.
 
 The read is bounded: in all, the parent waits for its helper no longer
 than it has worked itself since the fork, or _MIN_WAIT where that is
@@ -55,14 +55,12 @@ class Helper:
         except OSError:
             self.pidfd = None
 
-    def chunks(self):
-        """Yield what the helper writes, as it arrives, in pieces that each
-        hold whole lines only.  Ends where the pipe does, dropping a cut last
-        line, or where waiting for more would pass the deadline (see the
+    def read(self):
+        """Yield what the helper writes, as it arrives.  Ends where the pipe
+        does, or where waiting for more would pass the deadline (see the
         module)."""
         poller = select.poll()
         poller.register(self.fd, select.POLLIN)
-        rest = b""
         while True:
             now = time.monotonic()
             worked = now - self.started - self.waited
@@ -74,6 +72,13 @@ class Helper:
             data = os.read(self.fd, _READ_SIZE)
             if not data:
                 return
+            yield data
+
+    def chunks(self):
+        """What read() yields, in pieces that each hold whole lines only; a
+        cut last line is dropped."""
+        rest = b""
+        for data in self.read():
             data = rest + data
             cut = data.rfind(b"\n") + 1
             rest = data[cut:]

@@ -92,28 +92,38 @@ class Series:
             raise ValueError("series must contain at least one observation")
         if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
             raise ValueError("series values must be finite")
-        _store_columns(self, xs, ys)
+        _store_columns(self, xs, ys, _bounds(xs), _bounds(ys))
 
     def __len__(self) -> int:
         return len(self.xs)
 
 
-def _checked_series(xs: list[float], ys: list[float]) -> Series:
-    """A Series of xs and ys as tuples, without __post_init__'s conversion
-    and checks: the caller has already made every value a finite float,
-    and the two lists equal in length and nonempty."""
+def _bounds(values) -> tuple[float, float]:
+    """(min, max) of values.  Each is the first extremal element, so the
+    bounds of two runs of values joined are min and max of their bounds,
+    the first run's given first: a zero bound keeps the sign it has in the
+    joined run."""
+    return min(values), max(values)
+
+
+def _checked_series(xs: list[float], ys: list[float],
+                    x_bounds: tuple[float, float], y_bounds: tuple[float, float]) -> Series:
+    """A Series of xs and ys as tuples, with the given _bounds of each,
+    without __post_init__'s conversion and checks: the caller has already
+    made every value a finite float, and the two lists equal in length and
+    nonempty."""
     series = object.__new__(Series)
-    _store_columns(series, xs, ys)
+    _store_columns(series, xs, ys, x_bounds, y_bounds)
     return series
 
 
-def _store_columns(series: Series, xs, ys) -> None:
-    """Store the columns as tuples, with (min, max) of each as _x_bounds and
+def _store_columns(series: Series, xs, ys, x_bounds, y_bounds) -> None:
+    """Store the columns as tuples, and their bounds as _x_bounds and
     _y_bounds, which are derived and so take no part in ==, hash or repr."""
     object.__setattr__(series, "xs", tuple(xs))
     object.__setattr__(series, "ys", tuple(ys))
-    object.__setattr__(series, "_x_bounds", (min(xs), max(xs)))
-    object.__setattr__(series, "_y_bounds", (min(ys), max(ys)))
+    object.__setattr__(series, "_x_bounds", x_bounds)
+    object.__setattr__(series, "_y_bounds", y_bounds)
 
 
 @record

@@ -10,7 +10,10 @@ other scripts.
 
 Plain input, with ASCII rows and no quotes, is split as bytes; all other
 input goes through the csv reader, which also raises every error.  Both
-give the same values.
+give the same values.  From _SPLIT_MIN_BYTES of input, a helper process
+(see _helper) splits the last 45 % of the plain rows and sends their
+values back as binary doubles, while the caller splits the rest; a helper
+that sends nothing whole in time changes no value or error.
 """
 
 # csv.py only re-exports _csv's reader and Error, and imports re, and with
@@ -28,10 +31,18 @@ from .errors import (
     NonNumericValue,
 )
 # validate_series, the fit's input check, for perfbench/traced_child.py:71.
-from .fitting import Series, _checked_series, _validation_error as validate_series
+from .fitting import Series, _bounds, _checked_series, _validation_error as validate_series
 
 # The split path's block size in bytes, before the cut at the next newline.
 _BLOCK_BYTES = 1 << 16
+# From this many bytes of input, a helper process parses the last rows of
+# the plain path (see _plain_columns), and this process keeps this share of
+# the rows' bytes: more than half, as the helper starts a fork later and
+# packs what it sends.  On a 2-vCPU Xeon with the second vCPU free, the
+# split ties the parse in process at 344 KB and takes a fifth off it at
+# 1.7 MB; with that vCPU busy it loses a few ms at every size.
+_SPLIT_MIN_BYTES = 1 << 19
+_SPLIT_SHARE = 0.55
 # Every byte but the comma and the newline, for bytes.translate to delete.
 _NOT_SEPARATORS = bytes(set(range(256)) - set(b",\n"))
 
@@ -89,27 +100,72 @@ def parse_csv(data, schema: CsvSchema = CsvSchema()) -> Series:
 
 
 def _plain_columns(data, schema: CsvSchema):
-    """The schema's columns as float lists, split from the bytes, or None.
+    """The schema's columns as float lists with their _bounds, split from
+    the bytes, or None.
 
     A fast path that accepts input or declines it and never raises, so that
     every error, its message and its row number come from _reader_columns.
-    It accepts input whose header line is UTF-8 without a quote, CR or NUL,
-    and whose rows are ASCII without a quote, "_", NUL or a CR outside a
-    CRLF ending, each with one comma fewer than the header has names, none
-    longer than the csv field limit, and whose selected cells float() reads
-    from bytes, with a finite sum over both columns: that one sum is inf or
-    nan when a cell is, and declines the rare finite columns whose sum
-    overflows.  The csv reader splits such input into the same cells, and
-    keeps the same values.  Rows are split in blocks cut at newlines, so
-    that one block's cells are freed before the next is cut; only a block
-    that holds a CR is copied to turn its CRLF endings into LF.
+    It accepts input whose header _plain_header accepts and whose rows
+    _plain_rows does.  The csv reader splits such input into the same
+    cells, and keeps the same values.
+
+    From _SPLIT_MIN_BYTES of input, the rows are cut at the first newline
+    after _SPLIT_SHARE of their bytes, and a helper process (see _helper)
+    runs _plain_rows on the second part while this process runs it on the
+    first.  The helper sends its columns and their bounds back as native
+    doubles, which this process appends to its own without a conversion
+    through text.  Rows are accepted or declined one by one, so the two
+    parts accept what the whole does, and the bounds of the whole are those
+    of the parts (see _bounds).  A payload that does not arrive whole, and
+    framed right, in time is taken as missing, and this process parses
+    those rows itself by the same code, so the helper changes no value,
+    bound or error, only the time.
+    """
+    layout = _plain_header(data, schema)
+    if layout is None:
+        return None
+    start, columns = layout
+    end = len(data)
+    mid = end
+    if end >= _SPLIT_MIN_BYTES:
+        mid = data.find(b"\n", start + int((end - start) * _SPLIT_SHARE)) + 1 or end
+    helper = None
+    if mid < end:
+        from ._helper import start as fork  # loaded only where a helper starts
+        helper = fork(lambda fd: _send_rows(_plain_rows(data, mid, end, *columns), fd))
+    try:
+        rows = _plain_rows(data, start, mid, *columns)
+        payload = b"".join(helper.read()) if helper and rows else b""
+    finally:
+        if helper:
+            helper.stop()
+    if rows is None or mid == end:
+        return rows
+    rest = _received_rows(payload)
+    if rest is None:
+        rest = _plain_rows(data, mid, end, *columns)
+    if not rest:
+        return None
+    xs, ys, (x_min, x_max), (y_min, y_max) = rows
+    more_xs, more_ys, (more_x_min, more_x_max), (more_y_min, more_y_max) = rest
+    xs += more_xs
+    ys += more_ys
+    return (xs, ys, (min(x_min, more_x_min), max(x_max, more_x_max)),
+            (min(y_min, more_y_min), max(y_max, more_y_max)))
+
+
+def _plain_header(data, schema: CsvSchema):
+    """Where the rows begin, and the selected columns' indices and the
+    header's width for _plain_rows, or None.
+
+    Accepts a header line that is UTF-8 without a quote, CR or NUL, no
+    longer than the csv field limit, and names both schema columns.
     """
     header_end = data.find(b"\n") + 1
     if not header_end:
         return None
     header = data[:header_end - 1].removesuffix(b"\r")
-    limit = _csv.field_size_limit()
-    if len(header) > limit or any(c in header for c in b'"\r\0'):
+    if len(header) > _csv.field_size_limit() or any(c in header for c in b'"\r\0'):
         return None
     try:
         names = [cell.strip() for cell in header.decode("utf-8").split(",")]
@@ -117,17 +173,30 @@ def _plain_columns(data, schema: CsvSchema):
         return None
     if schema.x_column not in names or schema.y_column not in names:
         return None
-    x_idx = names.index(schema.x_column)
-    y_idx = names.index(schema.y_column)
-    width = len(names)
+    return header_end, (names.index(schema.x_column), names.index(schema.y_column), len(names))
+
+
+def _plain_rows(data, start: int, stop: int, x_idx: int, y_idx: int, width: int):
+    """The selected columns of the rows in data[start:stop], which begins a
+    line and ends one or the data, as float lists with their _bounds, or None.
+
+    Accepts rows that are ASCII without a quote, "_", NUL or a CR outside a
+    CRLF ending, each with width - 1 commas, none longer than the csv field
+    limit, and whose selected cells float() reads from bytes, with a finite
+    sum over both columns: that one sum is inf or nan when a cell is, and
+    declines the rare finite columns whose sum overflows.  Declines when
+    there are no rows.  Rows are split in blocks cut at newlines, so that
+    one block's cells are freed before the next is cut; only a block that
+    holds a CR is copied to turn its CRLF endings into LF.
+    """
+    limit = _csv.field_size_limit()
     row_separators = b"," * (width - 1) + b"\n"
     xs: list[float] = []
     ys: list[float] = []
-    start = header_end
-    while start < len(data):
-        stop = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
-        block = data[start:stop]
-        start = stop
+    while start < stop:
+        cut = data.find(b"\n", start + _BLOCK_BYTES, stop) + 1 or stop
+        block = data[start:cut]
+        start = cut
         if b"\r" in block:
             block = block.replace(b"\r\n", b"\n")
         if not block.endswith(b"\n"):
@@ -150,11 +219,40 @@ def _plain_columns(data, schema: CsvSchema):
     # Not finite when a cell is not, or when finite cells overflow the sum.
     if not xs or not math.isfinite(sum(xs) + sum(ys)):
         return None
-    return xs, ys
+    return xs, ys, _bounds(xs), _bounds(ys)
+
+
+def _send_rows(rows, fd: int) -> None:
+    """The helper's work: write rows, what _plain_rows returned, to fd as
+    native doubles: the row count n, the x and y bounds, the n xs and the n
+    ys; or the count 0 alone where the rows were declined."""
+    from _struct import pack  # only the helper packs
+    from ._helper import write
+    if rows is None:
+        write(fd, pack("d", 0.0))
+        return
+    xs, ys, x_bounds, y_bounds = rows
+    write(fd, pack("%dd" % (5 + 2 * len(xs)), len(xs), *x_bounds, *y_bounds, *xs, *ys))
+
+
+def _received_rows(payload: bytes):
+    """The rows in a payload of _send_rows, as _plain_rows returned them but
+    with each column a view of doubles; () where they were declined, and
+    None where the payload is not whole or not framed right."""
+    if len(payload) % 8:
+        return None
+    view = memoryview(payload).cast("d")
+    if len(view) == 1 and view[0] == 0:
+        return ()
+    n = (len(view) - 5) // 2
+    if n < 1 or view[0] != n or len(view) != 5 + 2 * n:
+        return None
+    return view[5:5 + n], view[5 + n:], (view[1], view[2]), (view[3], view[4])
 
 
 def _reader_columns(data, schema: CsvSchema):
-    """The schema's columns as float lists, read by the csv module.
+    """The schema's columns as float lists with their _bounds, read by the
+    csv module.
 
     The path for quoted or unusual input, which _plain_columns declines,
     and the only source of the errors parse_csv raises.  Each selected cell
@@ -197,5 +295,5 @@ def _reader_columns(data, schema: CsvSchema):
 
     if not xs:
         raise EmptyData("input has a header row but no data rows")
-    return xs, ys
+    return xs, ys, _bounds(xs), _bounds(ys)
 

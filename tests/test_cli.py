@@ -545,23 +545,28 @@ class TestProcessEntry:
         assert callable(getattr(cli, target))
 
     @pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="helpers fork only where pidfds exist")
-    @pytest.mark.parametrize("rows, degree, overflow, svg", [
-        pytest.param(20_000, 10, False, None, id="exit-0"),
-        pytest.param(20_000, 10, True, None, id="exit-1"),
-        pytest.param(100_000, 2, False, "chart.svg", id="svg-exit-0"),
-        pytest.param(100_000, 2, False, "/dev/full", id="svg-full-exit-1", marks=needs_dev_full),
+    @pytest.mark.parametrize("rows, degree, defect, svg", [
+        pytest.param(20_000, 10, None, None, id="exit-0"),
+        pytest.param(20_000, 10, "overflow", None, id="exit-1"),
+        pytest.param(100_000, 2, None, "chart.svg", id="svg-exit-0"),
+        pytest.param(100_000, 2, None, "/dev/full", id="svg-full-exit-1", marks=needs_dev_full),
+        pytest.param(100_000, 2, "bad-cell", "chart.svg", id="bad-cell-exit-1"),
     ])
-    def test_no_process_outlives_a_large_fit(self, tmp_path, rows, degree, overflow, svg):
+    def test_no_process_outlives_a_large_fit(self, tmp_path, rows, degree, defect, svg):
         # 20,000 rows at degree 10 fork a helper for the fit, and 1e5 rows
-        # with --svg one for the fit and one for the chart's markers.  Each
-        # is reaped before the fit or the render returns or raises, here
-        # where the chart cannot be written too.  The command line leads
-        # its own process group, so any helper left would still be in it.
+        # with --svg one for the last rows of the parse, one for the fit and
+        # one for the chart's markers.  Each is reaped before the parse, the
+        # fit or the render returns or raises, here where the chart cannot
+        # be written or a cell among the parse helper's rows is bad too.
+        # The command line leads its own process group, so any helper left
+        # would still be in it.
         lines = noisy_csv(rows).splitlines()
-        if overflow:
+        if defect == "overflow":
             # y - y0 overflows, in the fit, after the helper has started.
             lines[1] = lines[1].split(",")[0] + ",-1.7e308"
             lines[2] = lines[2].split(",")[0] + ",1.7e308"
+        elif defect == "bad-cell":
+            lines[75_000] = lines[75_000].split(",")[0] + ",7x"
         csv = tmp_path / "large.csv"
         csv.write_text("\n".join(lines) + "\n", encoding="ascii")
         argv = ["-i", str(csv), "--degree", str(degree)]
@@ -572,7 +577,10 @@ class TestProcessEntry:
                               stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
                               start_new_session=True) as proc:
             stderr = proc.communicate(timeout=60)[1]
-        assert proc.returncode == (1 if overflow or svg == "/dev/full" else 0), stderr
+        assert proc.returncode == (1 if defect or svg == "/dev/full" else 0), stderr
+        if defect == "bad-cell":
+            assert stderr == (f"quadfit: {csv}: NonNumericValue: row 75000, column 'Values': "
+                              "'7x' is not a finite number\n").encode()
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
 

@@ -1,10 +1,14 @@
 import io
+import math
+import os
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REPO_ROOT
+from support import STOPPING_FORK, noisy_quadratic, run_isolated
 
 from quadfit import (
     CsvError,
@@ -19,6 +23,7 @@ from quadfit import (
     Series,
     parse_csv,
 )
+from quadfit import _helper, ingest
 from quadfit.ingest import _BLOCK_BYTES, _plain_columns, _reader_columns, validate_series
 
 
@@ -236,17 +241,18 @@ class TestNumericCellGrammar:
 
 
 def outcome(parse, data, schema=CsvSchema()):
-    """What parse makes of data: the reprs of its columns, or its error."""
+    """What parse makes of data: the reprs of its columns and their bounds,
+    or its error."""
     try:
-        xs, ys = parse(data, schema)
+        columns = parse(data, schema)
     except CsvError as exc:
         return type(exc).__name__, str(exc)
-    return repr(list(xs)), repr(list(ys))
+    return tuple(repr(list(column)) for column in columns)
 
 
 def parsed_columns(data, schema):
     series = parse_csv(data, schema)
-    return series.xs, series.ys
+    return series.xs, series.ys, series._x_bounds, series._y_bounds
 
 
 # Cells of plain input, as the split path takes it: numbers, with padding
@@ -394,6 +400,202 @@ class TestPlainColumns:
         data = b"Month,Values,Note\n1,2,a\x00b\n"
         assert _plain_columns(data, CsvSchema()) is None
         assert outcome(parsed_columns, data) == outcome(_reader_columns, data)
+
+
+def series_outcome(data, schema=CsvSchema()):
+    """parse_csv's Series as its repr and its bounds in hex, or its error's
+    type, message and row."""
+    try:
+        series = parse_csv(data, schema)
+    except CsvError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "row", None)
+    return repr(series), [bound.hex() for bound in series._x_bounds + series._y_bounds]
+
+
+def split_and_in_process(monkeypatch, data, schema=CsvSchema(), split_min=0):
+    """series_outcome of data where inputs of split_min bytes or more are
+    split, the number of helpers that parse forked, and series_outcome of
+    data parsed in process.  No helper outlives the split parse."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(ingest, "_SPLIT_MIN_BYTES", split_min)
+    split = series_outcome(data, schema)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(ingest, "_SPLIT_MIN_BYTES", math.inf)
+    return split, len(forks), series_outcome(data, schema)
+
+
+@pytest.fixture
+def parsed_here(monkeypatch):
+    """One entry for each run of rows _plain_rows parses in this process."""
+    calls, rows = [], ingest._plain_rows
+    monkeypatch.setattr(ingest, "_plain_rows", lambda *args: calls.append(args[1:3]) or rows(*args))
+    return calls
+
+
+def plain_rows(count: int, width: int = 3, end: str = "\n") -> list[str]:
+    """count distinct plain rows of width cells, each ending in end."""
+    return [",".join([f"{i + 1}", f"{(i * 7919) % 101 / 8}", "n"][:width]) + end for i in range(count)]
+
+
+class TestSplitParse:
+    """From _SPLIT_MIN_BYTES of input a helper process parses the plain
+    path's last rows.  Every input gives the Series of the parse in process,
+    bounds to the bit, or its error with the same row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=csv_bytes())
+    def test_every_drawn_input_parses_as_in_process(self, case):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            split, _, alone = split_and_in_process(monkeypatch, *case)
+        assert split == alone
+
+    @pytest.mark.parametrize("below", [0, 1], ids=["at", "one-byte-below"])
+    def test_the_threshold_is_a_size_in_bytes(self, below, monkeypatch):
+        size = ingest._SPLIT_MIN_BYTES - below
+        head = "Month,Values\n"
+        rows = [f"{i:07d},2.5\n" for i in range((size - len(head)) // 12 - 1)]
+        rows[0] = rows[0].replace(",", "," + " " * (size - len(head) - 12 * len(rows)))
+        data = (head + "".join(rows)).encode("ascii")
+        assert len(data) == size
+        split, forks, alone = split_and_in_process(monkeypatch, data, split_min=ingest._SPLIT_MIN_BYTES)
+        assert (split, forks) == (alone, 1 - below)
+        assert alone[0].startswith("Series(")
+
+    @pytest.mark.parametrize("at", [b"\r", b"\n", b","])
+    def test_a_cut_inside_a_crlf_block(self, at, monkeypatch):
+        # The byte after _SPLIT_SHARE of the rows' bytes is the CR or the LF
+        # of a CRLF ending, or a comma; the cut is at the first LF from it.
+        # Padding the last cell moves that byte.
+        head = b"Month,Values\r\n"
+        rows = "".join(plain_rows(300, width=2, end="\r\n")).encode("ascii")
+        last = rows.rindex(b",") + 1
+        for pad in range(40):
+            data = head + rows[:last] + b" " * pad + rows[last:]
+            if data[len(head) + int((len(data) - len(head)) * ingest._SPLIT_SHARE):][:1] == at:
+                break
+        else:
+            pytest.fail(f"no padding puts {at!r} at the cut")
+        split, forks, alone = split_and_in_process(monkeypatch, data)
+        assert (split, forks) == (alone, 1)
+        assert alone[0].startswith("Series(")
+
+    @pytest.mark.parametrize("row, outcome", [
+        ('180,"2.5",n\n', "Series"),
+        ("180,2.5,\u00e9\n", "Series"),
+        ("180,inf,n\n", "NonNumericValue"),
+        ("180,1.7e308,n\n181,1.7e308,n\n", "Series"),
+    ], ids=["quote", "non-ascii", "inf", "overflowing-sum"])
+    def test_a_defect_in_the_helpers_rows_only(self, row, outcome, monkeypatch, parsed_here):
+        # Rows the plain path declines, or whose column sum overflows, among
+        # the helper's rows: the helper says so, and the reader parses the
+        # whole input.  This process parses only its own rows, and then all
+        # of them in process.
+        rows = plain_rows(200)
+        rows[179] = row
+        data = ("Month,Values,Note\n" + "".join(rows)).encode("utf-8")
+        assert data.index(row.encode("utf-8")) > len(data) * ingest._SPLIT_SHARE
+        split, forks, alone = split_and_in_process(monkeypatch, data)
+        assert (split, forks, len(parsed_here)) == (alone, 1, 2)
+        assert alone[0].startswith(outcome)
+
+    @pytest.mark.parametrize("first, second", [("-0.0", "0.0"), ("0.0", "-0.0")])
+    def test_signed_zero_extremes_in_both_parts(self, first, second, monkeypatch):
+        # x's least value and y's greatest are a zero in each process's
+        # rows: the bounds keep the first zero's sign, as min and max over
+        # one list do.
+        rows = [f"{i + 1},{-(i % 7) - 1}\n" for i in range(200)]
+        rows[20] = f"{first},{first}\n"
+        rows[180] = f"{second},{second}\n"
+        data = ("Month,Values\n" + "".join(rows)).encode("ascii")
+        split, forks, alone = split_and_in_process(monkeypatch, data)
+        assert (split, forks) == (alone, 1)
+        x_min, _, _, y_max = alone[1]
+        assert x_min == y_max == float(first).hex()
+
+    @pytest.mark.parametrize("data", [b"Month,Values\n1,2\n", b"Month,Values\n-0.0,2"],
+                             ids=["newline", "no-final-newline"])
+    def test_a_single_row_is_not_cut(self, data, monkeypatch):
+        split, forks, alone = split_and_in_process(monkeypatch, data)
+        assert (split, forks) == (alone, 0)
+
+    def test_the_parse_takes_the_helpers_rows(self, monkeypatch, parsed_here):
+        # This process parses only its own rows, then the whole in process.
+        # A helper that sends its values doubled changes the Series, so the
+        # split is not the parse in process by another route.
+        data = ("Month,Values,Note\n" + "".join(plain_rows(2000))).encode("ascii")
+        split, forks, alone = split_and_in_process(monkeypatch, data)
+        assert (split, forks, len(parsed_here)) == (alone, 1, 2)
+        send = ingest._send_rows
+        monkeypatch.setattr(ingest, "_send_rows", lambda got, fd: send(
+            (*([2 * v for v in column] for column in got[:2]), *got[2:]), fd))
+        split, forks, alone = split_and_in_process(monkeypatch, data)
+        assert (split != alone, forks) == (True, 1)
+
+    @pytest.mark.parametrize("mangle", [
+        lambda payload: b"",
+        lambda payload: payload[:-3],
+        lambda payload: payload[:-8],
+        lambda payload: payload[:len(payload) // 2],
+        lambda payload: struct.pack("d", struct.unpack_from("d", payload)[0] + 1) + payload[8:],
+        lambda payload: struct.pack("d", struct.unpack_from("d", payload)[0] - 1) + payload[8:],
+        lambda payload: struct.pack("d", math.nan) + payload[8:],
+        lambda payload: struct.pack("d", struct.unpack_from("d", payload)[0] + 0.5) + payload[8:-8],
+        lambda payload: struct.pack("d", 0.0) + payload[8:],
+        lambda payload: struct.pack("d", 0.0) + payload[8:40],
+        lambda payload: payload[:8],
+        lambda payload: payload + bytes(8),
+    ], ids=["nothing", "cuts-a-double", "a-double-short", "half", "count-plus-one",
+            "count-minus-one", "count-nan", "count-and-a-half", "count-zero", "count-zero-and-bounds",
+            "count-alone", "a-double-more"])
+    def test_a_payload_not_framed_right_is_parsed_in_process(self, mangle, monkeypatch, capfd,
+                                                             parsed_here):
+        # The helper writes part of its payload, or a wrong row count, and
+        # fails: this process parses the helper's rows itself, and then the
+        # whole in process.
+        data = ("Month,Values,Note\n" + "".join(plain_rows(2000))).encode("ascii")
+        write = _helper.write
+
+        def failing_write(fd, payload):
+            write(fd, mangle(payload))
+            raise OSError("the helper fails")
+
+        monkeypatch.setattr(_helper, "write", failing_write)
+        split, forks, alone = split_and_in_process(monkeypatch, data)
+        assert (split, forks, len(parsed_here)) == (alone, 1, 3)
+        assert capfd.readouterr() == ("", "")
+
+    def test_a_stopped_helper_is_killed_and_the_parse_finished_in_process(self, tmp_path):
+        # A helper stopped right after the fork sends nothing.  The parse
+        # waits for it no longer than it has worked itself (or 20 ms),
+        # parses the helper's rows in process, and kills and reaps it: it
+        # returns well within 5 s, where it takes about 0.1 s, and never
+        # hangs.
+        series = noisy_quadratic(100_000, 5)
+        csv = tmp_path / "bulk.csv"
+        csv.write_text("Month,Values\n" + "".join(f"{x},{y}\n" for x, y in zip(series.xs, series.ys)),
+                       encoding="ascii")
+        assert csv.stat().st_size >= ingest._SPLIT_MIN_BYTES
+        script = STOPPING_FORK + """
+import json, math, sys, time
+from quadfit import ingest
+with open(sys.argv[1], "rb") as fh:
+    data = fh.read()
+start = time.monotonic()
+split = ingest.parse_csv(data)
+seconds = time.monotonic() - start
+try:
+    os.waitpid(-1, os.WNOHANG)
+    reaped = False
+except ChildProcessError:
+    reaped = True
+ingest._SPLIT_MIN_BYTES = math.inf
+alone = ingest.parse_csv(data)
+bounds = [[b.hex() for b in s._x_bounds + s._y_bounds] for s in (split, alone)]
+print(json.dumps([repr(split) == repr(alone), bounds[0] == bounds[1], len(stopped), reaped, seconds < 5.0]))
+"""
+        assert run_isolated(script, str(csv)) == [True, True, 1, True, True]
 
 
 class TestCsvSchema:

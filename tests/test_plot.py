@@ -476,17 +476,18 @@ class TestMarkerHelper:
         assert capfd.readouterr() == ("", "")
 
     def test_a_stopped_helper_is_killed_and_the_command_finished_in_process(self, tmp_path):
-        # 1e5 rows at degree 2 start both helpers, and each is stopped right
-        # after the fork.  The command waits for each no longer than it has
-        # worked itself (or 20 ms), does its share in process, and kills and
-        # reaps it: it ends well within 10 s, where it takes about 0.2 s.
+        # 1e5 rows at degree 2 start all three helpers, for the parse, the
+        # fit and the markers, and each is stopped right after the fork.
+        # The command waits for each no longer than it has worked itself (or
+        # 20 ms), does its share in process, and kills and reaps it: it ends
+        # well within 10 s, where it takes about 0.2 s.
         series = noisy_quadratic(100_000, 3)
         csv = tmp_path / "bulk.csv"
         csv.write_text("Month,Values\n" + "".join(f"{x},{y}\n" for x, y in zip(series.xs, series.ys)),
                        encoding="ascii")
         script = STOPPING_FORK + """
 import json, math, sys, time
-from quadfit import cli, fitting, plot
+from quadfit import cli, fitting, ingest, plot
 csv, out = sys.argv[1:]
 start = time.monotonic()
 code = cli.main(["-i", csv, "--svg", out + "/stopped.svg", "--report", out + "/stopped.txt"])
@@ -496,11 +497,11 @@ try:
     reaped = False
 except ChildProcessError:
     reaped = True
-fitting._HELPER_MIN_WORK = plot._SPLIT_MIN_MARKERS = math.inf
+ingest._SPLIT_MIN_BYTES = fitting._HELPER_MIN_WORK = plot._SPLIT_MIN_MARKERS = math.inf
 alone = cli.main(["-i", csv, "--svg", out + "/alone.svg", "--report", out + "/alone.txt"])
 print(json.dumps([code, alone, len(stopped), reaped, seconds < 10.0]))
 """
-        assert run_isolated(script, str(csv), str(tmp_path)) == [0, 0, 2, True, True]
+        assert run_isolated(script, str(csv), str(tmp_path)) == [0, 0, 3, True, True]
         for suffix in ("svg", "txt"):
             assert (tmp_path / f"stopped.{suffix}").read_bytes() == (tmp_path / f"alone.{suffix}").read_bytes()
 

@@ -154,16 +154,21 @@ def test_cli_import_loads_only_what_the_pipeline_uses(tmp_path):
     # arguments, reading, fitting, rendering or writing would load are
     # counted too.  The bundled data fits in process; 4,000 rows at degree
     # 10 reach the fit's helper-process threshold, whose bounded read alone
-    # loads select.
+    # loads select.  An input of _SPLIT_MIN_BYTES starts the parse's helper
+    # too, which alone packs its doubles with _struct.
     script = ("import sys; before = set(sys.modules); import quadfit.cli; "
               "code = quadfit.cli.main(sys.argv[1:]); "
               "print(code, sorted(set(sys.modules) - before))")
     large = tmp_path / "large.csv"
     large.write_text("Month,Values\n" + "".join(f"{i},{i % 7}\n" for i in range(4_000)), encoding="ascii")
     assert 4_000 * 10 >= quadfit.fitting._HELPER_MIN_WORK
+    split = tmp_path / "split.csv"
+    split.write_text("Month,Values\n" + "".join(f"{i},{i % 7}\n" for i in range(70_000)), encoding="ascii")
+    assert split.stat().st_size >= quadfit.ingest._SPLIT_MIN_BYTES
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     for data, degree, allowed in ((REPO_ROOT / "data" / "pm25_monthly.csv", 2, PIPELINE_MODULES),
-                                  (large, 10, PIPELINE_MODULES | {"select"})):
+                                  (large, 10, PIPELINE_MODULES | {"select"}),
+                                  (split, 2, PIPELINE_MODULES | {"select"})):
         svg, report = tmp_path / f"{data.stem}.svg", tmp_path / f"{data.stem}.txt"
         argv = ["-i", str(data), "--degree", str(degree), "--svg", str(svg), "--report", str(report)]
         out = subprocess.run([sys.executable, "-S", "-c", script, *argv], env=env,
