@@ -2,17 +2,19 @@
 parent: the last rows of a large parse, the fit's sums in t alone, and
 the second share of the SVG's data markers.
 
-start(work) forks a child that runs work(fd), which writes its result to
-the pipe fd, and ends through os._exit on every path, so it never runs
-the parent's clean-up, flushes its buffers or writes to stdout or stderr.
-The parent takes what arrives from the Helper's read(), or the whole
-newline-terminated lines of it from chunks(), and computes whatever did
-not arrive whole itself, by the same code, so a helper that fails, stops
-or is killed changes no output and no error, only the time.  Its stop()
-kills the child and reaps it.  Callers import this module only where they
-start a helper, so a run that starts none loads neither it nor select.
+start(work) forks a child that runs work(send), where send(record) sends
+one record, a bytes object of any length, to the parent; the child ends
+through os._exit on every path, so it never runs the parent's clean-up,
+flushes its buffers or writes to stdout or stderr.  The parent takes the
+records from the Helper's records(), each one whole and in the order sent,
+and computes whatever did not arrive itself, by the same code, so a helper
+that fails, stops or is killed changes no output and no error, only the
+time.  Its stop() kills the child and reaps it.  How a record crosses the
+pipe is this module's alone: each goes as its length in _PREFIX bytes,
+then its bytes.  Callers import this module only where they start a
+helper, so a run that starts none loads neither it nor select.
 
-The read is bounded: in all, the parent waits for its helper no longer
+The wait is bounded: in all, the parent waits for its helper no longer
 than it has worked itself since the fork, or _MIN_WAIT where that is
 longer.  A helper does no more work than its parent, so a healthy one is
 waited for far less (a few ms of a 30 ms share on two processors), and a
@@ -39,6 +41,9 @@ _MIN_WAIT = 0.02
 # A pipe holds 64 KiB on Linux; a read takes up to that much.
 _READ_SIZE = 1 << 16
 
+# A record's length goes before it in this many bytes, little-endian.
+_PREFIX = 4
+
 
 class Helper:
     """A running helper: its pid, a pidfd for it (None where none could be
@@ -55,12 +60,13 @@ class Helper:
         except OSError:
             self.pidfd = None
 
-    def read(self):
-        """Yield what the helper writes, as it arrives.  Ends where the pipe
-        does, or where waiting for more would pass the deadline (see the
-        module)."""
+    def records(self):
+        """Yield each record the helper sends, whole and in order.  Ends
+        where the pipe does, where waiting for more would pass the deadline
+        (see the module), or at a record that ends cut."""
         poller = select.poll()
         poller.register(self.fd, select.POLLIN)
+        pending = bytearray()
         while True:
             now = time.monotonic()
             worked = now - self.started - self.waited
@@ -72,22 +78,20 @@ class Helper:
             data = os.read(self.fd, _READ_SIZE)
             if not data:
                 return
-            yield data
-
-    def chunks(self):
-        """What read() yields, in pieces that each hold whole lines only; a
-        cut last line is dropped."""
-        rest = b""
-        for data in self.read():
-            data = rest + data
-            cut = data.rfind(b"\n") + 1
-            rest = data[cut:]
-            if cut:
-                yield data[:cut]
+            pending += data
+            start = 0
+            while len(pending) - start >= _PREFIX:
+                body = start + _PREFIX
+                end = body + int.from_bytes(pending[start:body], "little")
+                if len(pending) < end:
+                    break
+                yield bytes(memoryview(pending)[body:end])
+                start = end
+            del pending[:start]
 
     def stop(self) -> None:
         """Close the helper's pipe, kill it and reap it.  Without a pidfd it
-        is not signalled, and ends at its next write or when its work does."""
+        is not signalled, and ends at its next send or when its work does."""
         os.close(self.fd)
         if self.pidfd is not None:
             try:
@@ -113,9 +117,8 @@ def _one_thread() -> bool:
 
 
 def start(work) -> Helper | None:
-    """A forked Helper running work(fd) on the write end of its pipe; None
-    where fork or pidfd_open is missing, other threads run, or no pipe or
-    process could be made."""
+    """A forked Helper running work(send); None where fork or pidfd_open is
+    missing, other threads run, or no pipe or process could be made."""
     if not (hasattr(os, "fork") and hasattr(os, "pidfd_open") and _one_thread()):
         return None
     fds = ()
@@ -129,15 +132,15 @@ def start(work) -> Helper | None:
     if pid == 0:
         try:
             os.close(read_fd)
-            work(write_fd)
+            work(lambda record: _send(write_fd, record))
         finally:
             os._exit(0)
     os.close(write_fd)
     return Helper(pid, read_fd)
 
 
-def write(fd: int, data: bytes) -> None:
-    """Write all of data to fd, however the pipe splits it."""
-    view = memoryview(data)
+def _send(fd: int, record: bytes) -> None:
+    """Write record to fd behind its length, however the pipe splits it."""
+    view = memoryview(len(record).to_bytes(_PREFIX, "little") + record)
     while view:
         view = view[os.write(fd, view):]

@@ -11,15 +11,14 @@ square the condition number.
 Half of the recurrence depends on t alone: mean(t), each ||p_k||^2 and
 each a_k.  Where n*d reaches _HELPER_MIN_WORK, the fit starts one helper
 process (see _helper, which says where a process may fork and how long
-the fit waits) that computes those scalars on its copy of t and writes
-each to a pipe as soon as it has it, while the fitting process computes
-everything else and takes each scalar from the pipe in place of
-computing it.  From the first scalar that does not arrive whole, or in
-time, the fitting process computes that one and every later one itself,
-by the same code, so the helper changes no float and no error.  The
-helper is killed and reaped before the fit returns or raises.  The
-fitting process holds at most five length-n lists at once, and the
-helper four of its own.
+the fit waits) that computes those scalars on its copy of t and sends
+each as soon as it has it, while the fitting process computes everything
+else and takes each scalar from the helper in place of computing it.
+From the first scalar that does not arrive, the fitting process computes
+that one and every later one itself, by the same code, so the helper
+changes no float and no error.  The helper is killed and reaped before
+the fit returns or raises.  The fitting process holds at most five
+length-n lists at once, and the helper four of its own.
 
 The fitted model keeps its coefficients in powers of t together with its
 window, and every value of it is taken in t, by one helper here.  The one
@@ -42,7 +41,6 @@ in floats raises NumericalOverflow.
 
 import math
 import operator
-import os
 
 from ._record import record
 from .errors import (
@@ -275,32 +273,26 @@ def _polynomials(ts: list[float], degree: int, scalar):
         norm2_prev = norm2
 
 
-def _scalars(chunks):
-    """scalar(compute) for _polynomials: each scalar read from the next whole
-    line of chunks, until they end; from then on, compute() for that
-    scalar and every later one."""
-    lines = (line for chunk in chunks for line in chunk.splitlines())
-
+def _scalars(records):
+    """scalar(compute) for _polynomials: each scalar read from the next of
+    records, an iterator; once they end, compute() for that scalar and
+    every later one."""
     def scalar(compute):
-        line = next(lines, None)
-        return compute() if line is None else float(line)
+        record = next(records, None)
+        return compute() if record is None else float(record)
     return scalar
 
 
-def _sent(fd: int, value: float) -> float:
-    """value, once written to fd as one line of text that reads back as the
-    same float: one write of far less than PIPE_BUF bytes, so a reader of
-    a pipe never sees part of a line.  A NaN reads back without its sign,
-    which no comparison sees, and a fit that meets one raises
-    NumericalOverflow either way."""
-    os.write(fd, b"%r\n" % value)
-    return value
-
-
-def _send_scalars(ts: list[float], degree: int, fd: int) -> None:
-    """The helper's work: run _polynomials on ts, writing each scalar to
-    fd as soon as it is computed."""
-    for _ in _polynomials(ts, degree, lambda compute: _sent(fd, compute())):
+def _send_scalars(ts: list[float], degree: int, send) -> None:
+    """The helper's work: run _polynomials on ts, sending each scalar as
+    soon as it is computed, as one record of its repr, which reads back as
+    the same float.  A NaN reads back without its sign, which no comparison
+    sees, and a fit that meets one raises NumericalOverflow either way."""
+    def sent(compute):
+        value = compute()
+        send(b"%r" % value)
+        return value
+    for _ in _polynomials(ts, degree, sent):
         pass
 
 
@@ -318,12 +310,12 @@ def _orthogonal_fit(ts: list[float], series: Series,
     the scalars of _polynomials that depend on t alone, mean(t), ||p_k||^2
     and a_k, on the second processor, while this process computes the
     deviations, each p_k, c_k and the residual.  Each scalar is taken from
-    the helper's pipe while its lines come whole and in time; from the
-    first that does not, this process computes that scalar and every later
-    one itself.  Both compute each scalar by the same code from the same
-    floats, so a helper that fails, stops or is killed gives the same
-    floats and the same exception at the same step as no helper does.  The
-    helper is killed and reaped before this returns or raises.
+    the helper's records while they come; from the first that does not,
+    this process computes that scalar and every later one itself.  Both
+    compute each scalar by the same code from the same floats, so a helper
+    that fails, stops or is killed gives the same floats and the same
+    exception at the same step as no helper does.  The helper is killed
+    and reaped before this returns or raises.
 
     This process holds at most five length-n lists at once: t, the
     residual, p_{k-1}, p_k, and the residual or p_{k+1} being built.  The
@@ -336,9 +328,9 @@ def _orthogonal_fit(ts: list[float], series: Series,
     helper = None
     if len(ts) * degree >= _HELPER_MIN_WORK:
         from ._helper import start  # loaded only where a helper starts
-        helper = start(lambda fd: _send_scalars(ts, degree, fd))
+        helper = start(lambda send: _send_scalars(ts, degree, send))
     try:
-        scalar = _scalars(helper.chunks() if helper else ())
+        scalar = _scalars(helper.records() if helper else iter(()))
         residual, mean, ss_tot, exponent = _centred_deviations(series)
         coeffs = [mean] + [0.0] * degree
         norm2_max = float(len(ts))

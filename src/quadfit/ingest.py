@@ -13,7 +13,7 @@ input goes through the csv reader, which also raises every error.  Both
 give the same values.  From _SPLIT_MIN_BYTES of input, a helper process
 (see _helper) splits the last 45 % of the plain rows and sends their
 values back as binary doubles, while the caller splits the rest; a helper
-that sends nothing whole in time changes no value or error.
+whose record does not arrive changes no value or error.
 """
 
 # csv.py only re-exports _csv's reader and Error, and imports re, and with
@@ -112,14 +112,13 @@ def _plain_columns(data, schema: CsvSchema):
     From _SPLIT_MIN_BYTES of input, the rows are cut at the first newline
     after _SPLIT_SHARE of their bytes, and a helper process (see _helper)
     runs _plain_rows on the second part while this process runs it on the
-    first.  The helper sends its columns and their bounds back as native
-    doubles, which this process appends to its own without a conversion
-    through text.  Rows are accepted or declined one by one, so the two
-    parts accept what the whole does, and the bounds of the whole are those
-    of the parts (see _bounds).  A payload that does not arrive whole, and
-    framed right, in time is taken as missing, and this process parses
-    those rows itself by the same code, so the helper changes no value,
-    bound or error, only the time.
+    first.  The helper sends its columns and their bounds back in one
+    record of native doubles, which this process appends to its own
+    without a conversion through text.  Rows are accepted or declined one
+    by one, so the two parts accept what the whole does, and the bounds of
+    the whole are those of the parts (see _bounds).  Where no record of
+    that form arrives, this process parses those rows itself by the same
+    code, so the helper changes no value, bound or error, only the time.
     """
     layout = _plain_header(data, schema)
     if layout is None:
@@ -132,16 +131,16 @@ def _plain_columns(data, schema: CsvSchema):
     helper = None
     if mid < end:
         from ._helper import start as fork  # loaded only where a helper starts
-        helper = fork(lambda fd: _send_rows(_plain_rows(data, mid, end, *columns), fd))
+        helper = fork(lambda send: _send_rows(_plain_rows(data, mid, end, *columns), send))
     try:
         rows = _plain_rows(data, start, mid, *columns)
-        payload = b"".join(helper.read()) if helper and rows else b""
+        record = next(helper.records(), None) if helper and rows else None
     finally:
         if helper:
             helper.stop()
     if rows is None or mid == end:
         return rows
-    rest = _received_rows(payload)
+    rest = _received_rows(record)
     if rest is None:
         rest = _plain_rows(data, mid, end, *columns)
     if not rest:
@@ -222,32 +221,30 @@ def _plain_rows(data, start: int, stop: int, x_idx: int, y_idx: int, width: int)
     return xs, ys, _bounds(xs), _bounds(ys)
 
 
-def _send_rows(rows, fd: int) -> None:
-    """The helper's work: write rows, what _plain_rows returned, to fd as
-    native doubles: the row count n, the x and y bounds, the n xs and the n
-    ys; or the count 0 alone where the rows were declined."""
+def _send_rows(rows, send) -> None:
+    """The helper's work: send rows, what _plain_rows returned, as one
+    record of native doubles: the x and y bounds, the xs and the ys; or an
+    empty record where the rows were declined."""
     from _struct import pack  # only the helper packs
-    from ._helper import write
     if rows is None:
-        write(fd, pack("d", 0.0))
+        send(b"")
         return
     xs, ys, x_bounds, y_bounds = rows
-    write(fd, pack("%dd" % (5 + 2 * len(xs)), len(xs), *x_bounds, *y_bounds, *xs, *ys))
+    send(pack("%dd" % (4 + 2 * len(xs)), *x_bounds, *y_bounds, *xs, *ys))
 
 
-def _received_rows(payload: bytes):
-    """The rows in a payload of _send_rows, as _plain_rows returned them but
+def _received_rows(record):
+    """The rows in a record of _send_rows, as _plain_rows returned them but
     with each column a view of doubles; () where they were declined, and
-    None where the payload is not whole or not framed right."""
-    if len(payload) % 8:
-        return None
-    view = memoryview(payload).cast("d")
-    if len(view) == 1 and view[0] == 0:
+    None where no record, or one of another length, came."""
+    if record == b"":
         return ()
-    n = (len(view) - 5) // 2
-    if n < 1 or view[0] != n or len(view) != 5 + 2 * n:
+    # 8 bytes for each of 4 bounds and 2n values, n >= 1.
+    if record is None or len(record) % 16 or len(record) < 48:
         return None
-    return view[5:5 + n], view[5 + n:], (view[1], view[2]), (view[3], view[4])
+    view = memoryview(record).cast("d")
+    n = (len(view) - 4) // 2
+    return view[4:4 + n], view[4 + n:], (view[0], view[1]), (view[2], view[3])
 
 
 def _reader_columns(data, schema: CsvSchema):

@@ -16,9 +16,10 @@ blocks of _MARKER_BLOCK.
 
 From _SPLIT_MIN_MARKERS markers, a helper process (see _helper) formats
 the second half of them on the second processor while this one formats
-the first half.  Markers it does not deliver whole, or in time, are
-formatted here by the same code, so the document never changes, and it
-is killed and reaped before the render ends or raises.
+the first half, and sends them in one record.  Where that record does not
+arrive, the markers are formatted here by the same code, so the document
+never changes, and the helper is killed and reaped before the render ends
+or raises.
 """
 
 import math
@@ -320,24 +321,23 @@ def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec:
 
     # Above _SPLIT_MIN_MARKERS a helper formats markers [split, n) while
     # this process formats [0, split); it formats all of its share before
-    # it writes any, so that it never waits on a full pipe.
+    # it sends any, so that it never waits on a full pipe.
     split = n if n < _SPLIT_MIN_MARKERS else n // 2
     helper = None
     if split < n:
-        from ._helper import start, write  # loaded only where a helper starts
-        helper = start(lambda fd: write(fd, "".join(markers(split, n)).encode()))
+        from ._helper import start  # loaded only where a helper starts
+        helper = start(lambda send: send("".join(markers(split, n)).encode()))
     done = split
     try:
         yield from markers(0, split)
-        if helper:
-            received = b"".join(helper.chunks())
-            if received:
-                yield received.decode()
-                done += received.count(b"\n")
+        record = next(helper.records(), None) if helper else None
+        if record is not None:
+            yield record.decode()
+            done = n
     finally:
         if helper:
             helper.stop()
-    # Whatever the helper did not deliver whole, formatted here.
+    # The helper's markers, where its record did not arrive.
     yield from markers(done, n)
     yield "\n".join(out[markers_at:])
 

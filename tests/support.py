@@ -23,7 +23,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from quadfit import Series
+from quadfit import Series, _helper
 
 X_BOUND = 20.0
 Y_BOUND = 100.0
@@ -112,3 +112,45 @@ def run_isolated(script: str, *argv: str):
             raise
     assert proc.returncode == 0 and stderr == "", stderr
     return json.loads(stdout.splitlines()[-1])
+
+
+def helpers_send(monkeypatch, wrap):
+    """Make each helper that quadfit._helper.start forks send its records
+    through wrap(send) in place of send."""
+    start = _helper.start
+    monkeypatch.setattr(_helper, "start", lambda work: start(lambda send: work(wrap(send))))
+
+
+def failing_helpers(monkeypatch, sent, last=None):
+    """Make each helper that quadfit._helper.start forks send its first
+    `sent` records, then fail at the next one, once last(send, record) has
+    run where last is given."""
+    def wrap(send):
+        count = 0
+
+        def failing(record):
+            nonlocal count
+            if count == sent:
+                if last:
+                    last(send, record)
+                raise OSError("the helper fails")
+            count += 1
+            send(record)
+        return failing
+    helpers_send(monkeypatch, wrap)
+
+
+def cut(keep):
+    """A last for failing_helpers: send the record, but cut off once keep(record)
+    of its bytes have reached the pipe.  Its first os.write holds it whole,
+    behind whatever _helper writes first; os.write is replaced in the forked
+    helper only."""
+    def send_cut(send, record):
+        write = os.write
+
+        def cut_write(fd, data):
+            write(fd, data[:len(data) - len(record) + keep(record)])
+            raise OSError("the helper is cut off")
+        os.write = cut_write
+        send(record)
+    return send_cut

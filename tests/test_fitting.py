@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import max_rel_err, normal_equations_fit, quadratic_fit_cramer
-from support import STOPPING_FORK, fit_instances, run_isolated, spaced_abscissae
+from support import (STOPPING_FORK, cut, failing_helpers, fit_instances, helpers_send, run_isolated,
+                     spaced_abscissae)
 from conftest import DERIVED_COEFFS, DERIVED_XS, DERIVED_YS
 
 from quadfit import (
@@ -446,26 +447,16 @@ class TestHelperProcess:
         assert alone[0] is NumericalOverflow
         assert outcome(series, degree) == alone
 
-    @pytest.mark.parametrize("cut", [False, True], ids=["ends", "cuts-a-line"])
+    @pytest.mark.parametrize("cut_next", [False, True], ids=["ends", "cuts-a-line"])
     @pytest.mark.parametrize("sent", range(9))
-    def test_a_helper_that_stops_is_finished_in_process(self, sent, cut, forks, monkeypatch, capfd):
+    def test_a_helper_that_stops_is_finished_in_process(self, sent, cut_next, forks, monkeypatch, capfd):
         # Degree 4 takes nine scalars: mean(t), then ||p_k||^2 for k = 1..4
-        # and a_k for k = 1..3.  This helper sends the first `sent`, then
-        # writes part of a line or nothing, and fails.
+        # and a_k for k = 1..3.  This helper sends the records of the first
+        # `sent`, then fails, or fails while it sends the next, whose record
+        # arrives cut.
         series = offset_series(200, 3.0, 0.0, 1.0, sent)
         alone = in_process(monkeypatch, series, 4)
-        count = [0]
-        whole = fitting._sent
-
-        def failing_sent(fd, value):
-            if count[0] == sent:
-                if cut:
-                    os.write(fd, repr(value)[:-1].encode())
-                raise OverflowError("the helper fails")
-            count[0] += 1
-            return whole(fd, value)
-
-        monkeypatch.setattr(fitting, "_sent", failing_sent)
+        failing_helpers(monkeypatch, sent, cut(lambda record: len(record) - 1) if cut_next else None)
         assert outcome(series, 4) == alone
         assert len(forks) == 1
         assert capfd.readouterr() == ("", "")
@@ -475,9 +466,9 @@ class TestHelperProcess:
         # helper path above is not the fit in process by another route.
         series = offset_series(200, 3.0, 0.0, 1.0, 0)
         alone = in_process(monkeypatch, series, 3)
-        whole = fitting._sent
-        monkeypatch.setattr(fitting, "_sent", lambda fd, value: whole(fd, 2 * value) / 2)
+        helpers_send(monkeypatch, lambda send: lambda record: send(b"%r" % (2 * float(record))))
         assert outcome(series, 3) != alone
+        assert len(forks) == 1
 
     def test_fits_in_process_while_another_thread_runs(self, forks, monkeypatch):
         # A forked process inherits the locks other threads hold, and

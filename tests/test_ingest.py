@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REPO_ROOT
-from support import STOPPING_FORK, noisy_quadratic, run_isolated
+from support import STOPPING_FORK, cut, failing_helpers, helpers_send, noisy_quadratic, run_isolated
 
 from quadfit import (
     CsvError,
@@ -23,7 +23,7 @@ from quadfit import (
     Series,
     parse_csv,
 )
-from quadfit import _helper, ingest
+from quadfit import ingest
 from quadfit.ingest import _BLOCK_BYTES, _plain_columns, _reader_columns, validate_series
 
 
@@ -527,43 +527,35 @@ class TestSplitParse:
         data = ("Month,Values,Note\n" + "".join(plain_rows(2000))).encode("ascii")
         split, forks, alone = split_and_in_process(monkeypatch, data)
         assert (split, forks, len(parsed_here)) == (alone, 1, 2)
-        send = ingest._send_rows
-        monkeypatch.setattr(ingest, "_send_rows", lambda got, fd: send(
-            (*([2 * v for v in column] for column in got[:2]), *got[2:]), fd))
+
+        def doubled(record):
+            values = struct.unpack("%dd" % (len(record) // 8), record)
+            return struct.pack("%dd" % len(values), *(2 * v for v in values))
+
+        helpers_send(monkeypatch, lambda send: lambda record: send(doubled(record)))
         split, forks, alone = split_and_in_process(monkeypatch, data)
         assert (split != alone, forks) == (True, 1)
 
-    @pytest.mark.parametrize("mangle", [
-        lambda payload: b"",
-        lambda payload: payload[:-3],
-        lambda payload: payload[:-8],
-        lambda payload: payload[:len(payload) // 2],
-        lambda payload: struct.pack("d", struct.unpack_from("d", payload)[0] + 1) + payload[8:],
-        lambda payload: struct.pack("d", struct.unpack_from("d", payload)[0] - 1) + payload[8:],
-        lambda payload: struct.pack("d", math.nan) + payload[8:],
-        lambda payload: struct.pack("d", struct.unpack_from("d", payload)[0] + 0.5) + payload[8:-8],
-        lambda payload: struct.pack("d", 0.0) + payload[8:],
-        lambda payload: struct.pack("d", 0.0) + payload[8:40],
-        lambda payload: payload[:8],
-        lambda payload: payload + bytes(8),
-    ], ids=["nothing", "cuts-a-double", "a-double-short", "half", "count-plus-one",
-            "count-minus-one", "count-nan", "count-and-a-half", "count-zero", "count-zero-and-bounds",
-            "count-alone", "a-double-more"])
-    def test_a_payload_not_framed_right_is_parsed_in_process(self, mangle, monkeypatch, capfd,
+    @pytest.mark.parametrize("last, parsed", [
+        (None, 3),
+        (lambda send, record: send(record[:-3]), 3),
+        (lambda send, record: send(record[:-8]), 3),
+        (cut(lambda record: len(record) // 2), 3),
+        (lambda send, record: send(record + bytes(8)), 3),
+        (lambda send, record: send(b""), 2),
+    ], ids=["nothing", "cuts-a-double", "a-double-short", "half", "a-double-more", "declined"])
+    def test_a_payload_not_framed_right_is_parsed_in_process(self, last, parsed, monkeypatch, capfd,
                                                              parsed_here):
-        # The helper writes part of its payload, or a wrong row count, and
-        # fails: this process parses the helper's rows itself, and then the
-        # whole in process.
+        # The helper sends no record, a record of another length than its
+        # rows take, half of its record, or an empty record that declines
+        # its rows, and fails.  This process parses the helper's rows itself,
+        # or, where they were declined, the whole input with the reader; and
+        # then the whole in process.
         data = ("Month,Values,Note\n" + "".join(plain_rows(2000))).encode("ascii")
-        write = _helper.write
-
-        def failing_write(fd, payload):
-            write(fd, mangle(payload))
-            raise OSError("the helper fails")
-
-        monkeypatch.setattr(_helper, "write", failing_write)
+        failing_helpers(monkeypatch, 0, last)
         split, forks, alone = split_and_in_process(monkeypatch, data)
-        assert (split, forks, len(parsed_here)) == (alone, 1, 3)
+        assert (split, forks, len(parsed_here)) == (alone, 1, parsed)
+        assert alone[0].startswith("Series(")
         assert capfd.readouterr() == ("", "")
 
     def test_a_stopped_helper_is_killed_and_the_parse_finished_in_process(self, tmp_path):

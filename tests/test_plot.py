@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracle import exact_report
-from support import STOPPING_FORK, noisy_quadratic, run_isolated
+from support import STOPPING_FORK, cut, failing_helpers, noisy_quadratic, run_isolated
 from conftest import DERIVED_XS, DERIVED_YS
 
 from quadfit import (
@@ -24,7 +24,7 @@ from quadfit import (
     parse_csv,
     render_plot,
 )
-from quadfit import _helper, plot
+from quadfit import plot
 from quadfit.plot import (
     _MARKER_BLOCK,
     _SPLIT_MIN_MARKERS,
@@ -456,21 +456,21 @@ class TestMarkerHelper:
         svg, forks, alone = self.figure(rows, monkeypatch)
         assert (svg == alone, forks) == (True, int(rows >= _SPLIT_MIN_MARKERS))
 
-    @pytest.mark.parametrize("lines, cut", [(0, 0), (1, 3), (_MARKER_BLOCK + 100, 0), (_MARKER_BLOCK + 100, 7)],
+    @pytest.mark.parametrize("lines, cut_bytes", [(None, 0), (1, 3), (_MARKER_BLOCK + 100, 0),
+                                                  (_MARKER_BLOCK + 100, 7)],
                              ids=["nothing", "cuts-the-first-line", "mid-block", "cuts-a-line"])
-    def test_a_helper_that_stops_early_is_finished_in_process(self, lines, cut, monkeypatch, capfd):
-        # The helper writes its first `lines` markers, less `cut` bytes of
-        # the last, and fails.
-        whole = _helper.write
-
-        def partial(fd, data):
+    def test_a_helper_that_stops_early_is_finished_in_process(self, lines, cut_bytes, monkeypatch, capfd):
+        # The helper sends all of its markers in one record.  It fails before
+        # it sends any, or while it sends them, once its first `lines`
+        # markers, less `cut_bytes` bytes of the last, have reached the
+        # pipe: the record arrives cut, and this process formats them all.
+        def keep(record):
             end = 0
             for _ in range(lines):
-                end = data.index(b"\n", end) + 1
-            whole(fd, data[:end - cut])
-            raise OSError("the helper fails")
+                end = record.index(b"\n", end) + 1
+            return end - cut_bytes
 
-        monkeypatch.setattr(_helper, "write", partial)
+        failing_helpers(monkeypatch, 0, lines and cut(keep))
         svg, forks, alone = self.figure(5 * _MARKER_BLOCK + 1, monkeypatch)
         assert (svg == alone, forks) == (True, 1)
         assert capfd.readouterr() == ("", "")

@@ -181,6 +181,30 @@ def test_cli_import_loads_only_what_the_pipeline_uses(tmp_path):
         assert svg.exists() and report.exists()
 
 
+# How a helper's result crosses the pipe is _helper's alone.
+PIPE_CALLS = {"fork", "pipe", "read", "write"}
+
+
+def pipe_uses(source: str):
+    """Each use of os.fork, os.pipe, os.read, os.write or select in source."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "os" and node.attr in PIPE_CALLS:
+                yield f"os.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module in ("os", "select"):
+            yield from (f"{node.module}.{alias.name}" for alias in node.names
+                        if node.module == "select" or alias.name in PIPE_CALLS)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names if alias.name == "select")
+        elif isinstance(node, ast.Name) and node.id == "select":
+            yield "select"
+
+
+@pytest.mark.parametrize("module", ["fitting", "ingest", "plot", "cli"])
+def test_only_the_helper_module_touches_the_pipe(module):
+    assert list(pipe_uses((REPO_ROOT / "src" / "quadfit" / f"{module}.py").read_text(encoding="utf-8"))) == []
+
+
 def test_failing_property_reports_as_a_failure(tmp_path):
     # Under the project's warning filters.  hypothesis's pytest plugin may
     # import libcst to print a patch, and libcst's import warns that
