@@ -1,6 +1,6 @@
 """One forked helper process that computes part of a result beside its
-parent: the last rows of a large parse, the fit's sums in t alone, and
-the second share of the SVG's data markers.
+parent, on a CPU the parent leaves free: the last rows of a large parse,
+the fit's sums in t alone, and the SVG's data markers.
 
 start(work) forks a child that runs work(send), where send(record) sends
 one record, a bytes object of any length, to the parent; the child ends
@@ -9,10 +9,26 @@ flushes its buffers or writes to stdout or stderr.  The parent takes the
 records from the Helper's records(), each one whole and in the order sent,
 and computes whatever did not arrive itself, by the same code, so a helper
 that fails, stops or is killed changes no output and no error, only the
-time.  Its stop() kills the child and reaps it.  How a record crosses the
-pipe is this module's alone: each goes as its length in _PREFIX bytes,
-then its bytes.  Callers import this module only where they start a
-helper, so a run that starts none loads neither it nor select.
+time.  Its stop() kills the child and reaps it.  How a record crosses is
+this module's alone: each goes down the pipe as its length in _PREFIX
+bytes, then its bytes.  start(work, room) makes a shared anonymous mapping
+of room bytes before the fork instead: each record's bytes go into it
+after the ones before, only its length goes down the pipe, and records()
+yields a memoryview of the mapping, which the parent can write out without
+a copy.  A record that would pass the end of the mapping fails the helper.
+Callers import this module only where they start a helper, so a run that
+starts none loads neither it nor select, and mmap loads only where a
+helper is given room.
+
+A helper runs only on a CPU its parent leaves free.  start reads the
+parent's count of OS threads and the CPU it runs on in one read of
+/proc/self/stat; the child pins itself to the other CPUs the parent may
+run on (os.sched_setaffinity on itself, never on the parent), and at most
+one helper lives per such spare CPU.  A process allowed one CPU thus forks
+nothing, and on two CPUs a second helper is not started while one lives:
+its caller does that work in process, as where no helper starts.  So the
+fit's helper yields while the chart's markers' helper holds the spare CPU,
+and the fit runs in process beside it.
 
 The wait is bounded: in all, the parent waits for its helper no longer
 than it has worked itself since the fork, or _MIN_WAIT where that is
@@ -44,16 +60,23 @@ _READ_SIZE = 1 << 16
 # A record's length goes before it in this many bytes, little-endian.
 _PREFIX = 4
 
+# The helpers started and not yet stopped: a count per process, as the
+# spare CPUs it is held to are the process's.
+_live = 0
+
 
 class Helper:
     """A running helper: its pid, a pidfd for it (None where none could be
-    opened), the read end of its pipe, when it was forked and how long the
-    parent has waited for it, in seconds."""
+    opened), the read end of its pipe (None once stopped), the mapping its
+    records are in (None where they come down the pipe), when it was forked
+    and how long the parent has waited for it, in seconds."""
 
-    __slots__ = ("pid", "pidfd", "fd", "started", "waited")
+    __slots__ = ("pid", "pidfd", "fd", "shared", "started", "waited")
 
-    def __init__(self, pid: int, fd: int):
-        self.pid, self.fd = pid, fd
+    def __init__(self, pid: int, fd: int, shared):
+        global _live
+        _live += 1
+        self.pid, self.fd, self.shared = pid, fd, shared
         self.started, self.waited = time.monotonic(), 0.0
         try:
             self.pidfd = os.pidfd_open(pid)
@@ -67,6 +90,7 @@ class Helper:
         poller = select.poll()
         poller.register(self.fd, select.POLLIN)
         pending = bytearray()
+        mapped = 0
         while True:
             now = time.monotonic()
             worked = now - self.started - self.waited
@@ -82,17 +106,29 @@ class Helper:
             start = 0
             while len(pending) - start >= _PREFIX:
                 body = start + _PREFIX
-                end = body + int.from_bytes(pending[start:body], "little")
+                size = int.from_bytes(pending[start:body], "little")
+                end = body if self.shared is not None else body + size
                 if len(pending) < end:
                     break
-                yield bytes(memoryview(pending)[body:end])
+                if self.shared is not None:
+                    yield self.shared[mapped:mapped + size]
+                    mapped += size
+                else:
+                    yield bytes(memoryview(pending)[body:end])
                 start = end
             del pending[:start]
 
     def stop(self) -> None:
-        """Close the helper's pipe, kill it and reap it.  Without a pidfd it
-        is not signalled, and ends at its next send or when its work does."""
+        """Close the helper's pipe, kill it and reap it; once stopped, do
+        nothing.  Without a pidfd it is not signalled, and ends at its next
+        send or when its work does.  A record still held keeps the mapping
+        alive until it is released."""
+        global _live
+        if self.fd is None:
+            return
         os.close(self.fd)
+        self.fd = self.shared = None
+        _live -= 1
         if self.pidfd is not None:
             try:
                 _signal.pidfd_send_signal(self.pidfd, _signal.SIGKILL)
@@ -107,22 +143,43 @@ class Helper:
             pass
 
 
-def _one_thread() -> bool:
-    """Whether this process runs a single OS thread, by the count of
-    /proc/self/task, which sees threads that C code started too."""
+def _placement() -> tuple[int, int]:
+    """This process's count of OS threads, which sees threads that C code
+    started too, and the CPU it runs on: fields 20 and 39 of
+    /proc/self/stat, in one read; (0, -1) where it cannot be read."""
     try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
+        with open("/proc/self/stat", "rb") as fh:
+            # The command name, field 2, is in parentheses and may hold
+            # spaces and parentheses itself.
+            fields = fh.read().rpartition(b")")[2].split()
+        return int(fields[17]), int(fields[36])
+    except (OSError, IndexError, ValueError):
+        return 0, -1
 
 
-def start(work) -> Helper | None:
-    """A forked Helper running work(send); None where fork or pidfd_open is
-    missing, other threads run, or no pipe or process could be made."""
-    if not (hasattr(os, "fork") and hasattr(os, "pidfd_open") and _one_thread()):
+def _spare_cpus(cpu: int) -> set[int]:
+    """The CPUs a helper is pinned to: those this process may run on, but
+    cpu, the one it runs on."""
+    return os.sched_getaffinity(0) - {cpu}
+
+
+def start(work, room: int = 0) -> Helper | None:
+    """A forked Helper running work(send), whose records pass through a
+    mapping of room bytes where room is given; None where fork or
+    pidfd_open is missing, other threads run, no spare CPU is free (see the
+    module), or no mapping, pipe or process could be made."""
+    if not (hasattr(os, "fork") and hasattr(os, "pidfd_open")):
+        return None
+    threads, cpu = _placement()
+    spare = _spare_cpus(cpu) if threads == 1 else set()
+    if len(spare) <= _live:
         return None
     fds = ()
     try:
+        shared = None
+        if room:
+            import mmap  # loaded only where a helper is given room
+            shared = memoryview(mmap.mmap(-1, room))
         fds = read_fd, write_fd = os.pipe()
         pid = os.fork()
     except OSError:
@@ -132,15 +189,31 @@ def start(work) -> Helper | None:
     if pid == 0:
         try:
             os.close(read_fd)
-            work(lambda record: _send(write_fd, record))
+            os.sched_setaffinity(0, spare)
+            work(_sender(write_fd, shared))
         finally:
             os._exit(0)
     os.close(write_fd)
-    return Helper(pid, read_fd)
+    return Helper(pid, read_fd, shared)
 
 
-def _send(fd: int, record: bytes) -> None:
-    """Write record to fd behind its length, however the pipe splits it."""
-    view = memoryview(len(record).to_bytes(_PREFIX, "little") + record)
-    while view:
-        view = view[os.write(fd, view):]
+def _sender(fd: int, shared):
+    """The child's send(record): write the record's length to fd, and its
+    bytes after it, however the pipe splits them, or, where shared is a
+    mapping, into it after the records before.  A record that would pass
+    the end of the mapping raises ValueError, which ends the helper."""
+    mapped = 0
+
+    def send(record: bytes) -> None:
+        nonlocal mapped
+        size = len(record)
+        if shared is not None:
+            if mapped + size > len(shared):
+                raise ValueError("the record passes the end of the mapping")
+            shared[mapped:mapped + size] = record
+            mapped += size
+            record = b""
+        view = memoryview(size.to_bytes(_PREFIX, "little") + record)
+        while view:
+            view = view[os.write(fd, view):]
+    return send

@@ -114,11 +114,34 @@ def run_isolated(script: str, *argv: str):
     return json.loads(stdout.splitlines()[-1])
 
 
+def share_the_cpu(monkeypatch):
+    """Pin each helper that quadfit._helper.start forks to this process's
+    own CPU, where it competes with this process, and let one live at a
+    time: a test that needs a fork then gets one wherever this process may
+    run, on one CPU too."""
+    monkeypatch.setattr(_helper, "_spare_cpus", lambda cpu: {cpu})
+
+
+# share_the_cpu as a script prefix for a fresh interpreter.
+SHARED_CPU = """
+from quadfit import _helper
+_helper._spare_cpus = lambda cpu: {cpu}
+"""
+
+
+def wait_long(monkeypatch):
+    """Wait for each helper's records up to 30 s at least, so that a test
+    that asserts a record was used does not depend on when the scheduler
+    runs the helper.  A helper that ends, or fails, ends its records at
+    once all the same."""
+    monkeypatch.setattr(_helper, "_MIN_WAIT", 30.0)
+
+
 def helpers_send(monkeypatch, wrap):
     """Make each helper that quadfit._helper.start forks send its records
     through wrap(send) in place of send."""
     start = _helper.start
-    monkeypatch.setattr(_helper, "start", lambda work: start(lambda send: work(wrap(send))))
+    monkeypatch.setattr(_helper, "start", lambda work, room=0: start(lambda send: work(wrap(send)), room))
 
 
 def failing_helpers(monkeypatch, sent, last=None):
@@ -144,7 +167,10 @@ def cut(keep):
     """A last for failing_helpers: send the record, but cut off once keep(record)
     of its bytes have reached the pipe.  Its first os.write holds it whole,
     behind whatever _helper writes first; os.write is replaced in the forked
-    helper only."""
+    helper only.  A record sent through a mapping has only its length in
+    that write, so all of the record reaches the mapping, and its length
+    reaches the pipe cut, or not at all where keep(record) is more than
+    that length's bytes short of the record."""
     def send_cut(send, record):
         write = os.write
 

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import max_rel_err, normal_equations_fit, quadratic_fit_cramer
-from support import (STOPPING_FORK, cut, failing_helpers, fit_instances, helpers_send, run_isolated,
-                     spaced_abscissae)
+from support import (SHARED_CPU, STOPPING_FORK, cut, failing_helpers, fit_instances, helpers_send, run_isolated,
+                     share_the_cpu, spaced_abscissae, wait_long)
 from conftest import DERIVED_COEFFS, DERIVED_XS, DERIVED_YS
 
 from quadfit import (
@@ -417,6 +417,10 @@ class TestHelperProcess:
     """A fit large enough to fork a helper for the sums in t alone gives
     the same floats, or the same error, as one computed in process."""
 
+    @pytest.fixture(autouse=True)
+    def shared_cpu(self, monkeypatch):
+        share_the_cpu(monkeypatch)
+
     @pytest.mark.parametrize("degree", range(1, 11))
     def test_bit_identical_to_the_fit_in_process(self, degree, forks, monkeypatch):
         cases = [(x_offset, y_offset, y_scale)
@@ -466,6 +470,7 @@ class TestHelperProcess:
         # helper path above is not the fit in process by another route.
         series = offset_series(200, 3.0, 0.0, 1.0, 0)
         alone = in_process(monkeypatch, series, 3)
+        wait_long(monkeypatch)
         helpers_send(monkeypatch, lambda send: lambda record: send(b"%r" % (2 * float(record))))
         assert outcome(series, 3) != alone
         assert len(forks) == 1
@@ -543,7 +548,7 @@ class TestHelperProcess:
         # for it no longer than it has worked itself (or 20 ms), computes
         # every scalar in process, and kills and reaps it: it returns well
         # within 5 s, where it takes about 0.1 s, and never hangs.
-        script = STOPPING_FORK + """
+        script = SHARED_CPU + STOPPING_FORK + """
 import json, math, time
 from quadfit import fitting
 n = 20_000

@@ -1,25 +1,40 @@
 """The helper's record protocol, driven through start, records and stop:
-each record a helper sends arrives whole and in order, a record that ends
-cut is dropped with everything after it, and no helper outlives stop."""
+each record a helper sends arrives whole and in order, down the pipe or
+through a mapping, a record that ends cut or passes the mapping's end is
+dropped with everything after it, and no helper outlives stop.  Where a
+helper runs, and how many live at once, is tested last."""
 
+import json
 import os
 import time
 
 import pytest
 
 from quadfit import _helper
+from support import share_the_cpu, wait_long
+
+pytestmark = pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="a helper is forked where pidfds exist")
 
 
-def received(work, before=None):
-    """The records a helper running work sends, as a list, taken after
-    before(helper) where given; the helper is stopped, and no child of this
-    process is left."""
-    helper = _helper.start(work)
+@pytest.fixture(autouse=True)
+def records_arrive(monkeypatch):
+    """Every helper here forks, on this process's CPU where no other is
+    allowed, and is waited for until it ends."""
+    share_the_cpu(monkeypatch)
+    wait_long(monkeypatch)
+
+
+def received(work, before=None, room=0):
+    """The records a helper running work sends, as a list of bytes, taken
+    after before(helper) where given, through a mapping of room bytes where
+    room is given; the helper is stopped, and no child of this process is
+    left."""
+    helper = _helper.start(work, room)
     assert helper is not None
     try:
         if before:
             before(helper)
-        records = list(helper.records())
+        records = [bytes(record) for record in helper.records()]
     finally:
         helper.stop()
     with pytest.raises(ChildProcessError):
@@ -50,7 +65,6 @@ def cut_off(sent):
     os.write = cut_write
 
 
-@pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="a helper is forked where pidfds exist")
 class TestRecords:
     def test_a_record_spans_many_reads(self, monkeypatch):
         record = bytes(range(256)) * 4096  # 1 MiB
@@ -100,12 +114,127 @@ class TestRecords:
     def test_a_helper_that_sends_nothing(self):
         assert received(lambda send: None) == []
 
-    def test_a_helper_that_hangs_is_waited_for_no_longer_than_the_parent_worked(self):
+    def test_a_helper_that_hangs_is_waited_for_no_longer_than_the_parent_worked(self, monkeypatch):
         # The parent has worked 0.3 s when it first waits, so it waits about
         # that long again for the second record, then ends the records.
+        monkeypatch.setattr(_helper, "_MIN_WAIT", 0.02)
+
         def work(send):
             send(b"first")
             time.sleep(60)
         start = time.monotonic()
         assert received(work, before=lambda helper: time.sleep(0.3)) == [b"first"]
         assert time.monotonic() - start < 5.0
+
+
+class TestMapping:
+    """Records sent through a mapping: only their lengths cross the pipe."""
+
+    @pytest.mark.parametrize("sizes", [[100], [60, 40], [0], [0, 100, 0], [1, 0, 99]],
+                             ids=["one", "two", "empty", "empty-around", "empty-between"])
+    def test_records_that_fill_their_room_exactly(self, sizes, monkeypatch):
+        records = [bytes([65 + i]) * size for i, size in enumerate(sizes)]
+        reads_made = reads(monkeypatch)
+
+        def work(send):
+            for record in records:
+                send(record)
+        assert received(work, room=100) == records
+        assert sum(reads_made) == _helper._PREFIX * len(records)
+
+    def test_a_record_is_a_view_of_the_mapping(self):
+        helper = _helper.start(lambda send: send(b"markers"), 64)
+        try:
+            record, = helper.records()
+        finally:
+            helper.stop()
+        assert (type(record), bytes(record)) == (memoryview, b"markers")
+
+    @pytest.mark.parametrize("sizes, arrive", [([101], 0), ([60, 41], 1), ([100, 1], 1), ([0, 101], 1)],
+                             ids=["one", "second", "past-a-full-room", "after-an-empty-one"])
+    def test_a_record_one_byte_over_its_room_fails_the_helper(self, sizes, arrive, capfd):
+        # send raises in the helper, which ends without sending its length:
+        # the records sent before arrive, and the parent does the rest.
+        records = [bytes([65 + i]) * size for i, size in enumerate(sizes)]
+
+        def work(send):
+            for record in records:
+                send(record)
+        assert received(work, room=100) == records[:arrive]
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("sent", range(_helper._PREFIX))
+    def test_a_cut_length_ends_the_records(self, sent):
+        def work(send):
+            send(b"whole")
+            cut_off(sent)
+            send(b"cut")
+        assert received(work, room=64) == [b"whole"]
+
+    def test_a_record_outlives_the_helper_that_sent_it(self):
+        # stop drops the mapping, which lives on while a record views it.
+        helper = _helper.start(lambda send: send(bytes(range(256)) * 64), 1 << 14)
+        try:
+            record = next(helper.records())
+        finally:
+            helper.stop()
+        assert bytes(record) == bytes(range(256)) * 64
+
+
+class TestPlacement:
+    """A helper runs on a CPU its parent leaves free, and at most one lives
+    per such CPU."""
+
+    @staticmethod
+    def started(count, work=lambda send: None):
+        """start(work) count times over without a stop between, then stop
+        each helper that started: the number that started."""
+        helpers = [_helper.start(work) for _ in range(count)]
+        for helper in helpers:
+            if helper:
+                helper.stop()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return sum(helper is not None for helper in helpers)
+
+    def test_one_helper_lives_per_spare_cpu(self, monkeypatch):
+        assert self.started(3) == 1
+        assert self.started(1) == 1
+        monkeypatch.setattr(_helper, "_spare_cpus", lambda cpu: {cpu, cpu + 1024})
+        assert self.started(3) == 2
+        monkeypatch.undo()
+        assert self.started(len(os.sched_getaffinity(0)) + 1) == len(os.sched_getaffinity(0)) - 1
+
+    def test_a_stopped_helper_frees_its_cpu(self):
+        first = _helper.start(lambda send: None)
+        try:
+            assert _helper.start(lambda send: None) is None
+        finally:
+            first.stop()
+            first.stop()  # a second stop does nothing
+        assert self.started(1) == 1
+
+    @pytest.mark.parametrize("gate", ["own-cpu", "spare-cpus"])
+    def test_the_child_pins_itself_and_leaves_its_parent_alone(self, gate, monkeypatch):
+        if gate == "spare-cpus":
+            monkeypatch.undo()
+            wait_long(monkeypatch)
+            if len(os.sched_getaffinity(0)) < 2:
+                pytest.skip("this process may run on one CPU only")
+        placements, placement = [], _helper._placement
+        monkeypatch.setattr(_helper, "_placement", lambda: placements.append(placement()) or placements[-1])
+        parent = os.sched_getaffinity(0)
+        record, = received(lambda send: send(json.dumps(sorted(os.sched_getaffinity(0))).encode()))
+        (threads, cpu), = placements
+        assert threads == 1 and cpu in parent
+        want = {cpu} if gate == "own-cpu" else parent - {cpu}
+        assert (json.loads(record), os.sched_getaffinity(0)) == (sorted(want), parent)
+
+    def test_no_cpu_read_forks_nothing(self, monkeypatch):
+        monkeypatch.setattr(_helper, "_placement", lambda: (0, -1))
+        assert self.started(1) == 0
+
+    def test_placement_reads_this_process(self):
+        threads, cpu = _helper._placement()
+        assert threads == len(os.listdir("/proc/self/task"))
+        assert cpu in os.sched_getaffinity(0)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REPO_ROOT
-from support import STOPPING_FORK, cut, failing_helpers, helpers_send, noisy_quadratic, run_isolated
+from support import (SHARED_CPU, STOPPING_FORK, cut, failing_helpers, helpers_send, noisy_quadratic, run_isolated,
+                     share_the_cpu, wait_long)
 
 from quadfit import (
     CsvError,
@@ -416,6 +417,7 @@ def split_and_in_process(monkeypatch, data, schema=CsvSchema(), split_min=0):
     """series_outcome of data where inputs of split_min bytes or more are
     split, the number of helpers that parse forked, and series_outcome of
     data parsed in process.  No helper outlives the split parse."""
+    share_the_cpu(monkeypatch)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     monkeypatch.setattr(ingest, "_SPLIT_MIN_BYTES", split_min)
@@ -496,6 +498,7 @@ class TestSplitParse:
         rows[179] = row
         data = ("Month,Values,Note\n" + "".join(rows)).encode("utf-8")
         assert data.index(row.encode("utf-8")) > len(data) * ingest._SPLIT_SHARE
+        wait_long(monkeypatch)
         split, forks, alone = split_and_in_process(monkeypatch, data)
         assert (split, forks, len(parsed_here)) == (alone, 1, 2)
         assert alone[0].startswith(outcome)
@@ -525,6 +528,7 @@ class TestSplitParse:
         # A helper that sends its values doubled changes the Series, so the
         # split is not the parse in process by another route.
         data = ("Month,Values,Note\n" + "".join(plain_rows(2000))).encode("ascii")
+        wait_long(monkeypatch)
         split, forks, alone = split_and_in_process(monkeypatch, data)
         assert (split, forks, len(parsed_here)) == (alone, 1, 2)
 
@@ -552,6 +556,7 @@ class TestSplitParse:
         # or, where they were declined, the whole input with the reader; and
         # then the whole in process.
         data = ("Month,Values,Note\n" + "".join(plain_rows(2000))).encode("ascii")
+        wait_long(monkeypatch)
         failing_helpers(monkeypatch, 0, last)
         split, forks, alone = split_and_in_process(monkeypatch, data)
         assert (split, forks, len(parsed_here)) == (alone, 1, parsed)
@@ -569,7 +574,7 @@ class TestSplitParse:
         csv.write_text("Month,Values\n" + "".join(f"{x},{y}\n" for x, y in zip(series.xs, series.ys)),
                        encoding="ascii")
         assert csv.stat().st_size >= ingest._SPLIT_MIN_BYTES
-        script = STOPPING_FORK + """
+        script = SHARED_CPU + STOPPING_FORK + """
 import json, math, sys, time
 from quadfit import ingest
 with open(sys.argv[1], "rb") as fh:

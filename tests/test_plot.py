@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracle import exact_report
-from support import STOPPING_FORK, cut, failing_helpers, noisy_quadratic, run_isolated
+from support import SHARED_CPU, STOPPING_FORK, cut, failing_helpers, noisy_quadratic, run_isolated, share_the_cpu
 from conftest import DERIVED_XS, DERIVED_YS
 
 from quadfit import (
@@ -431,7 +431,8 @@ class TestRenderPlot:
 @pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="the helper is forked where pidfds exist")
 class TestMarkerHelper:
     """From _SPLIT_MIN_MARKERS markers a helper process formats the second
-    half of them; the document is byte-identical to one rendered without."""
+    half of them at render time; the document is byte-identical to one
+    rendered without."""
 
     @staticmethod
     def figure(rows, monkeypatch):
@@ -441,6 +442,7 @@ class TestMarkerHelper:
         series = noisy_quadratic(rows, rows)
         model, _ = fit_polynomial(series, 1)
         report = fit_report(model, series)
+        share_the_cpu(monkeypatch)
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         svg = render_plot(series, model, report, SPEC)
@@ -460,10 +462,10 @@ class TestMarkerHelper:
                                                   (_MARKER_BLOCK + 100, 7)],
                              ids=["nothing", "cuts-the-first-line", "mid-block", "cuts-a-line"])
     def test_a_helper_that_stops_early_is_finished_in_process(self, lines, cut_bytes, monkeypatch, capfd):
-        # The helper sends all of its markers in one record.  It fails before
-        # it sends any, or while it sends them, once its first `lines`
-        # markers, less `cut_bytes` bytes of the last, have reached the
-        # pipe: the record arrives cut, and this process formats them all.
+        # The helper sends all of its markers in one record, through a
+        # mapping.  It fails before it sends any, or once it has put them
+        # there, while it sends their length down the pipe (see cut): the
+        # length arrives cut or not at all, and this process formats them.
         def keep(record):
             end = 0
             for _ in range(lines):
@@ -475,17 +477,27 @@ class TestMarkerHelper:
         assert (svg == alone, forks) == (True, 1)
         assert capfd.readouterr() == ("", "")
 
+    def test_a_record_past_its_room_is_formatted_in_process(self, monkeypatch, capfd):
+        # The mapping holds 40 bytes a marker, fewer than any marker takes:
+        # the helper's send fails, and this process formats them all.
+        monkeypatch.setattr(plot, "_MARKER_ROOM", 40)
+        svg, forks, alone = self.figure(5 * _MARKER_BLOCK + 1, monkeypatch)
+        assert (svg == alone, forks) == (True, 1)
+        assert capfd.readouterr() == ("", "")
+
     def test_a_stopped_helper_is_killed_and_the_command_finished_in_process(self, tmp_path):
-        # 1e5 rows at degree 2 start all three helpers, for the parse, the
-        # fit and the markers, and each is stopped right after the fork.
-        # The command waits for each no longer than it has worked itself (or
-        # 20 ms), does its share in process, and kills and reaps it: it ends
-        # well within 10 s, where it takes about 0.2 s.
+        # 1e5 rows at degree 2 start two helpers, and each is stopped right
+        # after the fork: one for the parse, and one that formats every
+        # marker while the command fits, in place of the fit's own (one
+        # helper lives at a time).  The command waits for each no longer
+        # than it has worked itself since its fork (or 20 ms), does its
+        # share in process, and kills and reaps it: it ends well within
+        # 10 s, where it takes about 0.2 s.
         series = noisy_quadratic(100_000, 3)
         csv = tmp_path / "bulk.csv"
         csv.write_text("Month,Values\n" + "".join(f"{x},{y}\n" for x, y in zip(series.xs, series.ys)),
                        encoding="ascii")
-        script = STOPPING_FORK + """
+        script = SHARED_CPU + STOPPING_FORK + """
 import json, math, sys, time
 from quadfit import cli, fitting, ingest, plot
 csv, out = sys.argv[1:]
@@ -501,7 +513,7 @@ ingest._SPLIT_MIN_BYTES = fitting._HELPER_MIN_WORK = plot._SPLIT_MIN_MARKERS = m
 alone = cli.main(["-i", csv, "--svg", out + "/alone.svg", "--report", out + "/alone.txt"])
 print(json.dumps([code, alone, len(stopped), reaped, seconds < 10.0]))
 """
-        assert run_isolated(script, str(csv), str(tmp_path)) == [0, 0, 3, True, True]
+        assert run_isolated(script, str(csv), str(tmp_path)) == [0, 0, 2, True, True]
         for suffix in ("svg", "txt"):
             assert (tmp_path / f"stopped.{suffix}").read_bytes() == (tmp_path / f"alone.{suffix}").read_bytes()
 

@@ -155,7 +155,9 @@ def test_cli_import_loads_only_what_the_pipeline_uses(tmp_path):
     # counted too.  The bundled data fits in process; 4,000 rows at degree
     # 10 reach the fit's helper-process threshold, whose bounded read alone
     # loads select.  An input of _SPLIT_MIN_BYTES starts the parse's helper
-    # too, which alone packs its doubles with _struct.
+    # too, which alone packs its doubles with _struct, and with --svg its
+    # 70,000 points start the markers' helper, which alone maps their bytes
+    # with mmap.
     script = ("import sys; before = set(sys.modules); import quadfit.cli; "
               "code = quadfit.cli.main(sys.argv[1:]); "
               "print(code, sorted(set(sys.modules) - before))")
@@ -168,7 +170,7 @@ def test_cli_import_loads_only_what_the_pipeline_uses(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     for data, degree, allowed in ((REPO_ROOT / "data" / "pm25_monthly.csv", 2, PIPELINE_MODULES),
                                   (large, 10, PIPELINE_MODULES | {"select"}),
-                                  (split, 2, PIPELINE_MODULES | {"select"})):
+                                  (split, 2, PIPELINE_MODULES | {"select", "mmap"})):
         svg, report = tmp_path / f"{data.stem}.svg", tmp_path / f"{data.stem}.txt"
         argv = ["-i", str(data), "--degree", str(degree), "--svg", str(svg), "--report", str(report)]
         out = subprocess.run([sys.executable, "-S", "-c", script, *argv], env=env,
@@ -181,28 +183,36 @@ def test_cli_import_loads_only_what_the_pipeline_uses(tmp_path):
         assert svg.exists() and report.exists()
 
 
-# How a helper's result crosses the pipe is _helper's alone.
-PIPE_CALLS = {"fork", "pipe", "read", "write"}
+# How a helper's result crosses the pipe or a mapping, and where a helper
+# runs, are _helper's alone.
+PIPE_CALLS = {"fork", "pipe", "read", "write", "sched_setaffinity"}
+PIPE_MODULES = ("select", "mmap")
 
 
 def pipe_uses(source: str):
-    """Each use of os.fork, os.pipe, os.read, os.write or select in source."""
+    """Each use of os.fork, os.pipe, os.read, os.write, os.sched_setaffinity,
+    select or mmap in source."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.value.id == "os" and node.attr in PIPE_CALLS:
                 yield f"os.{node.attr}"
-        elif isinstance(node, ast.ImportFrom) and node.module in ("os", "select"):
+        elif isinstance(node, ast.ImportFrom) and node.module in ("os", *PIPE_MODULES):
             yield from (f"{node.module}.{alias.name}" for alias in node.names
-                        if node.module == "select" or alias.name in PIPE_CALLS)
+                        if node.module in PIPE_MODULES or alias.name in PIPE_CALLS)
         elif isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names if alias.name == "select")
-        elif isinstance(node, ast.Name) and node.id == "select":
-            yield "select"
+            yield from (alias.name for alias in node.names if alias.name in PIPE_MODULES)
+        elif isinstance(node, ast.Name) and node.id in PIPE_MODULES:
+            yield node.id
 
 
 @pytest.mark.parametrize("module", ["fitting", "ingest", "plot", "cli"])
 def test_only_the_helper_module_touches_the_pipe(module):
     assert list(pipe_uses((REPO_ROOT / "src" / "quadfit" / f"{module}.py").read_text(encoding="utf-8"))) == []
+
+
+def test_the_pipe_guard_sees_each_use_in_the_helper_module():
+    uses = set(pipe_uses((REPO_ROOT / "src" / "quadfit" / "_helper.py").read_text(encoding="utf-8")))
+    assert uses >= {*(f"os.{call}" for call in PIPE_CALLS), *PIPE_MODULES}
 
 
 def test_failing_property_reports_as_a_failure(tmp_path):
