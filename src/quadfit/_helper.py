@@ -1,6 +1,7 @@
 """One forked helper process that computes part of a result beside its
 parent, on a CPU the parent leaves free: the last rows of a large parse,
-the fit's sums in t alone, and the SVG's data markers.
+the fit's sums in t alone, and the second share of the SVG's data
+markers.
 
 start(work) forks a child that runs work(send), where send(record) sends
 one record, a bytes object of any length, to the parent; the child ends
@@ -22,13 +23,12 @@ helper is given room.
 
 A helper runs only on a CPU its parent leaves free.  start reads the
 parent's count of OS threads and the CPU it runs on in one read of
-/proc/self/stat; the child pins itself to the other CPUs the parent may
-run on (os.sched_setaffinity on itself, never on the parent), and at most
-one helper lives per such spare CPU.  A process allowed one CPU thus forks
-nothing, and on two CPUs a second helper is not started while one lives:
-its caller does that work in process, as where no helper starts.  So the
-fit's helper yields while the chart's markers' helper holds the spare CPU,
-and the fit runs in process beside it.
+/proc/self/stat, and the child pins itself to the other CPUs the parent
+may run on (os.sched_setaffinity on itself, never on the parent).  Left
+to the scheduler, a child ran on its parent's CPU for minutes at a time
+on a shared 2-vCPU VM, where it only costs time.  A process allowed one CPU
+thus forks nothing, and its caller does that work in process, as where no
+helper starts.
 
 The wait is bounded: in all, the parent waits for its helper no longer
 than it has worked itself since the fork, or _MIN_WAIT where that is
@@ -60,22 +60,16 @@ _READ_SIZE = 1 << 16
 # A record's length goes before it in this many bytes, little-endian.
 _PREFIX = 4
 
-# The helpers started and not yet stopped: a count per process, as the
-# spare CPUs it is held to are the process's.
-_live = 0
-
 
 class Helper:
     """A running helper: its pid, a pidfd for it (None where none could be
-    opened), the read end of its pipe (None once stopped), the mapping its
-    records are in (None where they come down the pipe), when it was forked
-    and how long the parent has waited for it, in seconds."""
+    opened), the read end of its pipe, the mapping its records are in (None
+    where they come down the pipe), when it was forked and how long the
+    parent has waited for it, in seconds."""
 
     __slots__ = ("pid", "pidfd", "fd", "shared", "started", "waited")
 
     def __init__(self, pid: int, fd: int, shared):
-        global _live
-        _live += 1
         self.pid, self.fd, self.shared = pid, fd, shared
         self.started, self.waited = time.monotonic(), 0.0
         try:
@@ -119,16 +113,10 @@ class Helper:
             del pending[:start]
 
     def stop(self) -> None:
-        """Close the helper's pipe, kill it and reap it; once stopped, do
-        nothing.  Without a pidfd it is not signalled, and ends at its next
-        send or when its work does.  A record still held keeps the mapping
-        alive until it is released."""
-        global _live
-        if self.fd is None:
-            return
+        """Close the helper's pipe, kill it and reap it.  Without a pidfd it
+        is not signalled, and ends at its next send or when its work does.
+        A record still held keeps the mapping alive until it is released."""
         os.close(self.fd)
-        self.fd = self.shared = None
-        _live -= 1
         if self.pidfd is not None:
             try:
                 _signal.pidfd_send_signal(self.pidfd, _signal.SIGKILL)
@@ -166,13 +154,13 @@ def _spare_cpus(cpu: int) -> set[int]:
 def start(work, room: int = 0) -> Helper | None:
     """A forked Helper running work(send), whose records pass through a
     mapping of room bytes where room is given; None where fork or
-    pidfd_open is missing, other threads run, no spare CPU is free (see the
-    module), or no mapping, pipe or process could be made."""
+    pidfd_open is missing, other threads run, the process may run on no
+    other CPU than its own, or no mapping, pipe or process could be made."""
     if not (hasattr(os, "fork") and hasattr(os, "pidfd_open")):
         return None
     threads, cpu = _placement()
     spare = _spare_cpus(cpu) if threads == 1 else set()
-    if len(spare) <= _live:
+    if not spare:
         return None
     fds = ()
     try:

@@ -13,7 +13,7 @@ from .errors import CsvError, QuadfitError
 from .fitting import DEFAULT_DEGREE, PolynomialModel, _fit
 from .ingest import CsvSchema, parse_csv
 from .metrics import FitReport, _residual_report
-from .plot import PlotSpec, _early_markers, _svg_chunks, format_equation
+from .plot import PlotSpec, _svg_chunks, format_equation
 from .quadratic import discriminant, quadratic_roots, to_vertex_form
 
 
@@ -233,36 +233,28 @@ def run(args: Args) -> None:
     else:
         with open(args.input, "rb") as fh:
             series = parse_csv(fh, schema)
-    # A chart of _SPLIT_MIN_MARKERS points or more has its markers formatted
-    # by a helper process while this one fits; the render takes them, or
-    # stops it (see plot), and it is stopped here where the run fails first.
-    early = _early_markers(series) if spec is not None else None
-    try:
-        # The report sums the residual and ss_tot the fit leaves behind, on
-        # its scale of y, as fit_report would; the render does not need them.
-        model, residuals, ss_tot, exponent = _fit(series, args.degree)
-        report = _residual_report(residuals, exponent, ss_tot, exponent)
-        del residuals
+    # The report sums the residual and ss_tot the fit leaves behind, on its
+    # scale of y, as fit_report would; the render does not need them.
+    model, residuals, ss_tot, exponent = _fit(series, args.degree)
+    report = _residual_report(residuals, exponent, ss_tot, exponent)
+    del residuals
 
-        text = format_report(model, report)
+    text = format_report(model, report)
 
-        # The chart's first piece is rendered before any file is opened: all
-        # that can fail in a render runs by then, so a render that fails
-        # leaves no SVG file, stdout empty and no report file.
-        if spec is not None:
-            chunks = _svg_chunks(series, model, report, spec, early)
-            try:
-                first = next(chunks)
-                with open(args.svg, "wb") as fh:
-                    fh.write(first)
-                    fh.writelines(chunks)
-            finally:
-                # A write that fails leaves the render suspended; closing it
-                # stops its marker helper before the error is reported.
-                chunks.close()
-    finally:
-        if early is not None:
-            early.stop()
+    # The chart's first piece is rendered before any file is opened: all
+    # that can fail in a render runs by then, so a render that fails
+    # leaves no SVG file, stdout empty and no report file.
+    if spec is not None:
+        chunks = _svg_chunks(series, model, report, spec)
+        try:
+            first = next(chunks)
+            with open(args.svg, "wb") as fh:
+                fh.write(first)
+                fh.writelines(chunks)
+        finally:
+            # A write that fails leaves the render suspended; closing it
+            # stops its marker helper before the error is reported.
+            chunks.close()
 
     if args.report == "-":
         sys.stdout.write(text)

@@ -17,11 +17,9 @@ process computes everything else and takes each scalar from the helper
 in place of computing it.  From the first scalar that does not arrive,
 the fitting process computes that one and every later one itself, by the
 same code, so the helper changes no float and no error.  The helper is
-killed and reaped before the fit returns or raises.  It yields while
-another helper holds the spare CPU, as the chart's markers' helper does
-while the command line fits: the fit then computes every scalar itself.
-The fitting process holds at most five length-n lists at once, and the
-helper four of its own.
+killed and reaped before the fit returns or raises.  The fitting process
+holds at most five length-n lists at once, and the helper four of its
+own.
 
 The fitted model keeps its coefficients in powers of t together with its
 window, and every value of it is taken in t, by one helper here.  The one

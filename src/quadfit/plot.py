@@ -14,17 +14,11 @@ documents.  render_plot returns the document as one string; the command
 line writes its UTF-8 bytes in pieces, with the data markers formatted in
 blocks of _MARKER_BLOCK.
 
-From _SPLIT_MIN_MARKERS markers, the command line starts a helper process
-(see _helper) right after the parse, which formats every marker under the
-transform of the data's own padded bounds while the command fits; the
-fit's own helper yields to it while it holds the spare CPU.  That is
-the render's transform wherever the sampled curve stays inside the data's
-y range; where it is, to the bit, the render takes the helper's markers
-as they are, from the mapping they came back in.  Otherwise, and in
-render_plot, a helper formats the second half of the markers at render
-time while this process formats the first half.  Where a helper's record
-does not arrive, the markers it was to format are formatted here by the
-same code, so the document never changes, and each helper is killed and
+From _SPLIT_MIN_MARKERS markers, a helper process (see _helper) formats
+the second half of them on another processor while this one formats the
+first half, and sends them in one record, through a shared mapping.
+Where that record does not arrive, the markers are formatted here by the
+same code, so the document never changes, and the helper is killed and
 reaped before the render ends or raises.
 """
 
@@ -57,7 +51,7 @@ _MARKER_BLOCK = 4096
 _MARKER = f'<circle cx="%.2f" cy="%.2f" r="4" fill="{DATA_COLOR}"/>\n'.encode()
 _MARKER_ROOM = len(_MARKER % (WIDTH, HEIGHT))
 
-# A figure of this many markers or more has them formatted in a helper
+# A figure of this many markers or more formats half of them in a helper
 # process.  The helper's start, kill and reap take 1.6 ms from a process
 # holding 1e5 points on a 2-vCPU Xeon; the split gains from about 1.2e4
 # markers (in 34 of 41 renders) and at 2**14 in 36 of 41.
@@ -190,62 +184,6 @@ def _padded(lo: float, hi: float) -> tuple[float, float]:
     return max(lo - pad, -top), min(hi + pad, top)
 
 
-def _data_transform(series: Series) -> tuple[float, float, float, float]:
-    """(x_lo, x_span, y_lo, y_span) of axes padded about the data alone:
-    the render's own wherever the sampled curve stays inside the data's y
-    range."""
-    x_lo, x_hi = _padded(*series._x_bounds)
-    y_lo, y_hi = _padded(*series._y_bounds)
-    return x_lo, x_hi - x_lo, y_lo, y_hi - y_lo
-
-
-def _pixels(transform, xs, ys) -> list[float]:
-    """The points (xs[i], ys[i]) in pixels under transform, flat: px0,
-    py0, px1, py1, ...
-
-    One % over a "%.2f" template per point formats the list; at 1e5 points
-    a string per point, later joined, costs more.  %.2f is the formatter
-    f"{v:.2f}" uses."""
-    x_lo, x_span, y_lo, y_span = transform
-    left, width, bottom, height = _MARGIN_LEFT, _PLOT_WIDTH, _MARGIN_TOP + _PLOT_HEIGHT, _PLOT_HEIGHT
-    coords = [0.0] * (2 * len(xs))
-    coords[::2] = [left + (x - x_lo) / x_span * width for x in xs]
-    coords[1::2] = [bottom - (y - y_lo) / y_span * height for y in ys]
-    return coords
-
-
-def _markers(transform, xs, ys, start: int, stop: int):
-    """The markers of points [start, stop) under transform, as bytes, in
-    blocks of at most _MARKER_BLOCK."""
-    # Built once, and no longer than the data needs: a 12-point figure
-    # would spend more on a 4096-marker template than on its markers.
-    per_block = min(len(xs), _MARKER_BLOCK)
-    full_block = _MARKER * per_block
-    for i in range(start, stop, per_block):
-        j = min(i + per_block, stop)
-        template = full_block if j - i == per_block else _MARKER * (j - i)
-        yield template % tuple(_pixels(transform, xs[i:j], ys[i:j]))
-
-
-def _marker_helper(transform, xs, ys, start: int, stop: int):
-    """A helper (see _helper) that formats the markers of points
-    [start, stop) under transform and sends them in one record, through a
-    mapping; None where none starts."""
-    from ._helper import start as fork  # loaded only where a helper starts
-    return fork(lambda send: send(b"".join(_markers(transform, xs, ys, start, stop))),
-                (stop - start) * _MARKER_ROOM)
-
-
-def _early_markers(series: Series):
-    """From _SPLIT_MIN_MARKERS points, a helper that formats every marker
-    under _data_transform(series), for _svg_chunks to take if its transform
-    is that one; None for fewer points, or where no helper starts."""
-    n = len(series.xs)
-    if n < _SPLIT_MIN_MARKERS:
-        return None
-    return _marker_helper(_data_transform(series), series.xs, series.ys, 0, n)
-
-
 def sample_curve(model: PolynomialModel, x_min: float, x_max: float, n: int) -> list[tuple[float, float]]:
     """n >= 2 points on the curve, x equally spaced over [x_min, x_max].
 
@@ -270,15 +208,11 @@ def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec:
     return b"".join(_svg_chunks(series, model, report, spec)).decode()
 
 
-def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec: PlotSpec, early=None):
+def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec: PlotSpec):
     """render_plot's document as UTF-8 bytes in pieces: everything before
-    the data markers, the markers, then the rest.
-
-    The markers come in blocks of _MARKER_BLOCK, from _SPLIT_MIN_MARKERS
-    the second half of them from a helper process in one piece.  early, a
-    helper from _early_markers, stands in for that helper, for all of the
-    markers, where it formatted them under this render's transform, to the
-    bit; otherwise it is stopped.  Every helper is stopped before this ends.
+    the data markers, the markers in blocks of _MARKER_BLOCK (from
+    _SPLIT_MIN_MARKERS, the second half of them from a helper process in one
+    piece, as its mapping holds them), then the rest.
 
     Everything that can fail (bounds, ticks, legend, escaping) runs before
     the first piece is yielded, so a caller that writes the pieces to a
@@ -292,7 +226,19 @@ def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec:
     left, top, width, height = _MARGIN_LEFT, _MARGIN_TOP, _PLOT_WIDTH, _PLOT_HEIGHT
     right = left + width
     bottom = top + height
-    transform = (x_lo, x_hi - x_lo, y_lo, y_hi - y_lo)
+
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
+
+    def pixels(xs, ys) -> list[float]:
+        """The points (xs[i], ys[i]) in pixels, flat: px0, py0, px1, py1, ...
+
+        One % over a "%.2f" template per point formats the list; at 1e5
+        points a string per point, later joined, costs more.  %.2f is the
+        formatter f"{v:.2f}" uses."""
+        coords = [0.0] * (2 * len(xs))
+        coords[::2] = [left + (x - x_lo) / x_span * width for x in xs]
+        coords[1::2] = [bottom - (y - y_lo) / y_span * height for y in ys]
+        return coords
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -304,8 +250,8 @@ def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec:
     # Each tick's pixel, on the bottom (x) or left (y) edge.
     xticks = month_ticks(x_min, x_max)
     yticks = _nice_ticks(y_lo, y_hi, 10)
-    x_px = _pixels(transform, [pos for pos, _ in xticks], [y_lo] * len(xticks))[::2]
-    y_px = _pixels(transform, [x_lo] * len(yticks), [pos for pos, _ in yticks])[1::2]
+    x_px = pixels([pos for pos, _ in xticks], [y_lo] * len(xticks))[::2]
+    y_px = pixels([x_lo] * len(yticks), [pos for pos, _ in yticks])[1::2]
 
     # Grid under everything else, clipped to the plotting area.
     out.append('<g stroke="%s" stroke-width="1">' % GRID_COLOR)
@@ -321,7 +267,7 @@ def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec:
                f'width="{width:.2f}" height="{height:.2f}" '
                f'fill="none" stroke="{FRAME_COLOR}" stroke-width="1"/>')
 
-    points = " ".join(["%.2f,%.2f"] * CURVE_SAMPLES) % tuple(_pixels(transform, curve_xs, curve_ys))
+    points = " ".join(["%.2f,%.2f"] * CURVE_SAMPLES) % tuple(pixels(curve_xs, curve_ys))
     out.append(f'<polyline id="fitted-curve" fill="none" stroke="{CURVE_COLOR}" '
                f'stroke-width="2" points="{points}"/>')
 
@@ -360,25 +306,33 @@ def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec:
     out.append(_legend(model, report))
     out.append('</svg>')
     out.append("")  # the final newline, without copying the document again
-    head = ("\n".join(out[:markers_at]) + "\n").encode()
-    tail = "\n".join(out[markers_at:]).encode()
 
-    yield head
+    tail = "\n".join(out[markers_at:]).encode()
+    yield ("\n".join(out[:markers_at]) + "\n").encode()
     xs, ys = series.xs, series.ys
     n = len(xs)
+    # Built once, and no longer than the data needs: a 12-point figure
+    # would spend more on a 4096-marker template than on its markers.
+    per_block = min(n, _MARKER_BLOCK)
+    full_block = _MARKER * per_block
+
+    def markers(start, stop):
+        """The markers of points [start, stop), in blocks of per_block."""
+        for i in range(start, stop, per_block):
+            j = min(i + per_block, stop)
+            template = full_block if j - i == per_block else _MARKER * (j - i)
+            yield template % tuple(pixels(xs[i:j], ys[i:j]))
+
     # Above _SPLIT_MIN_MARKERS a helper formats markers [split, n) while
-    # this process formats [0, split).  Where early formatted all of them
-    # under this transform, to the bit, it is that helper, and split is 0.
+    # this process formats [0, split), and sends them through a mapping.
     split = n if n < _SPLIT_MIN_MARKERS else n // 2
-    if early is not None and list(map(float.hex, transform)) == list(map(float.hex, _data_transform(series))):
-        helper, split = early, 0
-    else:
-        if early is not None:
-            early.stop()
-        helper = _marker_helper(transform, xs, ys, split, n) if split < n else None
+    helper = None
+    if split < n:
+        from ._helper import start  # loaded only where a helper starts
+        helper = start(lambda send: send(b"".join(markers(split, n))), (n - split) * _MARKER_ROOM)
     done = split
     try:
-        yield from _markers(transform, xs, ys, 0, split)
+        yield from markers(0, split)
         record = next(helper.records(), None) if helper else None
         if record is not None:
             yield record
@@ -387,7 +341,7 @@ def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec:
         if helper:
             helper.stop()
     # The helper's markers, where its record did not arrive.
-    yield from _markers(transform, xs, ys, done, n)
+    yield from markers(done, n)
     yield tail
 
 

@@ -116,9 +116,8 @@ def run_isolated(script: str, *argv: str):
 
 def share_the_cpu(monkeypatch):
     """Pin each helper that quadfit._helper.start forks to this process's
-    own CPU, where it competes with this process, and let one live at a
-    time: a test that needs a fork then gets one wherever this process may
-    run, on one CPU too."""
+    own CPU, where it competes with this process: a test that needs a fork
+    then gets one wherever this process may run, on one CPU too."""
     monkeypatch.setattr(_helper, "_spare_cpus", lambda cpu: {cpu})
 
 

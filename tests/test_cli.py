@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import exact_report, normal_equations_fit
-from support import SHARED_CPU, failing_helpers, helpers_send, noisy_quadratic, run_isolated, share_the_cpu, wait_long
+from support import SHARED_CPU, noisy_quadratic, run_isolated
 from conftest import DERIVED_XS, DERIVED_YS, REPO_ROOT
 
 from quadfit import (
@@ -32,9 +32,9 @@ from quadfit import (
     parse_csv,
     render_plot,
 )
-from quadfit import cli, fitting, ingest, plot
+from quadfit import cli, plot
 from quadfit.cli import format_report, main, parse_args
-from quadfit.plot import _MARKER_BLOCK, _SPLIT_MIN_MARKERS, WIDTH
+from quadfit.plot import _MARKER_BLOCK, WIDTH
 
 DERIVED_CSV = "Month,Values\n1,1\n2,4\n3,9\n4,17\n"
 
@@ -555,14 +555,13 @@ class TestProcessEntry:
     ])
     def test_no_process_outlives_a_large_fit(self, tmp_path, rows, degree, defect, svg):
         # 20,000 rows at degree 10 fork a helper for the fit, and 1e5 rows
-        # with --svg one for the last rows of the parse and one that formats
-        # the chart's markers while the command fits.  Each is reaped before
-        # the parse, the fit or the command returns or raises, here where
-        # the chart cannot be written, the fit overflows or a cell among the
-        # parse helper's rows is bad too.  Helpers share the command's CPU,
-        # so that one allowed one CPU forks them too.  The command line
-        # leads its own process group, so any helper left would still be in
-        # it.
+        # with --svg one for the last rows of the parse, one for the fit and
+        # one for the chart's markers.  Each is reaped before the parse, the
+        # fit or the render returns or raises, here where the chart cannot
+        # be written, the fit overflows or a cell among the parse helper's
+        # rows is bad too.  Helpers share the command's CPU, so that one
+        # allowed one CPU forks them too.  The command line leads its own
+        # process group, so any helper left would still be in it.
         lines = noisy_csv(rows).splitlines()
         if defect == "overflow":
             # y - y0 overflows, in the fit, after the helper has started.
@@ -587,7 +586,6 @@ class TestProcessEntry:
                               "'7x' is not a finite number\n").encode()
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
-
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
     def test_a_process_allowed_one_cpu_forks_no_helper(self, tmp_path):
@@ -616,7 +614,6 @@ print(json.dumps([pinned, run("alone"), len(forks)]))
         assert run_isolated(script, str(big), str(fit), str(tmp_path)) == [[0, 0], [0, 0], 0]
         for suffix in (".svg", ".txt", "-fit.txt"):
             assert (tmp_path / f"pinned{suffix}").read_bytes() == (tmp_path / f"alone{suffix}").read_bytes()
-
 
 
 def noisy_csv(rows: int) -> str:
@@ -695,103 +692,6 @@ class TestStreamedSvg:
                      "--report", str(report_path)]) == 1
         assert not svg_path.exists() and not report_path.exists()
         assert capsys.readouterr() == ("", "quadfit: NumericalOverflow: the legend overflows\n" * 2)
-
-
-def power_csv(power: int) -> str:
-    """y = x**power at 20,000 x evenly over [-1, 1]."""
-    xs = [-1.0 + 2.0 * i / 19_999 for i in range(20_000)]
-    return "Month,Values\n" + "".join(f"{x!r},{x ** power!r}\n" for x in xs)
-
-
-def cli_outcome(tmp_path, capsys, name, text, *argv):
-    """main's exit code, stdout and stderr on text, and the bytes of the SVG
-    and report it writes (None where it writes none).  No child is left."""
-    svg, report = tmp_path / f"{name}.svg", tmp_path / f"{name}.txt"
-    code = main(["-i", write_csv(tmp_path, text), "--svg", str(svg), "--report", str(report), *argv])
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return code, capsys.readouterr(), *(path.read_bytes() if path.exists() else None for path in (svg, report))
-
-
-@pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="helpers fork only where pidfds exist")
-class TestEarlyMarkers:
-    """From _SPLIT_MIN_MARKERS points with --svg, a helper formats every
-    marker while the command fits.  The render takes them where the data's
-    own transform is the render's, and the command writes and reports what
-    a run without helpers does."""
-
-    @staticmethod
-    def with_and_without(monkeypatch, tmp_path, capsys, text, *argv):
-        """(cli_outcome with helpers, each pinned to this process's CPU and
-        waited for until it ends; how many forked; cli_outcome with none)."""
-        share_the_cpu(monkeypatch)
-        wait_long(monkeypatch)
-        forks, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        got = cli_outcome(tmp_path, capsys, "helpers", text, *argv)
-        for module, name in ((ingest, "_SPLIT_MIN_BYTES"), (fitting, "_HELPER_MIN_WORK"),
-                             (plot, "_SPLIT_MIN_MARKERS")):
-            monkeypatch.setattr(module, name, math.inf)
-        return got, len(forks), cli_outcome(tmp_path, capsys, "alone", text, *argv)
-
-    @pytest.mark.parametrize("text", [noisy_csv(_SPLIT_MIN_MARKERS), power_csv(2)],
-                             ids=["noisy-at-the-threshold", "x-squared"])
-    def test_the_render_takes_the_early_markers(self, text, monkeypatch, tmp_path, capsys):
-        # The sampled curve stays inside the data's y range; for y = x**2
-        # its least value, near x = 1/199, is above the data's.  The markers'
-        # helper forks, after the parse's for an input of _SPLIT_MIN_BYTES,
-        # and the fit's own waits while it lives.
-        helpers = 1 + (len(text) >= ingest._SPLIT_MIN_BYTES)
-        got, forks, alone = self.with_and_without(monkeypatch, tmp_path, capsys, text)
-        assert (got, forks) == (alone, helpers)
-        assert got[0] == 0
-        # A helper whose markers have another radius shows that they are the
-        # ones written, not ones formatted here by another route.
-        helpers_send(monkeypatch, lambda send: lambda record: send(bytes(record).replace(b'r="4"', b'r="5"')))
-        monkeypatch.setattr(plot, "_SPLIT_MIN_MARKERS", _SPLIT_MIN_MARKERS)
-        code, _, svg, _ = cli_outcome(tmp_path, capsys, "wider", text)
-        assert (code, svg.count(b'r="5"')) == (0, text.count("\n") - 1)
-        assert svg.replace(b'r="5"', b'r="4"') == alone[2]
-
-    def test_a_miss_renders_without_the_early_markers(self, monkeypatch, tmp_path, capsys):
-        # The quadratic fitted to y = x**4 dips to -3/35 at x = 0, below
-        # every data point, so the render's y axis is not the data's.  The
-        # early helper is stopped, and one formats half the markers at
-        # render time instead; the parse's helper forks first.
-        text = power_csv(4)
-        assert len(text) >= ingest._SPLIT_MIN_BYTES
-        got, forks, alone = self.with_and_without(monkeypatch, tmp_path, capsys, text)
-        assert (got, forks) == (alone, 3)
-        assert got[0] == 0
-
-    def test_a_failing_helper_is_finished_in_process(self, monkeypatch, tmp_path, capsys):
-        # The early helper fails before it sends: this process formats every
-        # marker, and starts no helper for them at render time.
-        failing_helpers(monkeypatch, 0)
-        got, forks, alone = self.with_and_without(monkeypatch, tmp_path, capsys, noisy_csv(_SPLIT_MIN_MARKERS))
-        assert (got, forks) == (alone, 1)
-        assert got[0] == 0
-
-    @pytest.mark.parametrize("defect", [
-        pytest.param("full", marks=needs_dev_full), "overflow", "legend"])
-    def test_a_failing_command_stops_the_early_helper(self, defect, monkeypatch, tmp_path, capsys):
-        # The SVG cannot be written, the fit overflows, or the render fails:
-        # the early helper is stopped before the error is reported, with the
-        # error of a run without helpers.
-        lines = noisy_csv(_SPLIT_MIN_MARKERS).splitlines()
-        argv = ()
-        if defect == "full":
-            argv = ("--svg", "/dev/full")
-        elif defect == "overflow":
-            lines[1] = lines[1].split(",")[0] + ",-1.7e308"
-            lines[2] = lines[2].split(",")[0] + ",1.7e308"
-        else:
-            def legend(*_):
-                raise NumericalOverflow("the legend overflows")
-            monkeypatch.setattr(plot, "_legend", legend)
-        got, forks, alone = self.with_and_without(monkeypatch, tmp_path, capsys, "\n".join(lines) + "\n", *argv)
-        assert (got, forks) == (alone, 1)
-        assert got[0] == 1 and got[1].err.startswith("quadfit: ")
 
 
 @pytest.mark.parametrize("svg", [False, True])

@@ -2,7 +2,7 @@
 each record a helper sends arrives whole and in order, down the pipe or
 through a mapping, a record that ends cut or passes the mapping's end is
 dropped with everything after it, and no helper outlives stop.  Where a
-helper runs, and how many live at once, is tested last."""
+helper runs is tested last."""
 
 import json
 import os
@@ -172,47 +172,19 @@ class TestMapping:
         assert received(work, room=64) == [b"whole"]
 
     def test_a_record_outlives_the_helper_that_sent_it(self):
-        # stop drops the mapping, which lives on while a record views it.
+        # The mapping lives on while a record views it, once its helper is
+        # stopped and gone.
         helper = _helper.start(lambda send: send(bytes(range(256)) * 64), 1 << 14)
         try:
             record = next(helper.records())
         finally:
             helper.stop()
+        del helper
         assert bytes(record) == bytes(range(256)) * 64
 
 
 class TestPlacement:
-    """A helper runs on a CPU its parent leaves free, and at most one lives
-    per such CPU."""
-
-    @staticmethod
-    def started(count, work=lambda send: None):
-        """start(work) count times over without a stop between, then stop
-        each helper that started: the number that started."""
-        helpers = [_helper.start(work) for _ in range(count)]
-        for helper in helpers:
-            if helper:
-                helper.stop()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        return sum(helper is not None for helper in helpers)
-
-    def test_one_helper_lives_per_spare_cpu(self, monkeypatch):
-        assert self.started(3) == 1
-        assert self.started(1) == 1
-        monkeypatch.setattr(_helper, "_spare_cpus", lambda cpu: {cpu, cpu + 1024})
-        assert self.started(3) == 2
-        monkeypatch.undo()
-        assert self.started(len(os.sched_getaffinity(0)) + 1) == len(os.sched_getaffinity(0)) - 1
-
-    def test_a_stopped_helper_frees_its_cpu(self):
-        first = _helper.start(lambda send: None)
-        try:
-            assert _helper.start(lambda send: None) is None
-        finally:
-            first.stop()
-            first.stop()  # a second stop does nothing
-        assert self.started(1) == 1
+    """A helper runs on a CPU its parent leaves free."""
 
     @pytest.mark.parametrize("gate", ["own-cpu", "spare-cpus"])
     def test_the_child_pins_itself_and_leaves_its_parent_alone(self, gate, monkeypatch):
@@ -230,9 +202,15 @@ class TestPlacement:
         want = {cpu} if gate == "own-cpu" else parent - {cpu}
         assert (json.loads(record), os.sched_getaffinity(0)) == (sorted(want), parent)
 
-    def test_no_cpu_read_forks_nothing(self, monkeypatch):
-        monkeypatch.setattr(_helper, "_placement", lambda: (0, -1))
-        assert self.started(1) == 0
+    @pytest.mark.parametrize("gate", ["no-spare-cpu", "no-cpu-read"])
+    def test_no_spare_cpu_forks_nothing(self, gate, monkeypatch):
+        if gate == "no-spare-cpu":
+            monkeypatch.setattr(_helper, "_spare_cpus", lambda cpu: set())
+        else:
+            monkeypatch.setattr(_helper, "_placement", lambda: (0, -1))
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        assert (_helper.start(lambda send: None), forks) == (None, [])
 
     def test_placement_reads_this_process(self):
         threads, cpu = _helper._placement()
