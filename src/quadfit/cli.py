@@ -10,10 +10,10 @@ import sys
 
 from . import __version__
 from .errors import CsvError, QuadfitError
-from .fitting import DEFAULT_DEGREE, PolynomialModel, _fit
-from .ingest import CsvSchema, parse_csv
+from .fitting import DEFAULT_DEGREE, PolynomialModel, _fit, _Run, _serve_fit
+from .ingest import CsvSchema, _parse, _serve_rows
 from .metrics import FitReport, _residual_report
-from .plot import PlotSpec, _svg_chunks, format_equation
+from .plot import _MARKER_ROOM, PlotSpec, _serve_chart, _svg_chunks, format_equation
 from .quadratic import discriminant, quadratic_roots, to_vertex_form
 
 
@@ -229,32 +229,35 @@ def run(args: Args) -> None:
     if args.input == "-":
         if sys.stdin is None:
             raise OSError("standard input is closed")
-        series = parse_csv(sys.stdin.buffer.read(), schema)
+        data = sys.stdin.buffer.read()
     else:
         with open(args.input, "rb") as fh:
-            series = parse_csv(fh, schema)
-    # The report sums the residual and ss_tot the fit leaves behind, on its
-    # scale of y, as fit_report would; the render does not need them.
-    model, residuals, ss_tot, exponent = _fit(series, args.degree)
-    report = _residual_report(residuals, exponent, ss_tot, exponent)
-    del residuals
+            data = fh.read()
+    # At most one helper process serves the parse, the fit and the chart: the
+    # first stage large enough forks it (see fitting._Run).  It ends itself
+    # after the last stage, and leaving the block stops it, before any error
+    # is reported.
+    serves = (_serve_rows, _serve_fit) if spec is None else (_serve_rows, _serve_fit, _serve_chart)
+    with _Run(*serves, room=_MARKER_ROOM if spec else 0) as stages:
+        series = _parse(data, schema, stages)
+        del data
+        # The report sums the residual and ss_tot the fit leaves behind, on
+        # its scale of y, as fit_report would; the render does not need them.
+        fit = _fit(series, args.degree, stages)
+        model, report = fit.model, _residual_report(fit)
+        del fit
 
-    text = format_report(model, report)
+        text = format_report(model, report)
 
-    # The chart's first piece is rendered before any file is opened: all
-    # that can fail in a render runs by then, so a render that fails
-    # leaves no SVG file, stdout empty and no report file.
-    if spec is not None:
-        chunks = _svg_chunks(series, model, report, spec)
-        try:
+        # The chart's first piece is rendered before any file is opened: all
+        # that can fail in a render runs by then, so a render that fails
+        # leaves no SVG file, stdout empty and no report file.
+        if spec is not None:
+            chunks = _svg_chunks(series, model, report, spec, stages)
             first = next(chunks)
             with open(args.svg, "wb") as fh:
                 fh.write(first)
                 fh.writelines(chunks)
-        finally:
-            # A write that fails leaves the render suspended; closing it
-            # stops its marker helper before the error is reported.
-            chunks.close()
 
     if args.report == "-":
         sys.stdout.write(text)

@@ -9,17 +9,19 @@ so the fit takes O(n*d) time and never forms normal equations, which
 square the condition number.
 
 Half of the recurrence depends on t alone: mean(t), each ||p_k||^2 and
-each a_k.  Where n*d reaches _HELPER_MIN_WORK, the fit starts one helper
-process (see _helper, which says where a process may fork, on which CPU
-its helper runs and how long the fit waits) that computes those scalars
-on its copy of t and sends each as soon as it has it, while the fitting
-process computes everything else and takes each scalar from the helper
-in place of computing it.  From the first scalar that does not arrive,
-the fitting process computes that one and every later one itself, by the
-same code, so the helper changes no float and no error.  The helper is
-killed and reaped before the fit returns or raises.  The fitting process
-holds at most five length-n lists at once, and the helper four of its
-own.
+each a_k.  A helper process (see _helper, which says where a process may
+fork, on which CPU its helper runs and how long the fit waits) computes
+those scalars on its own copy of t and sends each as soon as it has it,
+while the fitting process computes everything else and takes each scalar
+from the helper in place of computing it.  The helper is the run's (see
+_Run): a run forks at most one, at the first stage large enough, and it
+serves every later stage.  Where the run has none yet, the fit forks it
+once n*d reaches _HELPER_MIN_WORK; where the parse forked it, the fit
+sends it the xs it does not hold.  fit_polynomial is a run of the fit
+alone.  From the first scalar that does not arrive, the fitting process
+computes that one and every later one itself, by the same code, so the
+helper changes no float and no error.  The fitting process holds at most
+five length-n lists at once, and the helper four of its own.
 
 The fitted model keeps its coefficients in powers of t together with its
 window, and every value of it is taken in t, by one helper here.  The one
@@ -59,8 +61,9 @@ from .errors import (
 RANK_TOLERANCE = 1e-10
 
 # A fit of n points at degree d starts a helper process once n * d reaches
-# this.  Below it, the helper's start, kill and reap, 1.1 ms from a 23 MiB
-# process on a 2-vCPU Xeon, cost more than the helper saves.
+# this, where the run has none yet.  Below it, the helper's start, kill and
+# reap, 1.1 ms from a 23 MiB process on a 2-vCPU Xeon, cost more than the
+# helper saves.
 _HELPER_MIN_WORK = 2 ** 15
 
 DEFAULT_DEGREE = 2
@@ -274,6 +277,50 @@ def _polynomials(ts: list[float], degree: int, scalar):
         norm2_prev = norm2
 
 
+class _Run:
+    """The one helper process of a run of stages (see _helper): none until
+    the first stage whose work reaches its threshold forks it, and then that
+    helper, while it runs, for that stage and every later one.  A run is a
+    context manager that stops its helper on exit.  It is kept here, not in
+    _helper, so that a run that forks nothing loads no helper module.
+
+    serves are the helper's work for each stage, in order: serve(state,
+    send, receive) returns the next stage's state, the last rows of the
+    series as (xs, ys) after the parse.  The helper ends itself after the
+    last, so that its exit overlaps this process's work instead of adding
+    to its stop.  held is how many rows the helper holds, as this process
+    knows it, and room the bytes of mapping a later stage may need for each
+    (0 where no chart follows)."""
+
+    __slots__ = ("serves", "room", "helper", "held")
+
+    def __init__(self, *serves, room: int = 0):
+        self.serves, self.room, self.helper, self.held = serves, room, None, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.helper:
+            self.helper.stop()
+
+    def share(self, large: bool, serve, state, rows: int):
+        """The run's helper for the stage of serve, or None where it has
+        stopped or none runs.  Where none has started and large is true, one
+        is forked now, holding at most `rows` rows: it runs serve on state,
+        then each later stage's serve on what the one before returned."""
+        if self.helper is None and large:
+            from ._helper import start  # loaded only where a helper starts
+            serves = self.serves[self.serves.index(serve):]
+
+            def work(send, receive):
+                held = state
+                for stage in serves:
+                    held = stage(held, send, receive)
+            self.helper, self.held = start(work, rows * self.room), rows
+        return self.helper if self.helper and self.helper.running else None
+
+
 def _scalars(records):
     """scalar(compute) for _polynomials: each scalar read from the next of
     records, an iterator; once they end, compute() for that scalar and
@@ -284,21 +331,28 @@ def _scalars(records):
     return scalar
 
 
-def _send_scalars(ts: list[float], degree: int, send) -> None:
-    """The helper's work: run _polynomials on ts, sending each scalar as
-    soon as it is computed, as one record of its repr, which reads back as
-    the same float.  A NaN reads back without its sign, which no comparison
-    sees, and a fit that meets one raises NumericalOverflow either way."""
+def _serve_fit(held, send, receive):
+    """The helper's work for a fit: read _orthogonal_fit's request, the
+    degree, the window's bounds and the xs before the ones it holds, and
+    run _polynomials on all of them in t, sending each scalar as soon as it
+    is computed, as one record of its repr, which reads back as the same
+    float.  A NaN reads back without its sign, which no comparison sees,
+    and a fit that meets one raises NumericalOverflow either way."""
+    head, _, before = receive().partition(b"\n")
+    degree, x_min, x_max = head.split()
+    ts = _to_t(DomainWindow(float(x_min), float(x_max)), [*memoryview(before).cast("d"), *held[0]])
+
     def sent(compute):
         value = compute()
         send(b"%r" % value)
         return value
-    for _ in _polynomials(ts, degree, sent):
+    for _ in _polynomials(ts, int(degree), sent):
         pass
+    return held
 
 
-def _orthogonal_fit(ts: list[float], series: Series,
-                    degree: int) -> tuple[list[float], list[float], float, int]:
+def _orthogonal_fit(window: DomainWindow, series: Series,
+                    degree: int, run: _Run) -> tuple[list[float], list[float], float, int]:
     """Least-squares coefficients in ascending powers of t, by Forsythe's method
     on _centred_deviations(series), with (y - fit) * 2**e, ss_tot * 4**e and e.
 
@@ -307,16 +361,17 @@ def _orthogonal_fit(ts: list[float], series: Series,
     = 1 is written in closed form: its squared norm is n, its coefficient
     the mean deviation, and after it the residual's squared norm is ss_tot.
 
-    When n * degree reaches _HELPER_MIN_WORK, a forked helper computes
-    the scalars of _polynomials that depend on t alone, mean(t), ||p_k||^2
-    and a_k, on the second processor, while this process computes the
-    deviations, each p_k, c_k and the residual.  Each scalar is taken from
-    the helper's records while they come; from the first that does not,
-    this process computes that scalar and every later one itself.  Both
-    compute each scalar by the same code from the same floats, so a helper
-    that fails, stops or is killed gives the same floats and the same
-    exception at the same step as no helper does.  The helper is killed
-    and reaped before this returns or raises.
+    Where run's helper runs, or n * degree reaches _HELPER_MIN_WORK and the
+    run forks one now, this process first sends it the degree, the window
+    and the xs it does not hold, and the helper computes the scalars of
+    _polynomials that depend on t alone, mean(t), ||p_k||^2 and a_k, on
+    the second processor, while this process computes t, the deviations,
+    each p_k, c_k and the residual.  Each scalar is taken from the helper's
+    records while they come; from the first that does not, this process
+    computes that scalar and every later one itself.  Both compute each
+    scalar by the same code from the same floats, so a helper that fails,
+    stops or is killed gives the same floats and the same exception at the
+    same step as no helper does.
 
     This process holds at most five length-n lists at once: t, the
     residual, p_{k-1}, p_k, and the residual or p_{k+1} being built.  The
@@ -326,30 +381,32 @@ def _orthogonal_fit(ts: list[float], series: Series,
         RankDeficient: some ||p_k|| falls below RANK_TOLERANCE times the
             largest, so the points cannot resolve a degree-k term.
     """
-    helper = None
-    if len(ts) * degree >= _HELPER_MIN_WORK:
-        from ._helper import start  # loaded only where a helper starts
-        helper = start(lambda send: _send_scalars(ts, degree, send))
-    try:
-        scalar = _scalars(helper.records() if helper else iter(()))
-        residual, mean, ss_tot, exponent = _centred_deviations(series)
-        coeffs = [mean] + [0.0] * degree
-        norm2_max = float(len(ts))
-        for k, (p, poly, norm2) in enumerate(_polynomials(ts, degree, scalar), 1):
-            # Compared squared, and before any division: norm2_max >= n > 0,
-            # so a zero norm2 always raises here.
-            norm2_max = max(norm2_max, norm2)
-            if norm2 < RANK_TOLERANCE * RANK_TOLERANCE * norm2_max:
-                raise RankDeficient(
-                    f"x values cannot resolve a degree-{k} term within tolerance"
-                )
-            c = math.fsum(map(operator.mul, residual, p)) / norm2
-            for j, q in enumerate(poly):
-                coeffs[j] += c * q
-            residual = [r - c * v for r, v in zip(residual, p)]
-    finally:
-        if helper:
-            helper.stop()
+    n = len(series)
+    helper = run.share(n * degree >= _HELPER_MIN_WORK, _serve_fit, (series.xs, series.ys), n)
+    if helper:
+        request = b"%d %r %r\n" % (degree, window.x_min, window.x_max)
+        before = series.xs[:n - run.held]
+        if before:
+            from _struct import pack  # only where the helper forked before the parse
+            request += pack("%dd" % len(before), *before)
+        helper.send(request)
+    ts = _to_t(window, series.xs)
+    scalar = _scalars(helper.records() if helper else iter(()))
+    residual, mean, ss_tot, exponent = _centred_deviations(series)
+    coeffs = [mean] + [0.0] * degree
+    norm2_max = float(n)
+    for k, (p, poly, norm2) in enumerate(_polynomials(ts, degree, scalar), 1):
+        # Compared squared, and before any division: norm2_max >= n > 0,
+        # so a zero norm2 always raises here.
+        norm2_max = max(norm2_max, norm2)
+        if norm2 < RANK_TOLERANCE * RANK_TOLERANCE * norm2_max:
+            raise RankDeficient(
+                f"x values cannot resolve a degree-{k} term within tolerance"
+            )
+        c = math.fsum(map(operator.mul, residual, p)) / norm2
+        for j, q in enumerate(poly):
+            coeffs[j] += c * q
+        residual = [r - c * v for r, v in zip(residual, p)]
     coeffs = [math.ldexp(c, -exponent) for c in coeffs]
     coeffs[0] += series.ys[0]
     return coeffs, residual, ss_tot, exponent
@@ -383,14 +440,30 @@ def _overflow(reason: str) -> NumericalOverflow:
     return NumericalOverflow(f"the fit overflows a float; {reason}")
 
 
-def _fit(series: Series, degree: int) -> tuple[PolynomialModel, list[float], float, int]:
-    """The least-squares model of fit_polynomial, with the residual,
-    ss_tot and e that _orthogonal_fit leaves behind for the report.
+@record
+class _Fit:
+    """A model with what its report sums (see metrics._residual_report):
+    the residual y - fit times 2**scale, and ss_tot times 4**exponent."""
+
+    model: PolynomialModel
+    residual: list
+    scale: int
+    ss_tot: float
+    exponent: int
+
+
+def _fit(series: Series, degree: int, run: _Run | None = None) -> _Fit:
+    """The least-squares model of fit_polynomial, with the residual and
+    ss_tot that _orthogonal_fit leaves behind for the report, the helper
+    taken from run, or from a run of the fit alone where run is None.
 
     Each step that can leave the float range names its own cause in the
     NumericalOverflow it raises: the x span, the window, the deviations of
     y and the sums in t, and the conversion to powers of x.
     """
+    if run is None:
+        with _Run(_serve_fit) as run:
+            return _fit(series, degree, run)
     err = _validation_error(series, degree)
     if err is not None:
         raise err
@@ -406,7 +479,7 @@ def _fit(series: Series, degree: int) -> tuple[PolynomialModel, list[float], flo
         # The halved bounds coincide: the window has no half-width.
         raise _overflow(_TOO_CLOSE) from None
     try:
-        scaled, residual, ss_tot, exponent = _orthogonal_fit(_to_t(window, series.xs), series, degree)
+        scaled, residual, ss_tot, exponent = _orthogonal_fit(window, series, degree, run)
     except (OverflowError, ValueError):
         # y - y0, math.fsum and math.ldexp raise OverflowError past the
         # float range, and math.fsum ValueError on inf - inf.
@@ -423,7 +496,8 @@ def _fit(series: Series, degree: int) -> tuple[PolynomialModel, list[float], flo
         shift = -math.frexp(max(map(abs, scaled)))[1]
         unit = convert_domain([math.ldexp(c, shift) for c in scaled], window)
         raise _overflow(_TOO_LARGE if all(map(math.isfinite, unit)) else _TOO_CLOSE) from None
-    return model, residual, ss_tot, exponent
+    # The recurrence leaves its residual on the scale of y it fitted.
+    return _Fit(model, residual, exponent, ss_tot, exponent)
 
 
 def fit_polynomial(series: Series, degree: int = DEFAULT_DEGREE) -> tuple[PolynomialModel, DomainWindow]:
@@ -445,7 +519,7 @@ def fit_polynomial(series: Series, degree: int = DEFAULT_DEGREE) -> tuple[Polyno
             half-width or the coefficients in powers of x overflow ("the x
             values are too close together").
     """
-    model = _fit(series, degree)[0]
+    model = _fit(series, degree).model
     return model, model.window
 
 

@@ -10,10 +10,13 @@ other scripts.
 
 Plain input, with ASCII rows and no quotes, is split as bytes; all other
 input goes through the csv reader, which also raises every error.  Both
-give the same values.  From _SPLIT_MIN_BYTES of input, a helper process
-(see _helper) splits the last 45 % of the plain rows and sends their
-values back as binary doubles, while the caller splits the rest; a helper
-whose record does not arrive changes no value or error.
+give the same values.  From _SPLIT_MIN_BYTES of input, the run's helper
+process (see fitting._Run and _helper) is forked before the rows are
+split, while this process holds little more than the input's bytes: it
+splits the last 45 % of the plain rows and sends their values back as
+binary doubles, while the caller splits the rest, and it keeps those rows
+for the run's later stages.  parse_csv is a run of the parse alone.  A
+helper whose record does not arrive changes no value or error.
 """
 
 # csv.py only re-exports _csv's reader and Error, and imports re, and with
@@ -31,16 +34,17 @@ from .errors import (
     NonNumericValue,
 )
 # validate_series, the fit's input check, for perfbench/traced_child.py:71.
-from .fitting import Series, _bounds, _checked_series, _validation_error as validate_series
+from .fitting import Series, _bounds, _checked_series, _Run, _validation_error as validate_series
 
 # The split path's block size in bytes, before the cut at the next newline.
 _BLOCK_BYTES = 1 << 16
-# From this many bytes of input, a helper process parses the last rows of
-# the plain path (see _plain_columns), and this process keeps this share of
-# the rows' bytes: more than half, as the helper starts a fork later and
-# packs what it sends.  On a 2-vCPU Xeon with the second vCPU free, the
-# split ties the parse in process at 344 KB and takes a fifth off it at
-# 1.7 MB; with that vCPU busy it loses a few ms at every size.
+# From this many bytes of input, the run's helper process is forked before
+# the parse and parses the last rows of the plain path (see _plain_columns),
+# and this process keeps this share of the rows' bytes: more than half, as
+# the helper starts a fork later and packs what it sends.  On a 2-vCPU Xeon
+# with the second vCPU free, the split ties the parse in process at 344 KB
+# and takes a fifth off it at 1.7 MB; with that vCPU busy it loses a few ms
+# at every size.
 _SPLIT_MIN_BYTES = 1 << 19
 _SPLIT_SHARE = 0.55
 # Every byte but the comma and the newline, for bytes.translate to delete.
@@ -88,6 +92,12 @@ def parse_csv(data, schema: CsvSchema = CsvSchema()) -> Series:
             without "_", or non-finite.
         TypeError: data, or what its read() returns, is not bytes.
     """
+    return _parse(data, schema)
+
+
+def _parse(data, schema: CsvSchema, run: _Run | None = None) -> Series:
+    """parse_csv, with the helper of run where large plain input starts
+    one (see _plain_columns)."""
     if hasattr(data, "read"):
         data = data.read()
     if not isinstance(data, (bytes, bytearray)):
@@ -96,10 +106,10 @@ def parse_csv(data, schema: CsvSchema = CsvSchema()) -> Series:
     # messages and offsets, without importing that codec's module.
     if data[:3] == b"\xef\xbb\xbf":
         data = data[3:]
-    return _checked_series(*(_plain_columns(data, schema) or _reader_columns(data, schema)))
+    return _checked_series(*(_plain_columns(data, schema, run) or _reader_columns(data, schema)))
 
 
-def _plain_columns(data, schema: CsvSchema):
+def _plain_columns(data, schema: CsvSchema, run: _Run | None = None):
     """The schema's columns as float lists with their _bounds, split from
     the bytes, or None.
 
@@ -110,16 +120,21 @@ def _plain_columns(data, schema: CsvSchema):
     cells, and keeps the same values.
 
     From _SPLIT_MIN_BYTES of input, the rows are cut at the first newline
-    after _SPLIT_SHARE of their bytes, and a helper process (see _helper)
+    after _SPLIT_SHARE of their bytes, and run, or a run of the parse alone
+    where run is None, forks its helper process (see fitting._Run), which
     runs _plain_rows on the second part while this process runs it on the
     first.  The helper sends its columns and their bounds back in one
     record of native doubles, which this process appends to its own
-    without a conversion through text.  Rows are accepted or declined one
-    by one, so the two parts accept what the whole does, and the bounds of
-    the whole are those of the parts (see _bounds).  Where no record of
-    that form arrives, this process parses those rows itself by the same
-    code, so the helper changes no value, bound or error, only the time.
+    without a conversion through text, and holds those rows for the run's
+    later stages.  Rows are accepted or declined one by one, so the two
+    parts accept what the whole does, and the bounds of the whole are those
+    of the parts (see _bounds).  Where no record of that form arrives, this
+    process stops the helper and parses those rows itself by the same code,
+    so the helper changes no value, bound or error, only the time.
     """
+    if run is None:
+        with _Run(_serve_rows) as run:
+            return _plain_columns(data, schema, run)
     layout = _plain_header(data, schema)
     if layout is None:
         return None
@@ -130,17 +145,17 @@ def _plain_columns(data, schema: CsvSchema):
         mid = data.find(b"\n", start + int((end - start) * _SPLIT_SHARE)) + 1 or end
     helper = None
     if mid < end:
-        from ._helper import start as fork  # loaded only where a helper starts
-        helper = fork(lambda send: _send_rows(_plain_rows(data, mid, end, *columns), send))
-    try:
-        rows = _plain_rows(data, start, mid, *columns)
-        record = next(helper.records(), None) if helper and rows else None
-    finally:
-        if helper:
+        # The helper's rows are at most its newlines and one more.
+        helper = run.share(True, _serve_rows, (data, mid, end, columns), data.count(b"\n", mid) + 1)
+    rows = _plain_rows(data, start, mid, *columns)
+    rest = _received_rows(helper.take()) if helper and rows else None
+    if helper:
+        run.held = len(rest[0]) if rest else 0
+        if rest is None:
+            # Its record never came, or this process declined its own rows.
             helper.stop()
     if rows is None or mid == end:
         return rows
-    rest = _received_rows(record)
     if rest is None:
         rest = _plain_rows(data, mid, end, *columns)
     if not rest:
@@ -221,20 +236,25 @@ def _plain_rows(data, start: int, stop: int, x_idx: int, y_idx: int, width: int)
     return xs, ys, _bounds(xs), _bounds(ys)
 
 
-def _send_rows(rows, send) -> None:
-    """The helper's work: send rows, what _plain_rows returned, as one
-    record of native doubles: the x and y bounds, the xs and the ys; or an
-    empty record where the rows were declined."""
-    from _struct import pack  # only the helper packs
+def _serve_rows(state, send, receive):
+    """The helper's work for a parse: state is the data, where the helper's
+    rows begin and end, and _plain_rows's columns.  Send what _plain_rows
+    returns for those rows as one record of native doubles: the x and y
+    bounds, the xs and the ys; or an empty record where the rows were
+    declined.  Holds those rows, or none, for the later stages."""
+    from _struct import pack  # loaded only where a helper forks
+    data, start, stop, columns = state
+    rows = _plain_rows(data, start, stop, *columns)
     if rows is None:
         send(b"")
-        return
+        return (), ()
     xs, ys, x_bounds, y_bounds = rows
     send(pack("%dd" % (4 + 2 * len(xs)), *x_bounds, *y_bounds, *xs, *ys))
+    return xs, ys
 
 
 def _received_rows(record):
-    """The rows in a record of _send_rows, as _plain_rows returned them but
+    """The rows in a record of _serve_rows, as _plain_rows returned them but
     with each column a view of doubles; () where they were declined, and
     None where no record, or one of another length, came."""
     if record == b"":

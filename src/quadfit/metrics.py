@@ -13,7 +13,7 @@ import operator
 
 from ._record import record
 from .errors import NumericalOverflow, UndefinedRSquared
-from .fitting import PolynomialModel, Series, _centred_deviations, _evaluate
+from .fitting import PolynomialModel, Series, _centred_deviations, _evaluate, _Fit
 
 _SUM_OVERFLOW = "a sum of squares overflows a float; the values are too large"
 
@@ -62,12 +62,13 @@ def fit_report(model: PolynomialModel, series: Series) -> FitReport:
     # Scaled by their own largest value into [1/2, 1): no square overflows,
     # and only one negligible beside the largest underflows.
     scale = -math.frexp(top)[1]
-    return _residual_report([math.ldexp(r, scale) for r in residuals], scale, ss_tot, exponent)
+    return _residual_report(_Fit(model, [math.ldexp(r, scale) for r in residuals], scale, ss_tot, exponent))
 
 
-def _residual_report(residuals, scale: int, ss_tot: float, exponent: int) -> FitReport:
-    """FitReport from the residuals y - fit times 2**scale and ss_tot times
-    4**exponent: the sums and rules of fit_report, raising what it raises."""
+def _residual_report(fit: _Fit) -> FitReport:
+    """FitReport from fit's residual and ss_tot, each on its own scale: the
+    sums and rules of fit_report, raising what it raises."""
+    residuals, scale, ss_tot, exponent = fit.residual, fit.scale, fit.ss_tot, fit.exponent
     n = len(residuals)
     # Scaled residuals are small and finite, but max() can pass over a nan.
     res = math.fsum(map(operator.mul, residuals, residuals))

@@ -14,19 +14,21 @@ documents.  render_plot returns the document as one string; the command
 line writes its UTF-8 bytes in pieces, with the data markers formatted in
 blocks of _MARKER_BLOCK.
 
-From _SPLIT_MIN_MARKERS markers, a helper process (see _helper) formats
-the second half of them on another processor while this one formats the
-first half, and sends them in one record, through a shared mapping.
-Where that record does not arrive, the markers are formatted here by the
-same code, so the document never changes, and the helper is killed and
-reaped before the render ends or raises.
+The run's helper process (see fitting._Run and _helper) formats the
+markers of the last rows it holds on another processor while this one
+formats the others, and sends them in one record, through a shared mapping
+where it has one: the rows after the parse's cut where the parse forked
+it, or else the second half of the rows.  Where the run has no helper yet,
+the chart forks one from _SPLIT_MIN_MARKERS markers; render_plot is a run
+of the chart alone.  Where that record does not arrive, the markers are
+formatted here by the same code, so the document never changes.
 """
 
 import math
 import sys
 
 from ._record import record
-from .fitting import PolynomialModel, Series, _evaluate
+from .fitting import PolynomialModel, Series, _evaluate, _Run
 from .metrics import FitReport
 
 MONTH_LABELS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
@@ -51,10 +53,11 @@ _MARKER_BLOCK = 4096
 _MARKER = f'<circle cx="%.2f" cy="%.2f" r="4" fill="{DATA_COLOR}"/>\n'.encode()
 _MARKER_ROOM = len(_MARKER % (WIDTH, HEIGHT))
 
-# A figure of this many markers or more formats half of them in a helper
-# process.  The helper's start, kill and reap take 1.6 ms from a process
-# holding 1e5 points on a 2-vCPU Xeon; the split gains from about 1.2e4
-# markers (in 34 of 41 renders) and at 2**14 in 36 of 41.
+# A figure of this many markers or more forks a helper process to format
+# half of them, where the run has none yet.  The helper's start, kill and
+# reap take 1.6 ms from a process holding 1e5 points on a 2-vCPU Xeon; the
+# split gains from about 1.2e4 markers (in 34 of 41 renders) and at 2**14
+# in 36 of 41.
 _SPLIT_MIN_MARKERS = 2 ** 14
 
 # Fraction of the combined data+curve range added on each side of an axis.
@@ -66,6 +69,7 @@ _MARGIN_TOP = 70.0
 _MARGIN_BOTTOM = 60.0
 _PLOT_WIDTH = WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
 _PLOT_HEIGHT = HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+_PLOT_BOTTOM = _MARGIN_TOP + _PLOT_HEIGHT
 
 # The characters XML 1.0 forbids: C0 controls but tab, LF and CR, and
 # U+FFFE and U+FFFF.  It forbids the surrogates too, tested by range.
@@ -208,16 +212,60 @@ def render_plot(series: Series, model: PolynomialModel, report: FitReport, spec:
     return b"".join(_svg_chunks(series, model, report, spec)).decode()
 
 
-def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec: PlotSpec):
+def _pixels(frame, xs, ys) -> list[float]:
+    """The points (xs[i], ys[i]) in pixels, flat: px0, py0, px1, py1, ...,
+    under frame, the padded axes' (x_lo, x_span, y_lo, y_span).
+
+    One % over a "%.2f" template per point formats the list; at 1e5
+    points a string per point, later joined, costs more.  %.2f is the
+    formatter f"{v:.2f}" uses."""
+    x_lo, x_span, y_lo, y_span = frame
+    left, width, bottom, height = _MARGIN_LEFT, _PLOT_WIDTH, _PLOT_BOTTOM, _PLOT_HEIGHT
+    coords = [0.0] * (2 * len(xs))
+    coords[::2] = [left + (x - x_lo) / x_span * width for x in xs]
+    coords[1::2] = [bottom - (y - y_lo) / y_span * height for y in ys]
+    return coords
+
+
+def _markers(frame, xs, ys, start: int, stop: int):
+    """The data markers of points [start, stop) under frame, in blocks of
+    _MARKER_BLOCK.  The block's template is built once, and no longer than
+    the data needs: a 12-point figure would spend more on a 4096-marker
+    template than on its markers."""
+    per_block = min(len(xs), _MARKER_BLOCK)
+    full_block = _MARKER * per_block
+    for i in range(start, stop, per_block):
+        j = min(i + per_block, stop)
+        template = full_block if j - i == per_block else _MARKER * (j - i)
+        yield template % tuple(_pixels(frame, xs[i:j], ys[i:j]))
+
+
+def _serve_chart(held, send, receive):
+    """The helper's work for a chart: format the markers of the last rows
+    it holds, as many as the request of _svg_chunks says, under its frame,
+    and send them as one record through the mapping."""
+    *frame, count = receive().split()
+    xs, ys = held
+    n = len(xs)
+    send(b"".join(_markers(tuple(map(float, frame)), xs, ys, n - int(count), n)), mapped=True)
+    return held
+
+
+def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec: PlotSpec,
+                run: _Run | None = None):
     """render_plot's document as UTF-8 bytes in pieces: everything before
-    the data markers, the markers in blocks of _MARKER_BLOCK (from
-    _SPLIT_MIN_MARKERS, the second half of them from a helper process in one
-    piece, as its mapping holds them), then the rest.
+    the data markers, the markers in blocks of _MARKER_BLOCK (those of the
+    last rows from the helper of run, or of a run of the chart alone where
+    run is None, in one piece, as its mapping holds them), then the rest.
 
     Everything that can fail (bounds, ticks, legend, escaping) runs before
     the first piece is yielded, so a caller that writes the pieces to a
     file can take the first one before it opens the file.
     """
+    if run is None:
+        with _Run(_serve_chart, room=_MARKER_ROOM) as run:
+            yield from _svg_chunks(series, model, report, spec, run)
+        return
     x_min, x_max = series._x_bounds
     y_min, y_max = series._y_bounds
     curve_xs, curve_ys = zip(*sample_curve(model, x_min, x_max, CURVE_SAMPLES))
@@ -225,20 +273,8 @@ def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec:
     y_lo, y_hi = _padded(min(y_min, min(curve_ys)), max(y_max, max(curve_ys)))
     left, top, width, height = _MARGIN_LEFT, _MARGIN_TOP, _PLOT_WIDTH, _PLOT_HEIGHT
     right = left + width
-    bottom = top + height
-
-    x_span, y_span = x_hi - x_lo, y_hi - y_lo
-
-    def pixels(xs, ys) -> list[float]:
-        """The points (xs[i], ys[i]) in pixels, flat: px0, py0, px1, py1, ...
-
-        One % over a "%.2f" template per point formats the list; at 1e5
-        points a string per point, later joined, costs more.  %.2f is the
-        formatter f"{v:.2f}" uses."""
-        coords = [0.0] * (2 * len(xs))
-        coords[::2] = [left + (x - x_lo) / x_span * width for x in xs]
-        coords[1::2] = [bottom - (y - y_lo) / y_span * height for y in ys]
-        return coords
+    bottom = _PLOT_BOTTOM
+    frame = x_lo, x_hi - x_lo, y_lo, y_hi - y_lo
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -250,8 +286,8 @@ def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec:
     # Each tick's pixel, on the bottom (x) or left (y) edge.
     xticks = month_ticks(x_min, x_max)
     yticks = _nice_ticks(y_lo, y_hi, 10)
-    x_px = pixels([pos for pos, _ in xticks], [y_lo] * len(xticks))[::2]
-    y_px = pixels([x_lo] * len(yticks), [pos for pos, _ in yticks])[1::2]
+    x_px = _pixels(frame, [pos for pos, _ in xticks], [y_lo] * len(xticks))[::2]
+    y_px = _pixels(frame, [x_lo] * len(yticks), [pos for pos, _ in yticks])[1::2]
 
     # Grid under everything else, clipped to the plotting area.
     out.append('<g stroke="%s" stroke-width="1">' % GRID_COLOR)
@@ -267,7 +303,7 @@ def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec:
                f'width="{width:.2f}" height="{height:.2f}" '
                f'fill="none" stroke="{FRAME_COLOR}" stroke-width="1"/>')
 
-    points = " ".join(["%.2f,%.2f"] * CURVE_SAMPLES) % tuple(pixels(curve_xs, curve_ys))
+    points = " ".join(["%.2f,%.2f"] * CURVE_SAMPLES) % tuple(_pixels(frame, curve_xs, curve_ys))
     out.append(f'<polyline id="fitted-curve" fill="none" stroke="{CURVE_COLOR}" '
                f'stroke-width="2" points="{points}"/>')
 
@@ -311,37 +347,18 @@ def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec:
     yield ("\n".join(out[:markers_at]) + "\n").encode()
     xs, ys = series.xs, series.ys
     n = len(xs)
-    # Built once, and no longer than the data needs: a 12-point figure
-    # would spend more on a 4096-marker template than on its markers.
-    per_block = min(n, _MARKER_BLOCK)
-    full_block = _MARKER * per_block
-
-    def markers(start, stop):
-        """The markers of points [start, stop), in blocks of per_block."""
-        for i in range(start, stop, per_block):
-            j = min(i + per_block, stop)
-            template = full_block if j - i == per_block else _MARKER * (j - i)
-            yield template % tuple(pixels(xs[i:j], ys[i:j]))
-
-    # Above _SPLIT_MIN_MARKERS a helper formats markers [split, n) while
-    # this process formats [0, split), and sends them through a mapping.
-    split = n if n < _SPLIT_MIN_MARKERS else n // 2
-    helper = None
+    # The run's helper formats the markers of the last rows it holds, at
+    # most half of them, while this process formats the others.
+    half = n - n // 2
+    helper = run.share(n >= _SPLIT_MIN_MARKERS, _serve_chart, (xs, ys), n)
+    split = n - (min(run.held, half) if helper else 0)
     if split < n:
-        from ._helper import start  # loaded only where a helper starts
-        helper = start(lambda send: send(b"".join(markers(split, n))), (n - split) * _MARKER_ROOM)
-    done = split
-    try:
-        yield from markers(0, split)
-        record = next(helper.records(), None) if helper else None
-        if record is not None:
-            yield record
-            done = n
-    finally:
-        if helper:
-            helper.stop()
-    # The helper's markers, where its record did not arrive.
-    yield from markers(done, n)
+        helper.send(b"%r %r %r %r %d" % (*frame, n - split))
+    yield from _markers(frame, xs, ys, 0, split)
+    record = helper.take() if split < n else None
+    # The helper's markers, or, where its record did not arrive, the same
+    # formatted here.
+    yield from _markers(frame, xs, ys, split, n) if record is None else (record,)
     yield tail
 
 

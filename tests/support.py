@@ -140,24 +140,26 @@ def helpers_send(monkeypatch, wrap):
     """Make each helper that quadfit._helper.start forks send its records
     through wrap(send) in place of send."""
     start = _helper.start
-    monkeypatch.setattr(_helper, "start", lambda work, room=0: start(lambda send: work(wrap(send)), room))
+    monkeypatch.setattr(_helper, "start", lambda work, room=0: start(
+        lambda send, receive: work(wrap(send), receive), room))
 
 
 def failing_helpers(monkeypatch, sent, last=None):
     """Make each helper that quadfit._helper.start forks send its first
     `sent` records, then fail at the next one, once last(send, record) has
-    run where last is given."""
+    run where last is given; send keeps the record's way, down the pipe
+    or through the mapping."""
     def wrap(send):
         count = 0
 
-        def failing(record):
+        def failing(record, mapped=False):
             nonlocal count
             if count == sent:
                 if last:
-                    last(send, record)
+                    last(lambda record: send(record, mapped), record)
                 raise OSError("the helper fails")
             count += 1
-            send(record)
+            send(record, mapped)
         return failing
     helpers_send(monkeypatch, wrap)
 

@@ -5,10 +5,13 @@ import io
 import itertools
 import math
 import os
+import pathlib
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -17,7 +20,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import exact_report, normal_equations_fit
-from support import SHARED_CPU, noisy_quadratic, run_isolated
+from support import (
+    SHARED_CPU,
+    cut,
+    failing_helpers,
+    helpers_send,
+    noisy_quadratic,
+    run_isolated,
+    share_the_cpu,
+    wait_long,
+)
 from conftest import DERIVED_XS, DERIVED_YS, REPO_ROOT
 
 from quadfit import (
@@ -32,7 +44,7 @@ from quadfit import (
     parse_csv,
     render_plot,
 )
-from quadfit import cli, plot
+from quadfit import _helper, cli, fitting, ingest, plot
 from quadfit.cli import format_report, main, parse_args
 from quadfit.plot import _MARKER_BLOCK, WIDTH
 
@@ -544,6 +556,7 @@ class TestProcessEntry:
         assert [ast.unparse(stmt) for stmt in guard.body] == [f"{target}()"]
         assert callable(getattr(cli, target))
 
+    @pytest.mark.forks
     @pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="helpers fork only where pidfds exist")
     @pytest.mark.parametrize("rows, degree, defect, svg", [
         pytest.param(20_000, 10, None, None, id="exit-0"),
@@ -555,11 +568,10 @@ class TestProcessEntry:
     ])
     def test_no_process_outlives_a_large_fit(self, tmp_path, rows, degree, defect, svg):
         # 20,000 rows at degree 10 fork a helper for the fit, and 1e5 rows
-        # with --svg one for the last rows of the parse, one for the fit and
-        # one for the chart's markers.  Each is reaped before the parse, the
-        # fit or the render returns or raises, here where the chart cannot
-        # be written, the fit overflows or a cell among the parse helper's
-        # rows is bad too.  Helpers share the command's CPU, so that one
+        # with --svg one before the parse, which serves the fit and the
+        # chart's markers too.  It is reaped before the command returns,
+        # here where the chart cannot be written, the fit overflows or a
+        # cell among the helper's rows is bad too.  Helpers share the command's CPU, so that one
         # allowed one CPU forks them too.  The command line leads its own
         # process group, so any helper left would still be in it.
         lines = noisy_csv(rows).splitlines()
@@ -587,6 +599,7 @@ class TestProcessEntry:
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
 
+    @pytest.mark.forks
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
     def test_a_process_allowed_one_cpu_forks_no_helper(self, tmp_path):
         # The gate as it is: pinned to one CPU, the command forks nothing
@@ -625,6 +638,143 @@ def noisy_csv(rows: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def outputs(tmp_path, name, csv, *argv):
+    """main's exit code, stdout and stderr, run in process on csv with
+    argv, and the bytes of the SVG it writes with --svg (None where it
+    writes none, or with no --svg where argv ends in "--no-svg")."""
+    svg = tmp_path / f"{name}.svg"
+    args = ["-i", str(csv), *argv]
+    if args[-1] == "--no-svg":
+        del args[-1]
+    else:
+        args += ["--svg", str(svg)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue(), svg.read_bytes() if svg.exists() else None
+
+
+def in_process(monkeypatch, *args):
+    """outputs(*args) with no helper, each threshold left as it was found."""
+    with monkeypatch.context() as patch:
+        for module, name in ((ingest, "_SPLIT_MIN_BYTES"), (fitting, "_HELPER_MIN_WORK"),
+                             (plot, "_SPLIT_MIN_MARKERS")):
+            patch.setattr(module, name, math.inf)
+        return outputs(*args)
+
+
+@pytest.mark.forks
+@pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="helpers fork only where pidfds exist")
+class TestOneHelperPerRun:
+    """A run forks at most one helper, at its first stage large enough, and
+    that helper serves every later stage.  Whatever becomes of it, the run
+    writes what it writes with no helper, and leaves no process behind."""
+
+    @pytest.fixture(autouse=True)
+    def helpers(self, monkeypatch):
+        """Each helper a run forks, on this process's CPU where no other
+        is allowed."""
+        share_the_cpu(monkeypatch)
+        started, start = [], _helper.start
+
+        def recorded(work, room=0):
+            helper = start(work, room)
+            if helper:
+                started.append(helper)
+            return helper
+        monkeypatch.setattr(_helper, "start", recorded)
+        return started
+
+    @staticmethod
+    def checked(tmp_path, monkeypatch, csv, *argv):
+        """outputs for csv and argv, once they are shown to equal those of
+        the run in process and no child of this process is left."""
+        got = outputs(tmp_path, "split", csv, *argv)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert got == in_process(monkeypatch, tmp_path, "alone", csv, *argv)
+        return got
+
+    @pytest.mark.parametrize("rows, degree, svg, records", [
+        (None, 2, True, None),
+        # Past _SPLIT_MIN_BYTES: forked before the parse, it sends its rows,
+        # the four scalars in t and its markers.
+        (40_000, 2, True, 6),
+        # Below it, forked at the fit, for its 20 scalars.
+        (20_000, 10, False, 20),
+        # Below both, forked at the chart.
+        (plot._SPLIT_MIN_MARKERS, 1, True, 1),
+    ], ids=["bundled", "parse-fit-chart", "fit", "chart"])
+    def test_forks_per_run(self, rows, degree, svg, records, tmp_path, monkeypatch, helpers):
+        wait_long(monkeypatch)
+        csv = SAMPLE_CSV if rows is None else write_csv(tmp_path, noisy_csv(rows))
+        if rows == 40_000:
+            assert os.path.getsize(csv) >= ingest._SPLIT_MIN_BYTES
+        elif rows:
+            assert os.path.getsize(csv) < ingest._SPLIT_MIN_BYTES
+        # The run in process that checked compares with forks nothing.
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        code, *_ = self.checked(tmp_path, monkeypatch, csv, "--degree", str(degree),
+                                *(() if svg else ("--no-svg",)))
+        assert code == 0
+        assert len(forks) == len(helpers) == (0 if records is None else 1)
+        assert [helper.arrived for helper in helpers] == ([] if records is None else [records])
+        assert all(helper.cpu is not None for helper in helpers)
+
+    # The records of 40,000 rows at degree 2: the rows (0), mean(t) (1), the
+    # last scalar (4) and the markers (5).
+    @pytest.mark.parametrize("at", [0, 1, 4, 5], ids=["parse", "fit-first", "fit-last", "chart"])
+    @pytest.mark.parametrize("fate", ["fails", "cut", "stops"])
+    def test_a_helper_lost_at_any_stage_changes_nothing(self, fate, at, tmp_path, monkeypatch, helpers):
+        # The helper fails at its record `at`, is cut off half way through
+        # it, or stops itself there.  The run waits for it no longer than
+        # the stage's bound, kills it, and does that share and every later
+        # one in process.
+        if fate == "stops":
+            def wrap(send):
+                sent = 0
+
+                def stopping(record, mapped=False):
+                    nonlocal sent
+                    if sent == at:
+                        os.kill(os.getpid(), signal.SIGSTOP)
+                    sent += 1
+                    send(record, mapped)
+                return stopping
+            helpers_send(monkeypatch, wrap)
+        else:
+            wait_long(monkeypatch)
+            failing_helpers(monkeypatch, at, cut(lambda record: len(record) // 2) if fate == "cut" else None)
+        csv = write_csv(tmp_path, noisy_csv(40_000))
+        start = time.monotonic()
+        code, *_ = self.checked(tmp_path, monkeypatch, csv)
+        assert code == 0 and time.monotonic() - start < 10.0
+        helper, = helpers
+        assert helper.arrived <= at if fate == "stops" else helper.arrived == at
+
+    @pytest.mark.parametrize("defect, error", [
+        ("bad-cell", "NonNumericValue"), ("quoted-cell", None), ("overflow", "NumericalOverflow"),
+    ])
+    def test_a_failing_run_fails_as_in_process(self, defect, error, tmp_path, monkeypatch, helpers):
+        # A bad cell or a quoted one among the helper's rows, or y values
+        # whose deviations overflow in the fit, with the helper forked
+        # before the parse.
+        wait_long(monkeypatch)
+        lines = noisy_csv(40_000).splitlines()
+        x = lines[30_000].split(",")[0]
+        lines[30_000] = {"bad-cell": f"{x},7x", "quoted-cell": f'{x},"7.5"',
+                         "overflow": f"{x},1.7e308"}[defect]
+        if defect == "overflow":
+            lines[1] = lines[1].split(",")[0] + ",-1.7e308"
+        csv = write_csv(tmp_path, "\n".join(lines) + "\n")
+        code, out, err, _ = self.checked(tmp_path, monkeypatch, csv)
+        assert (code, out == "") == ((1, True) if error else (0, False))
+        assert error is None or f": {error}: " in err
+        assert len(helpers) == 1
+
+
+@pytest.mark.forks
 @pytest.mark.parametrize("rows, degree", [
     *((None, degree) for degree in range(1, 11)), (20_000, 10),
 ], ids=[*(f"bundled-{degree}" for degree in range(1, 11)), "seeded-20000-10"])
@@ -800,6 +950,42 @@ def test_any_finite_csv_gives_report_or_one_error(rows, degree):
         assert abs(Fraction(report["ss_res"]) - ss_res) <= Fraction(1e-9) * ss_tot + tiny
         if ss_tot == 0:
             assert Fraction(report["ss_tot"]) == Fraction(report["ss_res"]) == 0
+
+
+# A cell the plain path declines and the csv reader reads.
+QUOTED = st.builds('"{}"'.format, FINITE)
+
+
+@pytest.mark.forks
+@pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="helpers fork only where pidfds exist")
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.tuples(CELL | QUOTED, CELL | QUOTED), min_size=3, max_size=8),
+       degree=st.integers(1, 3), fork_at=st.sampled_from(["parse", "fit", "chart"]))
+@example(rows=[(1.0, 2.0), (2.0, 3.0), (3.0, 5.0), (4.0, '"7.5"')], degree=1, fork_at="parse")
+@example(rows=[(1.0, 2.0), (2.0, 3.0), (3.0, 5.0), (4.0, "1_0")], degree=1, fork_at="parse")
+@example(rows=[(1.0, 2.0), (2.0, 3.0), (3.0, 5.0), (4.0, 1e308)], degree=2, fork_at="parse")
+@example(rows=NEAR_CONSTANT_ROWS, degree=2, fork_at="fit")
+def test_any_csv_gives_the_same_outcome_through_the_helper(rows, degree, fork_at):
+    # Each threshold lowered so that the run's helper forks at fork_at,
+    # before the parse (where the helper parses the last rows), the fit or
+    # the chart, and waited for until it sends or ends.  The run gives the
+    # exit code, report, error line and SVG bytes of the run in process,
+    # and leaves no child process.
+    text = "Month,Values\n" + "".join(f"{x},{y}\n" for x, y in rows)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+        csv = write_csv(pathlib.Path(tmp), text)
+        share_the_cpu(monkeypatch)
+        wait_long(monkeypatch)
+        monkeypatch.setattr(ingest, "_SPLIT_MIN_BYTES", 1 if fork_at == "parse" else math.inf)
+        monkeypatch.setattr(fitting, "_HELPER_MIN_WORK", 1 if fork_at == "fit" else math.inf)
+        monkeypatch.setattr(plot, "_SPLIT_MIN_MARKERS", 1)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        got = outputs(pathlib.Path(tmp), "split", csv, "--degree", str(degree))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(forks) <= 1
+        assert got == in_process(monkeypatch, pathlib.Path(tmp), "alone", csv, "--degree", str(degree))
 
 
 SAMPLE_CSV = REPO_ROOT / "data" / "pm25_monthly.csv"

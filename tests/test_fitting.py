@@ -331,6 +331,7 @@ class TestFitPolynomial:
 
 
 class TestFitMemory:
+    @pytest.mark.forks
     @pytest.mark.parametrize("degree, lists", [(2, 4.5), (10, 5.5)])
     def test_peak_stays_within_a_few_length_n_lists(self, degree, lists, monkeypatch):
         # A list of n new floats costs 32 bytes a value.  Degree 2 holds
@@ -356,9 +357,9 @@ def outcome(series, degree):
     differ: the model in t, the residual, ss_tot and e, or the error's
     type and message.  No process outlives the fit either way."""
     try:
-        model, residual, ss_tot, exponent = _fit(series, degree)
-        result = ([c.hex() for c in model.scaled], [r.hex() for r in residual],
-                  ss_tot.hex(), exponent)
+        fit = _fit(series, degree)
+        result = ([c.hex() for c in fit.model.scaled], [r.hex() for r in fit.residual],
+                  fit.ss_tot.hex(), fit.exponent)
     except QuadfitError as exc:
         result = type(exc), str(exc)
     with pytest.raises(ChildProcessError):
@@ -412,6 +413,7 @@ OVERFLOWS = [
 ]
 
 
+@pytest.mark.forks
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper is forked")
 class TestHelperProcess:
     """A fit large enough to fork a helper for the sums in t alone gives
@@ -505,8 +507,8 @@ class TestHelperProcess:
         pipe = os.pipe
 
         def recorded_pipe():
-            fds.extend(pipe())
-            return tuple(fds)
+            fds.extend(pair := pipe())
+            return pair
 
         def failing_fork():
             raise BlockingIOError("fork: resource temporarily unavailable")
@@ -515,7 +517,7 @@ class TestHelperProcess:
         monkeypatch.setattr(os, "pipe", recorded_pipe)
         monkeypatch.setattr(os, "fork", failing_fork)
         assert outcome(series, 3) == alone
-        assert len(fds) == 2
+        assert len(fds) == 4
         for fd in fds:
             with pytest.raises(OSError):
                 os.fstat(fd)
@@ -556,8 +558,8 @@ xs = [1.0 + 11.0 * i / (n - 1) for i in range(n)]
 series = fitting.Series(xs, [(x - 6.0) ** 2 + (i * 7919) % 101 / 20.0 for i, x in enumerate(xs)])
 
 def result():
-    model, residual, ss_tot, exponent = fitting._fit(series, 10)
-    return [c.hex() for c in model.scaled], [r.hex() for r in residual], ss_tot.hex(), exponent
+    fit = fitting._fit(series, 10)
+    return [c.hex() for c in fit.model.scaled], [r.hex() for r in fit.residual], fit.ss_tot.hex(), fit.exponent
 
 start = time.monotonic()
 got = result()

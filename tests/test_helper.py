@@ -1,11 +1,14 @@
-"""The helper's record protocol, driven through start, records and stop:
-each record a helper sends arrives whole and in order, down the pipe or
-through a mapping, a record that ends cut or passes the mapping's end is
-dropped with everything after it, and no helper outlives stop.  Where a
-helper runs is tested last."""
+"""The helper's protocol, driven through start, send, take and stop: each
+record a helper sends arrives whole and in order, down the pipe or through
+a mapping, a record that ends cut or passes the mapping's end is dropped
+with everything after it and stops the helper, each message the parent
+sends arrives whole, each stage is waited for on its own, and no helper
+outlives stop, which keeps what the helper did.  Where a helper runs is
+tested last."""
 
 import json
 import os
+import signal
 import time
 
 import pytest
@@ -13,7 +16,8 @@ import pytest
 from quadfit import _helper
 from support import share_the_cpu, wait_long
 
-pytestmark = pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="a helper is forked where pidfds exist")
+pytestmark = [pytest.mark.forks,
+              pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="a helper is forked where pidfds exist")]
 
 
 @pytest.fixture(autouse=True)
@@ -25,11 +29,11 @@ def records_arrive(monkeypatch):
 
 
 def received(work, before=None, room=0):
-    """The records a helper running work sends, as a list of bytes, taken
-    after before(helper) where given, through a mapping of room bytes where
-    room is given; the helper is stopped, and no child of this process is
-    left."""
-    helper = _helper.start(work, room)
+    """The records a helper running work(send) sends, as a list of bytes,
+    taken after before(helper) where given, with a mapping of room bytes
+    where room is given; the helper is stopped, and no child of this
+    process is left."""
+    helper = _helper.start(lambda send, receive: work(send), room)
     assert helper is not None
     try:
         if before:
@@ -127,8 +131,152 @@ class TestRecords:
         assert time.monotonic() - start < 5.0
 
 
+def spin(seconds):
+    """Use this process's CPU for the given seconds."""
+    end = time.process_time() + seconds
+    while time.process_time() < end:
+        pass
+
+
+class TestMessages:
+    """Messages from the parent, each the start of a stage."""
+
+    def test_each_message_arrives_whole(self, monkeypatch):
+        # A pipe holds 64 KiB.  It grows to take 256 KiB in one write; 1 MiB
+        # and its header pass the limit of an unprivileged user's pipe, so
+        # the parent writes what the pipe takes, and waits for room for more.
+        messages = [b"", b"fit 2", bytes(range(256)) * 1024, bytes(range(256)) * 4096, b"chart"]
+
+        def echo(send, receive):
+            for _ in messages:
+                send(receive())
+        helper = _helper.start(echo)
+        try:
+            got = []
+            for message in messages:
+                helper.send(message)
+                got.append(helper.take())
+        finally:
+            helper.stop()
+        assert (got, helper.arrived) == (messages, len(messages))
+
+    @pytest.mark.parametrize("fate", ["ended", "busy"])
+    def test_a_message_the_helper_does_not_take_stops_it(self, fate, monkeypatch):
+        # An ended helper breaks the pipe at once; a busy one leaves 1 MiB
+        # unread, and the parent waits for it no longer than the stage's
+        # bound, here 20 ms, since it has done nothing else in the stage.
+        monkeypatch.setattr(_helper, "_MIN_WAIT", 0.02)
+        helper = _helper.start(lambda send, receive: None if fate == "ended" else time.sleep(60))
+        try:
+            if fate == "ended":
+                exited(helper)
+            start = time.monotonic()
+            helper.send(bytes(1 << 20))
+            seconds = time.monotonic() - start
+            assert (helper.running, helper.take()) == (False, None)
+        finally:
+            helper.stop()
+        assert seconds < 5.0
+
+
+class TestStages:
+    def test_each_stage_is_waited_for_on_its_own(self, monkeypatch):
+        # The parent works 1 s before it takes the first record.  In the
+        # next stage it has worked for no time, so it waits the least wait,
+        # not the 1 s of the stage before, then stops the helper.
+        monkeypatch.setattr(_helper, "_MIN_WAIT", 0.02)
+
+        def work(send, receive):
+            send(b"first")
+            receive()
+            time.sleep(60)
+        helper = _helper.start(work)
+        try:
+            time.sleep(1.0)
+            assert helper.take() == b"first"
+            helper.send(b"next")
+            start = time.monotonic()
+            assert helper.take() is None
+            seconds = time.monotonic() - start
+            assert not helper.running
+        finally:
+            helper.stop()
+        assert seconds < 0.5
+
+    def test_the_first_missed_record_stops_the_helper(self, monkeypatch):
+        # Once a record has not come, no later stage waits or sends: the
+        # helper is gone, and every later share is done in process.
+        monkeypatch.setattr(_helper, "_MIN_WAIT", 0.02)
+
+        def work(send, receive):
+            send(b"first")
+            time.sleep(60)
+        helper = _helper.start(work)
+        try:
+            assert (helper.take(), helper.take(), helper.running) == (b"first", None, False)
+            helper.send(b"more")
+            start = time.monotonic()
+            assert helper.take() is None
+            assert time.monotonic() - start < 0.01
+        finally:
+            helper.stop()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+class TestWhatItDid:
+    def test_stop_keeps_the_cpu_time_the_wait_and_the_records(self):
+        # The helper spends 0.3 s of CPU before its records, and the parent
+        # waits for them: at least that long where the helper has a CPU of
+        # its own, and longer where it shares this one.
+        def work(send):
+            spin(0.3)
+            for record in (b"a", b"b", b"c"):
+                send(record)
+        helper = _helper.start(lambda send, receive: work(send))
+        try:
+            assert (helper.arrived, helper.waited, helper.cpu) == (0, 0.0, None)
+            # The records end where the pipe does, which stops the helper.
+            assert [bytes(record) for record in helper.records()] == [b"a", b"b", b"c"]
+        finally:
+            helper.stop()
+        assert helper.arrived == 3
+        assert 0.3 <= helper.cpu < 30.0
+        assert 0.25 <= helper.waited < 30.0
+        helper.stop()  # a second stop does nothing
+        assert helper.arrived == 3 and not helper.running
+
+    @pytest.mark.parametrize("sent", [0, _helper._PREFIX + 2])
+    def test_a_record_that_ends_cut_is_not_counted(self, sent):
+        def work(send, receive):
+            send(b"whole")
+            cut_off(sent)
+            send(b"cut")
+        helper = _helper.start(work)
+        try:
+            assert [bytes(record) for record in helper.records()] == [b"whole"]
+        finally:
+            helper.stop()
+        assert helper.arrived == 1 and helper.cpu is not None
+
+    def test_a_helper_reaped_elsewhere_keeps_no_cpu_time(self):
+        # Where SIGCHLD is ignored, the kernel reaps the helper as it exits,
+        # and stop has no usage to read.
+        handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            helper = _helper.start(lambda send, receive: send(b"done"))
+            try:
+                assert helper.take() == b"done"
+                assert helper.take() is None
+            finally:
+                helper.stop()
+        finally:
+            signal.signal(signal.SIGCHLD, handler)
+        assert (helper.arrived, helper.cpu) == (1, None)
+
+
 class TestMapping:
-    """Records sent through a mapping: only their lengths cross the pipe."""
+    """Records sent through a mapping: only their headers cross the pipe."""
 
     @pytest.mark.parametrize("sizes", [[100], [60, 40], [0], [0, 100, 0], [1, 0, 99]],
                              ids=["one", "two", "empty", "empty-around", "empty-between"])
@@ -138,12 +286,12 @@ class TestMapping:
 
         def work(send):
             for record in records:
-                send(record)
+                send(record, mapped=True)
         assert received(work, room=100) == records
         assert sum(reads_made) == _helper._PREFIX * len(records)
 
     def test_a_record_is_a_view_of_the_mapping(self):
-        helper = _helper.start(lambda send: send(b"markers"), 64)
+        helper = _helper.start(lambda send, receive: send(b"markers", mapped=True), 64)
         try:
             record, = helper.records()
         finally:
@@ -159,22 +307,22 @@ class TestMapping:
 
         def work(send):
             for record in records:
-                send(record)
+                send(record, mapped=True)
         assert received(work, room=100) == records[:arrive]
         assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("sent", range(_helper._PREFIX))
     def test_a_cut_length_ends_the_records(self, sent):
         def work(send):
-            send(b"whole")
+            send(b"whole", mapped=True)
             cut_off(sent)
-            send(b"cut")
+            send(b"cut", mapped=True)
         assert received(work, room=64) == [b"whole"]
 
     def test_a_record_outlives_the_helper_that_sent_it(self):
         # The mapping lives on while a record views it, once its helper is
         # stopped and gone.
-        helper = _helper.start(lambda send: send(bytes(range(256)) * 64), 1 << 14)
+        helper = _helper.start(lambda send, receive: send(bytes(range(256)) * 64, mapped=True), 1 << 14)
         try:
             record = next(helper.records())
         finally:

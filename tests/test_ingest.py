@@ -441,6 +441,7 @@ def plain_rows(count: int, width: int = 3, end: str = "\n") -> list[str]:
     return [",".join([f"{i + 1}", f"{(i * 7919) % 101 / 8}", "n"][:width]) + end for i in range(count)]
 
 
+@pytest.mark.forks
 class TestSplitParse:
     """From _SPLIT_MIN_BYTES of input a helper process parses the plain
     path's last rows.  Every input gives the Series of the parse in process,

@@ -269,9 +269,9 @@ def test_fit_residual_ss_res_matches_fit_report(data):
     # sums of squares by at most D (2 sqrt(ss_res) + D).
     xs, ys, degree = data
     series = Series(tuple(xs), tuple(ys))
-    model, residuals, ss_tot, exponent = _fit(series, degree)
-    fitted = _residual_report(residuals, exponent, ss_tot, exponent)
-    evaluated = fit_report(model, series)
+    fit = _fit(series, degree)
+    fitted = _residual_report(fit)
+    evaluated = fit_report(fit.model, series)
     bound = 16 * len(ys) * U * max(map(abs, ys))
     assert abs(fitted.ss_res - evaluated.ss_res) <= bound * (2 * math.sqrt(evaluated.ss_res) + bound)
     # Both within the oracle tolerance on R^2, 1e-9, which is ss_res within
@@ -299,11 +299,10 @@ def test_fitted_models_reproduce_constant_data(y, offset, span, n, data):
     degree = data.draw(st.integers(0, min(4, n - 1)))
     series = Series(tuple(offset + span * i / (n - 1) for i in range(n)), (y,) * n)
     try:
-        model, residuals, ss_tot, exponent = _fit(series, degree)
+        fit = _fit(series, degree)
     except QuadfitError:
         return
-    for report in (_residual_report(residuals, exponent, ss_tot, exponent),
-                   fit_report(model, series)):
+    for report in (_residual_report(fit), fit_report(fit.model, series)):
         assert report.ss_res == 0.0 and report.r_squared == 1.0
 
 
@@ -320,8 +319,7 @@ def test_near_constant_data_gets_the_exact_r_squared(centre, degree, steps):
     # spread; the command line's R^2 is still within 1e-9 of the exact one.
     ys = [centre + k * math.ulp(centre) for k in steps]
     xs = [float(i) for i in range(1, len(ys) + 1)]
-    model, residuals, ss_tot, exponent = _fit(Series(tuple(xs), tuple(ys)), degree)
-    got = _residual_report(residuals, exponent, ss_tot, exponent).r_squared
+    got = _residual_report(_fit(Series(tuple(xs), tuple(ys)), degree)).r_squared
     *_, want = exact_report(xs, ys, degree)
     assert abs(Fraction(got) - (1 if want is None else want)) <= Fraction(1, 10**9)
 

@@ -141,6 +141,7 @@ class TestFormatEquation:
         box = legend.getElementsByTagName("rect")[0]
         assert 0.0 <= float(box.getAttribute("x"))
 
+    @pytest.mark.forks
     @pytest.mark.parametrize("rows,seed", [(20_000, 1), (2_000, 1), (200, 1)])
     def test_degree_ten_legend_shows_every_term_on_the_canvas(self, rows, seed):
         # The high-order coefficients of a degree-10 fit to a noisy
@@ -428,6 +429,7 @@ class TestRenderPlot:
             render_plot(series, model, report, SPEC)
 
 
+@pytest.mark.forks
 @pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="the helper is forked where pidfds exist")
 class TestMarkerHelper:
     """From _SPLIT_MIN_MARKERS markers a helper process formats the second
@@ -485,11 +487,12 @@ class TestMarkerHelper:
         assert capfd.readouterr() == ("", "")
 
     def test_a_stopped_helper_is_killed_and_the_command_finished_in_process(self, tmp_path):
-        # 1e5 rows at degree 2 start all three helpers, for the parse, the
-        # fit and the markers, and each is stopped right after the fork.
-        # The command waits for each no longer than it has worked itself (or
-        # 20 ms), does its share in process, and kills and reaps it: it ends
-        # well within 10 s, where it takes about 0.2 s.
+        # 1e5 rows at degree 2 fork one helper, before the parse, to serve
+        # the parse, the fit and the markers, and it is stopped right after
+        # the fork.  The parse waits for it no longer than it has worked
+        # itself (or 20 ms), then kills and reaps it, and every stage does
+        # its share in process: the command ends well within 10 s, where it
+        # takes about 0.2 s.
         series = noisy_quadratic(100_000, 3)
         csv = tmp_path / "bulk.csv"
         csv.write_text("Month,Values\n" + "".join(f"{x},{y}\n" for x, y in zip(series.xs, series.ys)),
@@ -510,7 +513,7 @@ ingest._SPLIT_MIN_BYTES = fitting._HELPER_MIN_WORK = plot._SPLIT_MIN_MARKERS = m
 alone = cli.main(["-i", csv, "--svg", out + "/alone.svg", "--report", out + "/alone.txt"])
 print(json.dumps([code, alone, len(stopped), reaped, seconds < 10.0]))
 """
-        assert run_isolated(script, str(csv), str(tmp_path)) == [0, 0, 3, True, True]
+        assert run_isolated(script, str(csv), str(tmp_path)) == [0, 0, 1, True, True]
         for suffix in ("svg", "txt"):
             assert (tmp_path / f"stopped.{suffix}").read_bytes() == (tmp_path / f"alone.{suffix}").read_bytes()
 

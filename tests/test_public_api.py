@@ -148,16 +148,18 @@ OS_MODULES = {"os", "os.path", "posixpath", "genericpath", "stat", "_stat", "_co
 PIPELINE_MODULES = OS_MODULES | {"_csv", "math", "operator", "_operator"}
 
 
+@pytest.mark.forks
 def test_cli_import_loads_only_what_the_pipeline_uses(tmp_path):
     # -S keeps site-packages .pth files from importing modules first.  The
     # child also runs the command line, so modules that parsing the
     # arguments, reading, fitting, rendering or writing would load are
-    # counted too.  The bundled data fits in process; 4,000 rows at degree
-    # 10 reach the fit's helper-process threshold, whose bounded read alone
-    # loads select.  An input of _SPLIT_MIN_BYTES starts the parse's helper
-    # too, which alone packs its doubles with _struct, and with --svg its
-    # 70,000 points start the markers' helper, which alone maps their bytes
-    # with mmap.
+    # counted too.  The bundled data fits in process.  4,000 rows at degree
+    # 10 reach the fit's helper-process threshold: the helper's bounded
+    # read loads select, its reaping by os.wait4 resource, and, with --svg,
+    # the mapping for the chart's markers mmap.  An input of
+    # _SPLIT_MIN_BYTES forks the helper before the parse, and the fit then
+    # packs the xs the helper does not hold with _struct, and grows the
+    # pipe to take them in one write with fcntl.
     script = ("import sys; before = set(sys.modules); import quadfit.cli; "
               "code = quadfit.cli.main(sys.argv[1:]); "
               "print(code, sorted(set(sys.modules) - before))")
@@ -169,8 +171,8 @@ def test_cli_import_loads_only_what_the_pipeline_uses(tmp_path):
     assert split.stat().st_size >= quadfit.ingest._SPLIT_MIN_BYTES
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     for data, degree, allowed in ((REPO_ROOT / "data" / "pm25_monthly.csv", 2, PIPELINE_MODULES),
-                                  (large, 10, PIPELINE_MODULES | {"select"}),
-                                  (split, 2, PIPELINE_MODULES | {"select", "mmap"})):
+                                  (large, 10, PIPELINE_MODULES | {"select", "mmap", "resource"}),
+                                  (split, 2, PIPELINE_MODULES | {"select", "mmap", "resource", "_struct", "fcntl"})):
         svg, report = tmp_path / f"{data.stem}.svg", tmp_path / f"{data.stem}.txt"
         argv = ["-i", str(data), "--degree", str(degree), "--svg", str(svg), "--report", str(report)]
         out = subprocess.run([sys.executable, "-S", "-c", script, *argv], env=env,
@@ -186,12 +188,12 @@ def test_cli_import_loads_only_what_the_pipeline_uses(tmp_path):
 # How a helper's result crosses the pipe or a mapping, and where a helper
 # runs, are _helper's alone.
 PIPE_CALLS = {"fork", "pipe", "read", "write", "sched_setaffinity"}
-PIPE_MODULES = ("select", "mmap")
+PIPE_MODULES = ("select", "mmap", "fcntl")
 
 
 def pipe_uses(source: str):
     """Each use of os.fork, os.pipe, os.read, os.write, os.sched_setaffinity,
-    select or mmap in source."""
+    select, mmap or fcntl in source."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.value.id == "os" and node.attr in PIPE_CALLS:
