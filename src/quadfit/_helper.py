@@ -1,8 +1,8 @@
 """One forked helper process that computes part of a run's work beside its
 parent, on a CPU the parent leaves free, for as many stages as the parent
 asks of it: the last rows of a large parse, the fit's sums in t alone, and
-the second share of the SVG's data markers (see fitting._Run, which starts
-at most one helper for a run of stages).
+the data markers of its rows in the SVG (see fitting._Run: the command
+line forks at most one, before the parse, for its run of stages).
 
 start(work) forks a child that runs work(send, receive).  send(record)
 sends one record, a bytes object of any length, to the parent; receive()

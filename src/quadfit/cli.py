@@ -214,6 +214,23 @@ def format_report(model: PolynomialModel, report: FitReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _forks(size: int, rows: int, degree: int, chart: bool) -> bool:
+    """Whether a run on size bytes of input, holding at most rows rows
+    (its count of newlines), forks a helper process before the parse: from
+    2**19 bytes, from rows * degree of 2**15, or with a chart from 2**14
+    rows.  Below all three, the helper's fork, kill and reap cost more than
+    its share of the parse, the fit and the chart saves.
+
+    Measured on a 2-vCPU Xeon: with the second vCPU free, the split parse
+    ties the parse in process at 344 KB and takes a fifth off it at 1.7 MB,
+    and with that vCPU busy it loses a few ms at every size.  The helper's
+    start, kill and reap take 1.1 ms from a 23 MiB process, and 1.6 ms from
+    one holding 1e5 points, where the split of the chart's markers gains
+    from about 1.2e4 markers (in 34 of 41 renders) and at 2**14 in 36 of 41.
+    """
+    return size >= 2 ** 19 or rows * degree >= 2 ** 15 or chart and rows >= 2 ** 14
+
+
 def run(args: Args) -> None:
     # sys.stdin and sys.stdout are None when the process started with that
     # file descriptor closed; stdout is checked first, so no SVG is written.
@@ -233,12 +250,16 @@ def run(args: Args) -> None:
     else:
         with open(args.input, "rb") as fh:
             data = fh.read()
-    # At most one helper process serves the parse, the fit and the chart: the
-    # first stage large enough forks it (see fitting._Run).  It ends itself
-    # after the last stage, and leaving the block stops it, before any error
-    # is reported.
-    serves = (_serve_rows, _serve_fit) if spec is None else (_serve_rows, _serve_fit, _serve_chart)
-    with _Run(*serves, room=_MARKER_ROOM if spec else 0) as stages:
+    # The run forks its one helper process here, before the parse, or none
+    # at all (see _forks), and the helper serves the parse, the fit and the
+    # chart (see fitting._Run).  It ends itself after the last stage, and
+    # leaving the block stops it, before any error is reported.  Each row it
+    # holds may take _MARKER_ROOM bytes of its mapping.
+    rows = data.count(b"\n")
+    serves = ()
+    if _forks(len(data), rows, args.degree, spec is not None):
+        serves = (_serve_rows, _serve_fit) if spec is None else (_serve_rows, _serve_fit, _serve_chart)
+    with _Run(serves, (data, schema), rows * _MARKER_ROOM if spec else 0) as stages:
         series = _parse(data, schema, stages)
         del data
         # The report sums the residual and ss_tot the fit leaves behind, on

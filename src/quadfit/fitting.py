@@ -9,19 +9,17 @@ so the fit takes O(n*d) time and never forms normal equations, which
 square the condition number.
 
 Half of the recurrence depends on t alone: mean(t), each ||p_k||^2 and
-each a_k.  A helper process (see _helper, which says where a process may
-fork, on which CPU its helper runs and how long the fit waits) computes
-those scalars on its own copy of t and sends each as soon as it has it,
-while the fitting process computes everything else and takes each scalar
-from the helper in place of computing it.  The helper is the run's (see
-_Run): a run forks at most one, at the first stage large enough, and it
-serves every later stage.  Where the run has none yet, the fit forks it
-once n*d reaches _HELPER_MIN_WORK; where the parse forked it, the fit
-sends it the xs it does not hold.  fit_polynomial is a run of the fit
-alone.  From the first scalar that does not arrive, the fitting process
-computes that one and every later one itself, by the same code, so the
-helper changes no float and no error.  The fitting process holds at most
-five length-n lists at once, and the helper four of its own.
+each a_k.  Where the command line's run has a helper process (see _Run,
+and _helper, which says where a process may fork, on which CPU its helper
+runs and how long the fit waits), the helper computes those scalars on its
+own copy of t and sends each as soon as it has it, while the fitting
+process computes everything else and takes each scalar from the helper in
+place of computing it.  The fit sends the helper the xs of the rows it
+does not hold.  fit_polynomial runs in process.  From the first scalar
+that does not arrive, the fitting process computes that one and every
+later one itself, by the same code, so the helper changes no float and no
+error.  The fitting process holds at most five length-n lists at once, and
+the helper four of its own.
 
 The fitted model keeps its coefficients in powers of t together with its
 window, and every value of it is taken in t, by one helper here.  The one
@@ -59,12 +57,6 @@ from .errors import (
 # exact arithmetic the norms equal the R diagonal of a QR factorization of
 # the scaled Vandermonde matrix, so the test is the classical one.
 RANK_TOLERANCE = 1e-10
-
-# A fit of n points at degree d starts a helper process once n * d reaches
-# this, where the run has none yet.  Below it, the helper's start, kill and
-# reap, 1.1 ms from a 23 MiB process on a 2-vCPU Xeon, cost more than the
-# helper saves.
-_HELPER_MIN_WORK = 2 ** 15
 
 DEFAULT_DEGREE = 2
 
@@ -229,7 +221,7 @@ def _centred_deviations(series: Series) -> tuple[list[float], float, float, int]
 
 
 def _polynomials(ts: list[float], degree: int, scalar):
-    """Yield p_k, its coefficients in powers of t and ||p_k||^2, for
+    """Yield p_k with its coefficients in powers of t, then ||p_k||^2, for
     k = 1, ..., degree: the half of Forsythe's recurrence that depends on t
     alone.
 
@@ -239,7 +231,9 @@ def _polynomials(ts: list[float], degree: int, scalar):
     as its power-in-t coefficients.  Each of the scalars mean(t),
     ||p_k||^2 and a_k (for k < degree), in that order, is
     scalar(compute): compute() itself, or the same float taken from the
-    helper that computes it.
+    helper that computes it.  ||p_k||^2 is taken only once the caller asks
+    for it, so that the caller's own work on p_k comes before any wait for
+    the helper.
 
     Neither p_0 nor t * p_k is stored: the step from p_1 drops b * p_0,
     which is b, and t * p_k is formed where the sum for a and the
@@ -253,14 +247,15 @@ def _polynomials(ts: list[float], degree: int, scalar):
     poly_prev, poly = [1.0], [-a, 1.0]
     norm2_prev = float(n)
     for k in range(1, degree + 1):
-        norm2 = scalar(lambda: math.fsum(map(operator.mul, p, p)))
         if k == degree:
             # p_{k-1} is freed before the caller builds its last residual:
             # the fit's peak memory stays at that of the steps before it.
             del p_prev
-            yield p, poly, norm2
+        yield p, poly
+        norm2 = scalar(lambda: math.fsum(map(operator.mul, p, p)))
+        yield norm2
+        if k == degree:
             return
-        yield p, poly, norm2
         a = scalar(lambda: math.fsum(map(operator.mul, map(operator.mul, ts, p), p)) / norm2)
         b = norm2 / norm2_prev
         if p_prev is None:
@@ -278,24 +273,33 @@ def _polynomials(ts: list[float], degree: int, scalar):
 
 
 class _Run:
-    """The one helper process of a run of stages (see _helper): none until
-    the first stage whose work reaches its threshold forks it, and then that
-    helper, while it runs, for that stage and every later one.  A run is a
-    context manager that stops its helper on exit.  It is kept here, not in
-    _helper, so that a run that forks nothing loads no helper module.
+    """The command line's run of the parse, the fit and the chart, with its
+    one helper process (see _helper), forked as the run is made where
+    serves are given: the helper runs each serve(state, send, receive) in
+    turn, the first on state and each later one on what the one before
+    returned, the last rows of the series as (xs, ys) after the parse.  It
+    ends itself after the last, so that its exit overlaps this process's
+    work instead of adding to its stop.  A run is a context manager that
+    stops its helper on exit.  It is kept here, not in _helper, so that a
+    run that forks nothing loads no helper module.
 
-    serves are the helper's work for each stage, in order: serve(state,
-    send, receive) returns the next stage's state, the last rows of the
-    series as (xs, ys) after the parse.  The helper ends itself after the
-    last, so that its exit overlaps this process's work instead of adding
-    to its stop.  held is how many rows the helper holds, as this process
-    knows it, and room the bytes of mapping a later stage may need for each
-    (0 where no chart follows)."""
+    helper is None where none was forked, and held is how many rows the
+    helper holds, as this process knows it: set by the parse, 0 until then
+    and where the helper keeps none.  room is the bytes of the helper's
+    mapping (see _helper.start)."""
 
-    __slots__ = ("serves", "room", "helper", "held")
+    __slots__ = ("helper", "held")
 
-    def __init__(self, *serves, room: int = 0):
-        self.serves, self.room, self.helper, self.held = serves, room, None, 0
+    def __init__(self, serves, state, room: int = 0):
+        self.helper, self.held = None, 0
+        if serves:
+            from ._helper import start  # loaded only where a run forks
+
+            def work(send, receive):
+                held = state
+                for serve in serves:
+                    held = serve(held, send, receive)
+            self.helper = start(work, room)
 
     def __enter__(self):
         return self
@@ -304,20 +308,8 @@ class _Run:
         if self.helper:
             self.helper.stop()
 
-    def share(self, large: bool, serve, state, rows: int):
-        """The run's helper for the stage of serve, or None where it has
-        stopped or none runs.  Where none has started and large is true, one
-        is forked now, holding at most `rows` rows: it runs serve on state,
-        then each later stage's serve on what the one before returned."""
-        if self.helper is None and large:
-            from ._helper import start  # loaded only where a helper starts
-            serves = self.serves[self.serves.index(serve):]
-
-            def work(send, receive):
-                held = state
-                for stage in serves:
-                    held = stage(held, send, receive)
-            self.helper, self.held = start(work, rows * self.room), rows
+    def running(self):
+        """The run's helper, or None where it has stopped or none runs."""
         return self.helper if self.helper and self.helper.running else None
 
 
@@ -352,7 +344,7 @@ def _serve_fit(held, send, receive):
 
 
 def _orthogonal_fit(window: DomainWindow, series: Series,
-                    degree: int, run: _Run) -> tuple[list[float], list[float], float, int]:
+                    degree: int, run: _Run | None) -> tuple[list[float], list[float], float, int]:
     """Least-squares coefficients in ascending powers of t, by Forsythe's method
     on _centred_deviations(series), with (y - fit) * 2**e, ss_tot * 4**e and e.
 
@@ -361,17 +353,16 @@ def _orthogonal_fit(window: DomainWindow, series: Series,
     = 1 is written in closed form: its squared norm is n, its coefficient
     the mean deviation, and after it the residual's squared norm is ss_tot.
 
-    Where run's helper runs, or n * degree reaches _HELPER_MIN_WORK and the
-    run forks one now, this process first sends it the degree, the window
-    and the xs it does not hold, and the helper computes the scalars of
-    _polynomials that depend on t alone, mean(t), ||p_k||^2 and a_k, on
-    the second processor, while this process computes t, the deviations,
-    each p_k, c_k and the residual.  Each scalar is taken from the helper's
-    records while they come; from the first that does not, this process
-    computes that scalar and every later one itself.  Both compute each
-    scalar by the same code from the same floats, so a helper that fails,
-    stops or is killed gives the same floats and the same exception at the
-    same step as no helper does.
+    Where run's helper runs, this process first sends it the degree, the
+    window and the xs of the rows it does not hold, and the helper computes
+    the scalars of _polynomials that depend on t alone, mean(t), ||p_k||^2
+    and a_k, on the second processor, while this process computes t, the
+    deviations, each p_k, c_k and the residual.  Each scalar is taken from
+    the helper's records while they come; from the first that does not,
+    this process computes that scalar and every later one itself.  Both
+    compute each scalar by the same code from the same floats, so a helper
+    that fails, stops or is killed gives the same floats and the same
+    exception at the same step as no helper does.
 
     This process holds at most five length-n lists at once: t, the
     residual, p_{k-1}, p_k, and the residual or p_{k+1} being built.  The
@@ -382,20 +373,25 @@ def _orthogonal_fit(window: DomainWindow, series: Series,
             largest, so the points cannot resolve a degree-k term.
     """
     n = len(series)
-    helper = run.share(n * degree >= _HELPER_MIN_WORK, _serve_fit, (series.xs, series.ys), n)
+    helper = run.running() if run else None
     if helper:
-        request = b"%d %r %r\n" % (degree, window.x_min, window.x_max)
-        before = series.xs[:n - run.held]
-        if before:
-            from _struct import pack  # only where the helper forked before the parse
-            request += pack("%dd" % len(before), *before)
-        helper.send(request)
+        from _struct import pack  # loaded only where a helper runs
+        before = n - run.held
+        helper.send(b"%d %r %r\n" % (degree, window.x_min, window.x_max)
+                    + pack("%dd" % before, *series.xs[:before]))
     ts = _to_t(window, series.xs)
     scalar = _scalars(helper.records() if helper else iter(()))
     residual, mean, ss_tot, exponent = _centred_deviations(series)
     coeffs = [mean] + [0.0] * degree
     norm2_max = float(n)
-    for k, (p, poly, norm2) in enumerate(_polynomials(ts, degree, scalar), 1):
+    steps = _polynomials(ts, degree, scalar)
+    for k, (p, poly) in enumerate(steps, 1):
+        # This process's own sum comes before ||p_k||^2, which may wait for
+        # the helper.  Its terms are finite and small (|t| <= 1, and the
+        # residual's norm stays within the deviations'), so it cannot
+        # overflow and raise where the rank test below would raise first.
+        dot = math.fsum(map(operator.mul, residual, p))
+        norm2 = next(steps)
         # Compared squared, and before any division: norm2_max >= n > 0,
         # so a zero norm2 always raises here.
         norm2_max = max(norm2_max, norm2)
@@ -403,7 +399,7 @@ def _orthogonal_fit(window: DomainWindow, series: Series,
             raise RankDeficient(
                 f"x values cannot resolve a degree-{k} term within tolerance"
             )
-        c = math.fsum(map(operator.mul, residual, p)) / norm2
+        c = dot / norm2
         for j, q in enumerate(poly):
             coeffs[j] += c * q
         residual = [r - c * v for r, v in zip(residual, p)]
@@ -454,16 +450,13 @@ class _Fit:
 
 def _fit(series: Series, degree: int, run: _Run | None = None) -> _Fit:
     """The least-squares model of fit_polynomial, with the residual and
-    ss_tot that _orthogonal_fit leaves behind for the report, the helper
-    taken from run, or from a run of the fit alone where run is None.
+    ss_tot that _orthogonal_fit leaves behind for the report, and with the
+    helper of run where it has one.
 
     Each step that can leave the float range names its own cause in the
     NumericalOverflow it raises: the x span, the window, the deviations of
     y and the sums in t, and the conversion to powers of x.
     """
-    if run is None:
-        with _Run(_serve_fit) as run:
-            return _fit(series, degree, run)
     err = _validation_error(series, degree)
     if err is not None:
         raise err

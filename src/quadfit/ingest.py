@@ -10,13 +10,13 @@ other scripts.
 
 Plain input, with ASCII rows and no quotes, is split as bytes; all other
 input goes through the csv reader, which also raises every error.  Both
-give the same values.  From _SPLIT_MIN_BYTES of input, the run's helper
-process (see fitting._Run and _helper) is forked before the rows are
-split, while this process holds little more than the input's bytes: it
-splits the last 45 % of the plain rows and sends their values back as
-binary doubles, while the caller splits the rest, and it keeps those rows
-for the run's later stages.  parse_csv is a run of the parse alone.  A
-helper whose record does not arrive changes no value or error.
+give the same values.  Where the command line's run has a helper process
+(see fitting._Run and _helper), forked before the parse while this process
+holds little more than the input's bytes, the helper splits the last 45 %
+of the plain rows and sends their values back as binary doubles, while
+the caller splits the rest, and it keeps those rows for the run's later
+stages.  parse_csv runs in process.  A helper whose record does not
+arrive changes no value or error.
 """
 
 # csv.py only re-exports _csv's reader and Error, and imports re, and with
@@ -38,14 +38,9 @@ from .fitting import Series, _bounds, _checked_series, _Run, _validation_error a
 
 # The split path's block size in bytes, before the cut at the next newline.
 _BLOCK_BYTES = 1 << 16
-# From this many bytes of input, the run's helper process is forked before
-# the parse and parses the last rows of the plain path (see _plain_columns),
-# and this process keeps this share of the rows' bytes: more than half, as
-# the helper starts a fork later and packs what it sends.  On a 2-vCPU Xeon
-# with the second vCPU free, the split ties the parse in process at 344 KB
-# and takes a fifth off it at 1.7 MB; with that vCPU busy it loses a few ms
-# at every size.
-_SPLIT_MIN_BYTES = 1 << 19
+# Where the run has a helper process, this process parses this share of
+# the plain rows' bytes, and the helper the rest (see _plain_layout): more
+# than half, as the helper starts a fork later and packs what it sends.
 _SPLIT_SHARE = 0.55
 # Every byte but the comma and the newline, for bytes.translate to delete.
 _NOT_SEPARATORS = bytes(set(range(256)) - set(b",\n"))
@@ -96,17 +91,21 @@ def parse_csv(data, schema: CsvSchema = CsvSchema()) -> Series:
 
 
 def _parse(data, schema: CsvSchema, run: _Run | None = None) -> Series:
-    """parse_csv, with the helper of run where large plain input starts
-    one (see _plain_columns)."""
+    """parse_csv, with the helper of run where it has one (see
+    _plain_columns)."""
     if hasattr(data, "read"):
         data = data.read()
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError(f"parse_csv needs bytes or a binary stream, got {type(data).__name__}")
-    # Drop a leading BOM as decode("utf-8-sig") would, with the same error
-    # messages and offsets, without importing that codec's module.
-    if data[:3] == b"\xef\xbb\xbf":
-        data = data[3:]
+    data = _without_bom(data)
     return _checked_series(*(_plain_columns(data, schema, run) or _reader_columns(data, schema)))
+
+
+def _without_bom(data):
+    """data without a leading BOM, dropped as decode("utf-8-sig") would,
+    with the same error messages and offsets, without importing that
+    codec's module."""
+    return data[3:] if data[:3] == b"\xef\xbb\xbf" else data
 
 
 def _plain_columns(data, schema: CsvSchema, run: _Run | None = None):
@@ -115,13 +114,12 @@ def _plain_columns(data, schema: CsvSchema, run: _Run | None = None):
 
     A fast path that accepts input or declines it and never raises, so that
     every error, its message and its row number come from _reader_columns.
-    It accepts input whose header _plain_header accepts and whose rows
+    It accepts input whose header _plain_layout accepts and whose rows
     _plain_rows does.  The csv reader splits such input into the same
     cells, and keeps the same values.
 
-    From _SPLIT_MIN_BYTES of input, the rows are cut at the first newline
-    after _SPLIT_SHARE of their bytes, and run, or a run of the parse alone
-    where run is None, forks its helper process (see fitting._Run), which
+    Where run's helper process runs (see fitting._Run), the rows are cut
+    where _plain_layout says, and the helper, which computes the same cut,
     runs _plain_rows on the second part while this process runs it on the
     first.  The helper sends its columns and their bounds back in one
     record of native doubles, which this process appends to its own
@@ -132,33 +130,23 @@ def _plain_columns(data, schema: CsvSchema, run: _Run | None = None):
     process stops the helper and parses those rows itself by the same code,
     so the helper changes no value, bound or error, only the time.
     """
-    if run is None:
-        with _Run(_serve_rows) as run:
-            return _plain_columns(data, schema, run)
-    layout = _plain_header(data, schema)
+    layout = _plain_layout(data, schema)
     if layout is None:
         return None
-    start, columns = layout
+    start, mid, columns = layout
     end = len(data)
-    mid = end
-    if end >= _SPLIT_MIN_BYTES:
-        mid = data.find(b"\n", start + int((end - start) * _SPLIT_SHARE)) + 1 or end
-    helper = None
-    if mid < end:
-        # The helper's rows are at most its newlines and one more.
-        helper = run.share(True, _serve_rows, (data, mid, end, columns), data.count(b"\n", mid) + 1)
+    helper = run.running() if run and mid < end else None
+    if helper is None:
+        return _plain_rows(data, start, end, *columns)
     rows = _plain_rows(data, start, mid, *columns)
-    rest = _received_rows(helper.take()) if helper and rows else None
-    if helper:
-        run.held = len(rest[0]) if rest else 0
-        if rest is None:
-            # Its record never came, or this process declined its own rows.
-            helper.stop()
-    if rows is None or mid == end:
-        return rows
-    if rest is None:
-        rest = _plain_rows(data, mid, end, *columns)
-    if not rest:
+    rest = _received_rows(helper.take()) if rows else None
+    if rest:
+        run.held = len(rest[0])
+    elif rest is None:
+        # Its record never came, or this process declined its own rows.
+        helper.stop()
+        rest = rows and _plain_rows(data, mid, end, *columns)
+    if not (rows and rest):
         return None
     xs, ys, (x_min, x_max), (y_min, y_max) = rows
     more_xs, more_ys, (more_x_min, more_x_max), (more_y_min, more_y_max) = rest
@@ -168,12 +156,14 @@ def _plain_columns(data, schema: CsvSchema, run: _Run | None = None):
             (min(y_min, more_y_min), max(y_max, more_y_max)))
 
 
-def _plain_header(data, schema: CsvSchema):
-    """Where the rows begin, and the selected columns' indices and the
-    header's width for _plain_rows, or None.
+def _plain_layout(data, schema: CsvSchema):
+    """Where the rows begin, where a helper's rows begin, and the selected
+    columns' indices and the header's width for _plain_rows; or None.
 
     Accepts a header line that is UTF-8 without a quote, CR or NUL, no
-    longer than the csv field limit, and names both schema columns.
+    longer than the csv field limit, and names both schema columns.  A
+    helper's rows begin after the first newline past _SPLIT_SHARE of the
+    rows' bytes, or at the end where there is none.
     """
     header_end = data.find(b"\n") + 1
     if not header_end:
@@ -187,7 +177,9 @@ def _plain_header(data, schema: CsvSchema):
         return None
     if schema.x_column not in names or schema.y_column not in names:
         return None
-    return header_end, (names.index(schema.x_column), names.index(schema.y_column), len(names))
+    end = len(data)
+    mid = data.find(b"\n", header_end + int((end - header_end) * _SPLIT_SHARE)) + 1 or end
+    return header_end, mid, (names.index(schema.x_column), names.index(schema.y_column), len(names))
 
 
 def _plain_rows(data, start: int, stop: int, x_idx: int, y_idx: int, width: int):
@@ -237,14 +229,19 @@ def _plain_rows(data, start: int, stop: int, x_idx: int, y_idx: int, width: int)
 
 
 def _serve_rows(state, send, receive):
-    """The helper's work for a parse: state is the data, where the helper's
-    rows begin and end, and _plain_rows's columns.  Send what _plain_rows
-    returns for those rows as one record of native doubles: the x and y
-    bounds, the xs and the ys; or an empty record where the rows were
+    """The helper's work for a parse: state is the run's input and schema.
+    Where _plain_layout accepts the input and gives the helper rows, send
+    what _plain_rows returns for them as one record of native doubles: the
+    x and y bounds, the xs and the ys; or an empty record where they were
     declined.  Holds those rows, or none, for the later stages."""
     from _struct import pack  # loaded only where a helper forks
-    data, start, stop, columns = state
-    rows = _plain_rows(data, start, stop, *columns)
+    data, schema = state
+    data = _without_bom(data)
+    layout = _plain_layout(data, schema)
+    if layout is None or layout[1] == len(data):
+        return (), ()  # the parse takes no record
+    _, mid, columns = layout
+    rows = _plain_rows(data, mid, len(data), *columns)
     if rows is None:
         send(b"")
         return (), ()

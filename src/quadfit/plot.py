@@ -14,14 +14,12 @@ documents.  render_plot returns the document as one string; the command
 line writes its UTF-8 bytes in pieces, with the data markers formatted in
 blocks of _MARKER_BLOCK.
 
-The run's helper process (see fitting._Run and _helper) formats the
-markers of the last rows it holds on another processor while this one
-formats the others, and sends them in one record, through a shared mapping
-where it has one: the rows after the parse's cut where the parse forked
-it, or else the second half of the rows.  Where the run has no helper yet,
-the chart forks one from _SPLIT_MIN_MARKERS markers; render_plot is a run
-of the chart alone.  Where that record does not arrive, the markers are
-formatted here by the same code, so the document never changes.
+Where the command line's run has a helper process (see fitting._Run and
+_helper), it formats the markers of the rows it holds, those after the
+parse's cut, on another processor while this one formats the others, and
+sends them in one record through a shared mapping.  render_plot runs in
+process.  Where that record does not arrive, the markers are formatted
+here by the same code, so the document never changes.
 """
 
 import math
@@ -52,13 +50,6 @@ CURVE_SAMPLES = 200
 _MARKER_BLOCK = 4096
 _MARKER = f'<circle cx="%.2f" cy="%.2f" r="4" fill="{DATA_COLOR}"/>\n'.encode()
 _MARKER_ROOM = len(_MARKER % (WIDTH, HEIGHT))
-
-# A figure of this many markers or more forks a helper process to format
-# half of them, where the run has none yet.  The helper's start, kill and
-# reap take 1.6 ms from a process holding 1e5 points on a 2-vCPU Xeon; the
-# split gains from about 1.2e4 markers (in 34 of 41 renders) and at 2**14
-# in 36 of 41.
-_SPLIT_MIN_MARKERS = 2 ** 14
 
 # Fraction of the combined data+curve range added on each side of an axis.
 AXIS_PADDING = 0.05
@@ -241,13 +232,12 @@ def _markers(frame, xs, ys, start: int, stop: int):
 
 
 def _serve_chart(held, send, receive):
-    """The helper's work for a chart: format the markers of the last rows
-    it holds, as many as the request of _svg_chunks says, under its frame,
-    and send them as one record through the mapping."""
-    *frame, count = receive().split()
+    """The helper's work for a chart: format the markers of the rows it
+    holds under the frame that _svg_chunks sends, and send them as one
+    record through the mapping."""
+    frame = tuple(map(float, receive().split()))
     xs, ys = held
-    n = len(xs)
-    send(b"".join(_markers(tuple(map(float, frame)), xs, ys, n - int(count), n)), mapped=True)
+    send(b"".join(_markers(frame, xs, ys, 0, len(xs))), mapped=True)
     return held
 
 
@@ -255,17 +245,13 @@ def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec:
                 run: _Run | None = None):
     """render_plot's document as UTF-8 bytes in pieces: everything before
     the data markers, the markers in blocks of _MARKER_BLOCK (those of the
-    last rows from the helper of run, or of a run of the chart alone where
-    run is None, in one piece, as its mapping holds them), then the rest.
+    rows the helper of run holds from it, in one piece, as its mapping
+    holds them), then the rest.
 
     Everything that can fail (bounds, ticks, legend, escaping) runs before
     the first piece is yielded, so a caller that writes the pieces to a
     file can take the first one before it opens the file.
     """
-    if run is None:
-        with _Run(_serve_chart, room=_MARKER_ROOM) as run:
-            yield from _svg_chunks(series, model, report, spec, run)
-        return
     x_min, x_max = series._x_bounds
     y_min, y_max = series._y_bounds
     curve_xs, curve_ys = zip(*sample_curve(model, x_min, x_max, CURVE_SAMPLES))
@@ -347,13 +333,12 @@ def _svg_chunks(series: Series, model: PolynomialModel, report: FitReport, spec:
     yield ("\n".join(out[:markers_at]) + "\n").encode()
     xs, ys = series.xs, series.ys
     n = len(xs)
-    # The run's helper formats the markers of the last rows it holds, at
-    # most half of them, while this process formats the others.
-    half = n - n // 2
-    helper = run.share(n >= _SPLIT_MIN_MARKERS, _serve_chart, (xs, ys), n)
-    split = n - (min(run.held, half) if helper else 0)
+    # The run's helper formats the markers of the rows it holds, the last
+    # ones, while this process formats the others.
+    helper = run.running() if run else None
+    split = n - run.held if helper else n
     if split < n:
-        helper.send(b"%r %r %r %r %d" % (*frame, n - split))
+        helper.send(b"%r %r %r %r" % frame)
     yield from _markers(frame, xs, ys, 0, split)
     record = helper.take() if split < n else None
     # The helper's markers, or, where its record did not arrive, the same

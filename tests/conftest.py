@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -30,3 +31,26 @@ def sample_csv_path() -> Path:
 @pytest.fixture
 def golden_dir() -> Path:
     return Path(__file__).resolve().parent / "golden"
+
+
+@pytest.fixture(autouse=True)
+def forks_are_marked(request):
+    """Fail a test that calls os.fork in this process unless it is marked
+    forks, so that the run of the tests marked forks on one CPU misses none
+    of them.  A test's own patches of os.fork wrap this one."""
+    if not hasattr(os, "fork"):
+        yield
+        return
+    forked, fork = [], os.fork
+
+    def counted_fork():
+        forked.append(1)
+        return fork()
+
+    os.fork = counted_fork
+    try:
+        yield
+    finally:
+        os.fork = fork
+    if forked and request.node.get_closest_marker("forks") is None:
+        pytest.fail(f"{request.node.nodeid} forks {len(forked)} time(s) but is not marked forks")

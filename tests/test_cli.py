@@ -44,7 +44,7 @@ from quadfit import (
     parse_csv,
     render_plot,
 )
-from quadfit import _helper, cli, fitting, ingest, plot
+from quadfit import _helper, cli, plot
 from quadfit.cli import format_report, main, parse_args
 from quadfit.plot import _MARKER_BLOCK, WIDTH
 
@@ -567,8 +567,8 @@ class TestProcessEntry:
         pytest.param(100_000, 2, "overflow", "chart.svg", id="svg-overflow-exit-1"),
     ])
     def test_no_process_outlives_a_large_fit(self, tmp_path, rows, degree, defect, svg):
-        # 20,000 rows at degree 10 fork a helper for the fit, and 1e5 rows
-        # with --svg one before the parse, which serves the fit and the
+        # 20,000 rows at degree 10, and 1e5 rows with --svg, fork a helper
+        # before the parse, which serves the fit and, with --svg, the
         # chart's markers too.  It is reaped before the command returns,
         # here where the chart cannot be written, the fit overflows or a
         # cell among the helper's rows is bad too.  Helpers share the command's CPU, so that one
@@ -609,11 +609,11 @@ class TestProcessEntry:
         big.write_text(noisy_csv(100_000), encoding="ascii")
         fit.write_text(noisy_csv(20_000), encoding="ascii")
         script = """
-import json, math, os, sys
+import json, os, sys
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 forks, fork = [], os.fork
 os.fork = lambda: forks.append(1) or fork()
-from quadfit import cli, fitting, ingest, plot
+from quadfit import cli
 big, fit, out = sys.argv[1:]
 
 def run(name):
@@ -621,7 +621,7 @@ def run(name):
             cli.main(["-i", fit, "--degree", "10", "--report", f"{out}/{name}-fit.txt"])]
 
 pinned = run("pinned")
-ingest._SPLIT_MIN_BYTES = fitting._HELPER_MIN_WORK = plot._SPLIT_MIN_MARKERS = math.inf
+cli._forks = lambda *args: False
 print(json.dumps([pinned, run("alone"), len(forks)]))
 """
         assert run_isolated(script, str(big), str(fit), str(tmp_path)) == [[0, 0], [0, 0], 0]
@@ -655,20 +655,19 @@ def outputs(tmp_path, name, csv, *argv):
 
 
 def in_process(monkeypatch, *args):
-    """outputs(*args) with no helper, each threshold left as it was found."""
+    """outputs(*args) with no helper, the rule that forks one left as it
+    was found."""
     with monkeypatch.context() as patch:
-        for module, name in ((ingest, "_SPLIT_MIN_BYTES"), (fitting, "_HELPER_MIN_WORK"),
-                             (plot, "_SPLIT_MIN_MARKERS")):
-            patch.setattr(module, name, math.inf)
+        patch.setattr(cli, "_forks", lambda *args: False)
         return outputs(*args)
 
 
 @pytest.mark.forks
 @pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="helpers fork only where pidfds exist")
 class TestOneHelperPerRun:
-    """A run forks at most one helper, at its first stage large enough, and
-    that helper serves every later stage.  Whatever becomes of it, the run
-    writes what it writes with no helper, and leaves no process behind."""
+    """A run forks at most one helper, before the parse, and that helper
+    serves every stage.  Whatever becomes of it, the run writes what it
+    writes with no helper, and leaves no process behind."""
 
     @pytest.fixture(autouse=True)
     def helpers(self, monkeypatch):
@@ -697,21 +696,21 @@ class TestOneHelperPerRun:
 
     @pytest.mark.parametrize("rows, degree, svg, records", [
         (None, 2, True, None),
-        # Past _SPLIT_MIN_BYTES: forked before the parse, it sends its rows,
-        # the four scalars in t and its markers.
+        # Forked by the size in bytes, the helper sends its rows, the four
+        # scalars in t and its markers.
         (40_000, 2, True, 6),
-        # Below it, forked at the fit, for its 20 scalars.
-        (20_000, 10, False, 20),
-        # Below both, forked at the chart.
-        (plot._SPLIT_MIN_MARKERS, 1, True, 1),
+        # By rows * degree: its rows and 20 scalars.
+        (20_000, 10, False, 21),
+        # By the chart's rows: its rows, two scalars and its markers.
+        (2 ** 14, 1, True, 4),
     ], ids=["bundled", "parse-fit-chart", "fit", "chart"])
     def test_forks_per_run(self, rows, degree, svg, records, tmp_path, monkeypatch, helpers):
         wait_long(monkeypatch)
         csv = SAMPLE_CSV if rows is None else write_csv(tmp_path, noisy_csv(rows))
         if rows == 40_000:
-            assert os.path.getsize(csv) >= ingest._SPLIT_MIN_BYTES
+            assert os.path.getsize(csv) >= 2 ** 19
         elif rows:
-            assert os.path.getsize(csv) < ingest._SPLIT_MIN_BYTES
+            assert os.path.getsize(csv) < 2 ** 19
         # The run in process that checked compares with forks nothing.
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -721,6 +720,50 @@ class TestOneHelperPerRun:
         assert len(forks) == len(helpers) == (0 if records is None else 1)
         assert [helper.arrived for helper in helpers] == ([] if records is None else [records])
         assert all(helper.cpu is not None for helper in helpers)
+
+    @pytest.mark.parametrize("newlines, degree, svg, size, forks", [
+        (2 ** 14, 1, False, 2 ** 19, 1), (2 ** 14, 1, False, 2 ** 19 - 1, 0),
+        (2 ** 12, 8, False, None, 1), (2 ** 12 - 1, 8, False, None, 0),
+        (2 ** 14, 1, True, None, 1), (2 ** 14 - 1, 1, True, None, 0),
+    ], ids=["bytes-at", "bytes-one-below", "rows-times-degree-at", "rows-times-degree-one-below",
+            "chart-rows-at", "chart-rows-one-below"])
+    def test_the_run_forks_at_each_threshold(self, newlines, degree, svg, size, forks, tmp_path, monkeypatch,
+                                             helpers):
+        # The rule, each threshold at its value and one below: 2**19 bytes;
+        # 2**15 for the newlines times the degree; with a chart, 2**14
+        # newlines.  Each input is below the other two thresholds.  A third
+        # column pads the rows to the size in bytes.
+        lines = ["Month,Values,Note"] + [f"{i},{i % 7}.5," for i in range(1, newlines)]
+        if size:
+            pad = size - len("\n".join(lines)) - 1
+            lines = [lines[0]] + [line + "n" * (pad // (newlines - 1)) for line in lines[1:]]
+            lines[1] += "n" * (pad % (newlines - 1))
+        text = "\n".join(lines) + "\n"
+        assert text.count("\n") == newlines
+        assert len(text) == size if size else len(text) < 2 ** 19
+        csv = write_csv(tmp_path, text)
+        code, *_ = self.checked(tmp_path, monkeypatch, csv, "--degree", str(degree),
+                                *(() if svg else ("--no-svg",)))
+        assert (code, len(helpers)) == (0, forks)
+
+    @pytest.mark.parametrize("quoted, records", [("header", 4), ("cells", 0)])
+    def test_a_quoted_input_fits_as_in_process(self, quoted, records, tmp_path, monkeypatch, helpers):
+        # 1e5 rows that are not plain, which the csv reader parses.  With
+        # quoted names in the header, neither process splits the rows, and
+        # the helper, holding none, takes every x and sends the fit's four
+        # scalars; this process formats every marker.  With quoted x cells,
+        # this process declines its own rows and stops the helper at the
+        # parse, and the fit and the chart run in process.
+        wait_long(monkeypatch)
+        lines = noisy_csv(100_000).splitlines()
+        if quoted == "header":
+            lines[0] = '"Month","Values"'
+        else:
+            lines[1:] = ['"{}",{}'.format(*line.split(",")) for line in lines[1:]]
+        csv = write_csv(tmp_path, "\n".join(lines) + "\n")
+        code, *_ = self.checked(tmp_path, monkeypatch, csv)
+        assert code == 0
+        assert [helper.arrived for helper in helpers] == [records]
 
     # The records of 40,000 rows at degree 2: the rows (0), mean(t) (1), the
     # last scalar (4) and the markers (5).
@@ -960,31 +1003,29 @@ QUOTED = st.builds('"{}"'.format, FINITE)
 @pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="helpers fork only where pidfds exist")
 @settings(max_examples=40, deadline=None)
 @given(rows=st.lists(st.tuples(CELL | QUOTED, CELL | QUOTED), min_size=3, max_size=8),
-       degree=st.integers(1, 3), fork_at=st.sampled_from(["parse", "fit", "chart"]))
-@example(rows=[(1.0, 2.0), (2.0, 3.0), (3.0, 5.0), (4.0, '"7.5"')], degree=1, fork_at="parse")
-@example(rows=[(1.0, 2.0), (2.0, 3.0), (3.0, 5.0), (4.0, "1_0")], degree=1, fork_at="parse")
-@example(rows=[(1.0, 2.0), (2.0, 3.0), (3.0, 5.0), (4.0, 1e308)], degree=2, fork_at="parse")
-@example(rows=NEAR_CONSTANT_ROWS, degree=2, fork_at="fit")
-def test_any_csv_gives_the_same_outcome_through_the_helper(rows, degree, fork_at):
-    # Each threshold lowered so that the run's helper forks at fork_at,
-    # before the parse (where the helper parses the last rows), the fit or
-    # the chart, and waited for until it sends or ends.  The run gives the
-    # exit code, report, error line and SVG bytes of the run in process,
-    # and leaves no child process.
+       degree=st.integers(1, 3))
+@example(rows=[(1.0, 2.0), (2.0, 3.0), (3.0, 5.0), (4.0, '"7.5"')], degree=1)
+@example(rows=[(1.0, 2.0), (2.0, 3.0), (3.0, 5.0), (4.0, "1_0")], degree=1)
+@example(rows=[(1.0, 2.0), (2.0, 3.0), (3.0, 5.0), (4.0, 1e308)], degree=2)
+@example(rows=NEAR_CONSTANT_ROWS, degree=2)
+def test_any_csv_gives_the_same_outcome_through_the_helper(rows, degree):
+    # The rule patched so that the run forks its helper before the parse,
+    # where it parses the last rows, or holds none where the input is not
+    # plain, and then serves the fit and the chart; it is waited for until
+    # it sends or ends.  The run gives the exit code, report, error line
+    # and SVG bytes of the run in process, and leaves no child process.
     text = "Month,Values\n" + "".join(f"{x},{y}\n" for x, y in rows)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
         csv = write_csv(pathlib.Path(tmp), text)
         share_the_cpu(monkeypatch)
         wait_long(monkeypatch)
-        monkeypatch.setattr(ingest, "_SPLIT_MIN_BYTES", 1 if fork_at == "parse" else math.inf)
-        monkeypatch.setattr(fitting, "_HELPER_MIN_WORK", 1 if fork_at == "fit" else math.inf)
-        monkeypatch.setattr(plot, "_SPLIT_MIN_MARKERS", 1)
+        monkeypatch.setattr(cli, "_forks", lambda *args: True)
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         got = outputs(pathlib.Path(tmp), "split", csv, "--degree", str(degree))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        assert len(forks) <= 1
+        assert len(forks) == 1
         assert got == in_process(monkeypatch, pathlib.Path(tmp), "alone", csv, "--degree", str(degree))
 
 

@@ -31,7 +31,7 @@ from quadfit import (
     parse_csv,
 )
 from quadfit import fitting
-from quadfit.fitting import _fit, convert_domain
+from quadfit.fitting import _fit, _Run, convert_domain
 from quadfit.ingest import _plain_columns
 
 
@@ -333,7 +333,7 @@ class TestFitPolynomial:
 class TestFitMemory:
     @pytest.mark.forks
     @pytest.mark.parametrize("degree, lists", [(2, 4.5), (10, 5.5)])
-    def test_peak_stays_within_a_few_length_n_lists(self, degree, lists, monkeypatch):
+    def test_peak_stays_within_a_few_length_n_lists(self, degree, lists):
         # A list of n new floats costs 32 bytes a value.  Degree 2 holds
         # four such lists at its peak and degree 10 five: t, the residual,
         # p_{k-1} after the first step, p_k, and the list being built.
@@ -341,47 +341,53 @@ class TestFitMemory:
         n = 20_000
         xs = [1.0 + 11.0 * i / (n - 1) for i in range(n)]
         series = Series(xs, [(x - 6.0) ** 2 + (i * 7919) % 101 / 20.0 for i, x in enumerate(xs)])
-        for min_work in (1, math.inf):
-            monkeypatch.setattr(fitting, "_HELPER_MIN_WORK", min_work)
-            tracemalloc.start()
-            try:
-                _fit(series, degree)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        for helped in (True, False):
+            with fit_run(series, helped) as run:
+                tracemalloc.start()
+                try:
+                    _fit(series, degree, run)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
             assert peak <= lists * 32 * n
 
 
-def outcome(series, degree):
-    """What _fit gives, each float as its hex text so that -0.0 and 0.0
-    differ: the model in t, the residual, ss_tot and e, or the error's
-    type and message.  No process outlives the fit either way."""
-    try:
-        fit = _fit(series, degree)
-        result = ([c.hex() for c in fit.model.scaled], [r.hex() for r in fit.residual],
-                  fit.ss_tot.hex(), fit.exponent)
-    except QuadfitError as exc:
-        result = type(exc), str(exc)
+def fit_run(series, helped=True):
+    """A run whose helper process forks now to serve a fit, holding the
+    last half of the rows, as the parse leaves them; where not helped, a
+    run that forks none."""
+    held = len(series) // 2
+    rest = len(series) - held
+    run = _Run((fitting._serve_fit,) if helped else (), (series.xs[rest:], series.ys[rest:]))
+    run.held = held
+    return run
+
+
+def outcome(series, degree, helped=True):
+    """What _fit gives through fit_run(series, helped), each float as its
+    hex text so that -0.0 and 0.0 differ: the model in t, the residual,
+    ss_tot and e, or the error's type and message.  No process outlives
+    the run either way."""
+    with fit_run(series, helped) as run:
+        try:
+            fit = _fit(series, degree, run)
+            result = ([c.hex() for c in fit.model.scaled], [r.hex() for r in fit.residual],
+                      fit.ss_tot.hex(), fit.exponent)
+        except QuadfitError as exc:
+            result = type(exc), str(exc)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     return result
 
 
-def in_process(monkeypatch, series, degree):
-    """outcome(series, degree) with no helper, the fork threshold left as
-    it was found."""
-    min_work = fitting._HELPER_MIN_WORK
-    monkeypatch.setattr(fitting, "_HELPER_MIN_WORK", math.inf)
-    try:
-        return outcome(series, degree)
-    finally:
-        monkeypatch.setattr(fitting, "_HELPER_MIN_WORK", min_work)
+def in_process(series, degree):
+    """outcome(series, degree) with no helper."""
+    return outcome(series, degree, helped=False)
 
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the helpers that fits fork, with every fit of degree
-    one or more large enough to start one."""
+    """The pids of the helpers that runs fork."""
     pids = []
     fork = os.fork
 
@@ -392,7 +398,6 @@ def forks(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(fitting, "_HELPER_MIN_WORK", 1)
     return pids
 
 
@@ -416,40 +421,40 @@ OVERFLOWS = [
 @pytest.mark.forks
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper is forked")
 class TestHelperProcess:
-    """A fit large enough to fork a helper for the sums in t alone gives
-    the same floats, or the same error, as one computed in process."""
+    """A fit whose run has a helper for the sums in t alone gives the same
+    floats, or the same error, as one computed in process."""
 
     @pytest.fixture(autouse=True)
     def shared_cpu(self, monkeypatch):
         share_the_cpu(monkeypatch)
 
     @pytest.mark.parametrize("degree", range(1, 11))
-    def test_bit_identical_to_the_fit_in_process(self, degree, forks, monkeypatch):
+    def test_bit_identical_to_the_fit_in_process(self, degree, forks):
         cases = [(x_offset, y_offset, y_scale)
                  for x_offset in (0.0, 2024.0, 1e6, 1e12)
                  for y_offset, y_scale in ((0.0, 1e-300), (0.0, 1e-12), (0.0, 1.0),
                                            (4090082241507.382, 1.0), (0.0, 1e150), (0.0, 1e300))]
         for seed, (x_offset, y_offset, y_scale) in enumerate(cases):
             series = offset_series(40, x_offset, y_offset, y_scale, seed)
-            alone = in_process(monkeypatch, series, degree)
+            alone = in_process(series, degree)
             assert outcome(series, degree) == alone
         assert len(forks) == len(cases)
 
     @pytest.mark.parametrize("k", [2, 5, 9])
-    def test_rank_deficiency_raises_at_the_same_step(self, k, forks, monkeypatch):
+    def test_rank_deficiency_raises_at_the_same_step(self, k, forks):
         # k clusters, each of twelve x values 1e-13 apart, resolve terms up
         # to degree k - 1.
         xs = [j + i * 1e-13 for j in range(k) for i in range(12)]
         series = Series(xs, [float(i % 3) for i in range(len(xs))])
         want = (RankDeficient, f"x values cannot resolve a degree-{k} term within tolerance")
-        assert in_process(monkeypatch, series, 10) == want
+        assert in_process(series, 10) == want
         assert outcome(series, 10) == want
         assert len(forks) == 1
 
     @pytest.mark.parametrize("xs, ys, degree", OVERFLOWS)
-    def test_each_overflow_raises_the_same_error(self, xs, ys, degree, forks, monkeypatch):
+    def test_each_overflow_raises_the_same_error(self, xs, ys, degree, forks):
         series = Series(xs, ys)
-        alone = in_process(monkeypatch, series, degree)
+        alone = in_process(series, degree)
         assert alone[0] is NumericalOverflow
         assert outcome(series, degree) == alone
 
@@ -461,7 +466,7 @@ class TestHelperProcess:
         # `sent`, then fails, or fails while it sends the next, whose record
         # arrives cut.
         series = offset_series(200, 3.0, 0.0, 1.0, sent)
-        alone = in_process(monkeypatch, series, 4)
+        alone = in_process(series, 4)
         failing_helpers(monkeypatch, sent, cut(lambda record: len(record) - 1) if cut_next else None)
         assert outcome(series, 4) == alone
         assert len(forks) == 1
@@ -471,17 +476,17 @@ class TestHelperProcess:
         # A helper that sends each scalar doubled changes the fit, so the
         # helper path above is not the fit in process by another route.
         series = offset_series(200, 3.0, 0.0, 1.0, 0)
-        alone = in_process(monkeypatch, series, 3)
+        alone = in_process(series, 3)
         wait_long(monkeypatch)
         helpers_send(monkeypatch, lambda send: lambda record: send(b"%r" % (2 * float(record))))
         assert outcome(series, 3) != alone
         assert len(forks) == 1
 
-    def test_fits_in_process_while_another_thread_runs(self, forks, monkeypatch):
+    def test_fits_in_process_while_another_thread_runs(self, forks):
         # A forked process inherits the locks other threads hold, and
         # Python 3.12 and later warn about fork in a threaded process.
         series = offset_series(200, 3.0, 0.0, 1.0, 0)
-        alone = in_process(monkeypatch, series, 3)
+        alone = in_process(series, 3)
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
         thread.start()
@@ -495,14 +500,13 @@ class TestHelperProcess:
 
     def test_fits_in_process_without_fork(self, monkeypatch):
         series = offset_series(200, 3.0, 0.0, 1.0, 0)
-        alone = in_process(monkeypatch, series, 3)
-        monkeypatch.setattr(fitting, "_HELPER_MIN_WORK", 1)
+        alone = in_process(series, 3)
         monkeypatch.delattr(os, "fork")
         assert outcome(series, 3) == alone
 
     def test_fits_in_process_when_fork_fails(self, monkeypatch):
         series = offset_series(200, 3.0, 0.0, 1.0, 0)
-        alone = in_process(monkeypatch, series, 3)
+        alone = in_process(series, 3)
         fds = []
         pipe = os.pipe
 
@@ -513,7 +517,6 @@ class TestHelperProcess:
         def failing_fork():
             raise BlockingIOError("fork: resource temporarily unavailable")
 
-        monkeypatch.setattr(fitting, "_HELPER_MIN_WORK", 1)
         monkeypatch.setattr(os, "pipe", recorded_pipe)
         monkeypatch.setattr(os, "fork", failing_fork)
         assert outcome(series, 3) == alone
@@ -528,7 +531,7 @@ class TestHelperProcess:
         # another process by then, so the helper is killed through a pidfd
         # and never by pid.
         series = offset_series(200, 3.0, 0.0, 1.0, 0)
-        alone = in_process(monkeypatch, series, 3)
+        alone = in_process(series, 3)
         kills, pidfd_kills = [], []
         send = _signal.pidfd_send_signal
 
@@ -551,25 +554,25 @@ class TestHelperProcess:
         # every scalar in process, and kills and reaps it: it returns well
         # within 5 s, where it takes about 0.1 s, and never hangs.
         script = SHARED_CPU + STOPPING_FORK + """
-import json, math, time
+import json, time
 from quadfit import fitting
 n = 20_000
 xs = [1.0 + 11.0 * i / (n - 1) for i in range(n)]
 series = fitting.Series(xs, [(x - 6.0) ** 2 + (i * 7919) % 101 / 20.0 for i, x in enumerate(xs)])
 
-def result():
-    fit = fitting._fit(series, 10)
+def result(run=None):
+    fit = fitting._fit(series, 10, run)
     return [c.hex() for c in fit.model.scaled], [r.hex() for r in fit.residual], fit.ss_tot.hex(), fit.exponent
 
 start = time.monotonic()
-got = result()
+with fitting._Run((fitting._serve_fit,), ((), ())) as run:
+    got = result(run)
 seconds = time.monotonic() - start
 try:
     os.waitpid(-1, os.WNOHANG)
     reaped = False
 except ChildProcessError:
     reaped = True
-fitting._HELPER_MIN_WORK = math.inf
 print(json.dumps([got == result(), len(stopped), reaped, seconds < 5.0]))
 """
         assert run_isolated(script) == [True, 1, True, True]
@@ -579,7 +582,7 @@ print(json.dumps([got == result(), len(stopped), reaped, seconds < 5.0]))
         # process inherits its locks all the same, and Python 3.12 and later
         # warn about the fork.  This one runs libc's sleep(60).
         script = """
-import ctypes, json, math, os, warnings
+import ctypes, json, os, warnings
 from quadfit import fitting
 libc = ctypes.CDLL(None)
 libc.pthread_create.argtypes = [ctypes.POINTER(ctypes.c_ulong), ctypes.c_void_p,
@@ -595,11 +598,28 @@ xs = [1.0 + 11.0 * i / (n - 1) for i in range(n)]
 series = fitting.Series(xs, [(x - 6.0) ** 2 + (i * 7919) % 101 / 20.0 for i, x in enumerate(xs)])
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
-    got = fitting.fit_polynomial(series, 10)
-fitting._HELPER_MIN_WORK = math.inf
-print(json.dumps([[str(w.message) for w in caught], len(forks), got == fitting.fit_polynomial(series, 10)]))
+    with fitting._Run((fitting._serve_fit,), ((), ())) as run:
+        got = fitting._fit(series, 10, run).model
+print(json.dumps([[str(w.message) for w in caught], len(forks), got == fitting.fit_polynomial(series, 10)[0]]))
 """
         assert run_isolated(script) == [[], 0, True]
+
+
+def test_each_norm_is_taken_only_when_the_fit_asks_for_it():
+    # ||p_k||^2, which may wait for the helper, comes from _polynomials
+    # after p_k, once the fit has formed its own sum with p_k, so that the
+    # helper computes it meanwhile.
+    taken = []
+
+    def scalar(compute):
+        taken.append(compute())
+        return taken[-1]
+    steps = fitting._polynomials([-1.0, -0.5, 0.0, 0.5, 1.0], 2, scalar)
+    for k in (1, 2):
+        p, poly = next(steps)
+        assert len(taken) == 2 * k - 1  # mean(t), then ||p_j||^2 and a_j for j < k
+        assert next(steps) == taken[-1] == math.fsum(v * v for v in p)
+    assert next(steps, None) is None
 
 
 class TestConvertDomain:

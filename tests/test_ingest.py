@@ -1,5 +1,4 @@
 import io
-import math
 import os
 import struct
 
@@ -25,6 +24,7 @@ from quadfit import (
     parse_csv,
 )
 from quadfit import ingest
+from quadfit.fitting import _Run
 from quadfit.ingest import _BLOCK_BYTES, _plain_columns, _reader_columns, validate_series
 
 
@@ -403,28 +403,27 @@ class TestPlainColumns:
         assert outcome(parsed_columns, data) == outcome(_reader_columns, data)
 
 
-def series_outcome(data, schema=CsvSchema()):
-    """parse_csv's Series as its repr and its bounds in hex, or its error's
-    type, message and row."""
+def series_outcome(data, schema=CsvSchema(), run=None):
+    """parse_csv's Series, with the helper of run where given, as its repr
+    and its bounds in hex, or its error's type, message and row."""
     try:
-        series = parse_csv(data, schema)
+        series = ingest._parse(data, schema, run)
     except CsvError as exc:
         return type(exc).__name__, str(exc), getattr(exc, "row", None)
     return repr(series), [bound.hex() for bound in series._x_bounds + series._y_bounds]
 
 
-def split_and_in_process(monkeypatch, data, schema=CsvSchema(), split_min=0):
-    """series_outcome of data where inputs of split_min bytes or more are
-    split, the number of helpers that parse forked, and series_outcome of
-    data parsed in process.  No helper outlives the split parse."""
+def split_and_in_process(monkeypatch, data, schema=CsvSchema()):
+    """series_outcome of data through a run whose helper process forks
+    before the parse, the number of helpers that run forked, and
+    series_outcome of data parsed in process.  No helper outlives the run."""
     share_the_cpu(monkeypatch)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    monkeypatch.setattr(ingest, "_SPLIT_MIN_BYTES", split_min)
-    split = series_outcome(data, schema)
+    with _Run((ingest._serve_rows,), (data, schema)) as run:
+        split = series_outcome(data, schema, run)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    monkeypatch.setattr(ingest, "_SPLIT_MIN_BYTES", math.inf)
     return split, len(forks), series_outcome(data, schema)
 
 
@@ -443,9 +442,9 @@ def plain_rows(count: int, width: int = 3, end: str = "\n") -> list[str]:
 
 @pytest.mark.forks
 class TestSplitParse:
-    """From _SPLIT_MIN_BYTES of input a helper process parses the plain
-    path's last rows.  Every input gives the Series of the parse in process,
-    bounds to the bit, or its error with the same row."""
+    """Where the run forks its helper process before the parse, the helper
+    parses the plain path's last rows.  Every input gives the Series of the
+    parse in process, bounds to the bit, or its error with the same row."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=csv_bytes())
@@ -453,18 +452,6 @@ class TestSplitParse:
         with pytest.MonkeyPatch.context() as monkeypatch:
             split, _, alone = split_and_in_process(monkeypatch, *case)
         assert split == alone
-
-    @pytest.mark.parametrize("below", [0, 1], ids=["at", "one-byte-below"])
-    def test_the_threshold_is_a_size_in_bytes(self, below, monkeypatch):
-        size = ingest._SPLIT_MIN_BYTES - below
-        head = "Month,Values\n"
-        rows = [f"{i:07d},2.5\n" for i in range((size - len(head)) // 12 - 1)]
-        rows[0] = rows[0].replace(",", "," + " " * (size - len(head) - 12 * len(rows)))
-        data = (head + "".join(rows)).encode("ascii")
-        assert len(data) == size
-        split, forks, alone = split_and_in_process(monkeypatch, data, split_min=ingest._SPLIT_MIN_BYTES)
-        assert (split, forks) == (alone, 1 - below)
-        assert alone[0].startswith("Series(")
 
     @pytest.mark.parametrize("at", [b"\r", b"\n", b","])
     def test_a_cut_inside_a_crlf_block(self, at, monkeypatch):
@@ -520,9 +507,11 @@ class TestSplitParse:
 
     @pytest.mark.parametrize("data", [b"Month,Values\n1,2\n", b"Month,Values\n-0.0,2"],
                              ids=["newline", "no-final-newline"])
-    def test_a_single_row_is_not_cut(self, data, monkeypatch):
+    def test_a_single_row_is_not_cut(self, data, monkeypatch, parsed_here):
+        # Both parses run _plain_rows once over the whole of the rows.
         split, forks, alone = split_and_in_process(monkeypatch, data)
-        assert (split, forks) == (alone, 0)
+        assert (split, forks) == (alone, 1)
+        assert parsed_here == [(13, len(data))] * 2
 
     def test_the_parse_takes_the_helpers_rows(self, monkeypatch, parsed_here):
         # This process parses only its own rows, then the whole in process.
@@ -574,21 +563,21 @@ class TestSplitParse:
         csv = tmp_path / "bulk.csv"
         csv.write_text("Month,Values\n" + "".join(f"{x},{y}\n" for x, y in zip(series.xs, series.ys)),
                        encoding="ascii")
-        assert csv.stat().st_size >= ingest._SPLIT_MIN_BYTES
         script = SHARED_CPU + STOPPING_FORK + """
-import json, math, sys, time
-from quadfit import ingest
+import json, sys, time
+from quadfit import fitting, ingest
 with open(sys.argv[1], "rb") as fh:
     data = fh.read()
+schema = ingest.CsvSchema()
 start = time.monotonic()
-split = ingest.parse_csv(data)
+with fitting._Run((ingest._serve_rows,), (data, schema)) as run:
+    split = ingest._parse(data, schema, run)
 seconds = time.monotonic() - start
 try:
     os.waitpid(-1, os.WNOHANG)
     reaped = False
 except ChildProcessError:
     reaped = True
-ingest._SPLIT_MIN_BYTES = math.inf
 alone = ingest.parse_csv(data)
 bounds = [[b.hex() for b in s._x_bounds + s._y_bounds] for s in (split, alone)]
 print(json.dumps([repr(split) == repr(alone), bounds[0] == bounds[1], len(stopped), reaped, seconds < 5.0]))

@@ -25,9 +25,9 @@ from quadfit import (
     render_plot,
 )
 from quadfit import plot
+from quadfit.fitting import _Run
 from quadfit.plot import (
     _MARKER_BLOCK,
-    _SPLIT_MIN_MARKERS,
     AXIS_PADDING,
     CURVE_SAMPLES,
     WIDTH,
@@ -141,7 +141,6 @@ class TestFormatEquation:
         box = legend.getElementsByTagName("rect")[0]
         assert 0.0 <= float(box.getAttribute("x"))
 
-    @pytest.mark.forks
     @pytest.mark.parametrize("rows,seed", [(20_000, 1), (2_000, 1), (200, 1)])
     def test_degree_ten_legend_shows_every_term_on_the_canvas(self, rows, seed):
         # The high-order coefficients of a degree-10 fit to a noisy
@@ -432,32 +431,36 @@ class TestRenderPlot:
 @pytest.mark.forks
 @pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="the helper is forked where pidfds exist")
 class TestMarkerHelper:
-    """From _SPLIT_MIN_MARKERS markers a helper process formats the second
-    half of them; the document is byte-identical to one rendered without."""
+    """Where the run's helper process holds the last rows, it formats their
+    markers; the document is byte-identical to one rendered without."""
 
     @staticmethod
     def figure(rows, monkeypatch):
-        """(render_plot's document, the helpers it forked, the same document
-        rendered in process) for rows noisy points fitted at degree 1, which
-        stays below the fit's own helper threshold."""
+        """(the document of rows noisy points fitted at degree 1, rendered
+        through a run whose helper forks now and holds the last half of the
+        rows, as the parse leaves them; the helpers that run forked; the
+        same document rendered in process)."""
         series = noisy_quadratic(rows, rows)
         model, _ = fit_polynomial(series, 1)
         report = fit_report(model, series)
         share_the_cpu(monkeypatch)
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        svg = render_plot(series, model, report, SPEC)
+        held = rows // 2
+        state = series.xs[rows - held:], series.ys[rows - held:]
+        with _Run((plot._serve_chart,), state, held * plot._MARKER_ROOM) as run:
+            run.held = held
+            svg = b"".join(plot._svg_chunks(series, model, report, SPEC, run)).decode()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        monkeypatch.setattr(plot, "_SPLIT_MIN_MARKERS", math.inf)
         return svg, len(forks), render_plot(series, model, report, SPEC)
 
-    @pytest.mark.parametrize("rows", [_SPLIT_MIN_MARKERS - 1, _SPLIT_MIN_MARKERS, _SPLIT_MIN_MARKERS + 1,
-                                      5 * _MARKER_BLOCK, 5 * _MARKER_BLOCK + 1])
+    # Rows about whole blocks of markers: 2**14 is four.
+    @pytest.mark.parametrize("rows", [2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1, 5 * _MARKER_BLOCK, 5 * _MARKER_BLOCK + 1])
     def test_byte_identical_to_the_render_in_process(self, rows, monkeypatch):
-        assert _SPLIT_MIN_MARKERS % _MARKER_BLOCK == 0
+        assert 2 ** 14 % _MARKER_BLOCK == 0
         svg, forks, alone = self.figure(rows, monkeypatch)
-        assert (svg == alone, forks) == (True, int(rows >= _SPLIT_MIN_MARKERS))
+        assert (svg == alone, forks) == (True, 1)
 
     @pytest.mark.parametrize("lines, cut_bytes", [(None, 0), (1, 3), (_MARKER_BLOCK + 100, 0),
                                                   (_MARKER_BLOCK + 100, 7)],
@@ -498,8 +501,8 @@ class TestMarkerHelper:
         csv.write_text("Month,Values\n" + "".join(f"{x},{y}\n" for x, y in zip(series.xs, series.ys)),
                        encoding="ascii")
         script = SHARED_CPU + STOPPING_FORK + """
-import json, math, sys, time
-from quadfit import cli, fitting, ingest, plot
+import json, sys, time
+from quadfit import cli
 csv, out = sys.argv[1:]
 start = time.monotonic()
 code = cli.main(["-i", csv, "--svg", out + "/stopped.svg", "--report", out + "/stopped.txt"])
@@ -509,7 +512,7 @@ try:
     reaped = False
 except ChildProcessError:
     reaped = True
-ingest._SPLIT_MIN_BYTES = fitting._HELPER_MIN_WORK = plot._SPLIT_MIN_MARKERS = math.inf
+cli._forks = lambda *args: False
 alone = cli.main(["-i", csv, "--svg", out + "/alone.svg", "--report", out + "/alone.txt"])
 print(json.dumps([code, alone, len(stopped), reaped, seconds < 10.0]))
 """

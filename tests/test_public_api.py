@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import quadfit
+from support import share_the_cpu
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
@@ -153,25 +154,25 @@ def test_cli_import_loads_only_what_the_pipeline_uses(tmp_path):
     # -S keeps site-packages .pth files from importing modules first.  The
     # child also runs the command line, so modules that parsing the
     # arguments, reading, fitting, rendering or writing would load are
-    # counted too.  The bundled data fits in process.  4,000 rows at degree
-    # 10 reach the fit's helper-process threshold: the helper's bounded
-    # read loads select, its reaping by os.wait4 resource, and, with --svg,
-    # the mapping for the chart's markers mmap.  An input of
-    # _SPLIT_MIN_BYTES forks the helper before the parse, and the fit then
-    # packs the xs the helper does not hold with _struct, and grows the
-    # pipe to take them in one write with fcntl.
+    # counted too.  The bundled data runs in process.  4,000 rows at degree
+    # 10 reach the rule's rows * degree, and fork the helper before the
+    # parse: its bounded read loads select, its reaping by os.wait4
+    # resource, and, with --svg, the mapping for the chart's markers mmap;
+    # the fit packs the xs the helper does not hold with _struct.  70,000
+    # rows reach its size in bytes, and the fit's xs are more than a pipe
+    # holds, so it grows the pipe to take them in one write with fcntl.
     script = ("import sys; before = set(sys.modules); import quadfit.cli; "
               "code = quadfit.cli.main(sys.argv[1:]); "
               "print(code, sorted(set(sys.modules) - before))")
     large = tmp_path / "large.csv"
     large.write_text("Month,Values\n" + "".join(f"{i},{i % 7}\n" for i in range(4_000)), encoding="ascii")
-    assert 4_000 * 10 >= quadfit.fitting._HELPER_MIN_WORK
+    assert large.stat().st_size < 2 ** 19 and 4_000 * 10 >= 2 ** 15
     split = tmp_path / "split.csv"
     split.write_text("Month,Values\n" + "".join(f"{i},{i % 7}\n" for i in range(70_000)), encoding="ascii")
-    assert split.stat().st_size >= quadfit.ingest._SPLIT_MIN_BYTES
+    assert split.stat().st_size >= 2 ** 19
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     for data, degree, allowed in ((REPO_ROOT / "data" / "pm25_monthly.csv", 2, PIPELINE_MODULES),
-                                  (large, 10, PIPELINE_MODULES | {"select", "mmap", "resource"}),
+                                  (large, 10, PIPELINE_MODULES | {"select", "mmap", "resource", "_struct"}),
                                   (split, 2, PIPELINE_MODULES | {"select", "mmap", "resource", "_struct", "fcntl"})):
         svg, report = tmp_path / f"{data.stem}.svg", tmp_path / f"{data.stem}.txt"
         argv = ["-i", str(data), "--degree", str(degree), "--svg", str(svg), "--report", str(report)]
@@ -183,6 +184,26 @@ def test_cli_import_loads_only_what_the_pipeline_uses(tmp_path):
         assert "quadfit.cli" in added
         assert [m for m in added if m not in allowed and m.split(".")[0] != "quadfit"] == []
         assert svg.exists() and report.exists()
+
+
+def test_library_calls_fork_nothing(monkeypatch):
+    # Only the command line forks a helper.  parse_csv on 2**19 bytes,
+    # fit_polynomial at n * d = 2**15 and render_plot with 2**14 markers,
+    # sizes at which a command line run forks, run in process, even where a
+    # helper may run on this process's own CPU.
+    share_the_cpu(monkeypatch)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    data = ("Month,Values\n" + "".join(f"{i},{i % 7}.25\n" for i in range(48_000))).encode("ascii")
+    data += b"0," + b" " * (2 ** 19 - len(data) - 6) + b"1.0\n"  # a cell padded to the size
+    assert len(data) == 2 ** 19
+    series = quadfit.parse_csv(data)
+    model, _ = quadfit.fit_polynomial(quadfit.Series(series.xs[:2 ** 12], series.ys[:2 ** 12]), 8)
+    chart = quadfit.Series(series.xs[:2 ** 14], series.ys[:2 ** 14])
+    model, _ = quadfit.fit_polynomial(chart, 1)
+    spec = quadfit.PlotSpec(description="", metric_name="", y_label="")
+    quadfit.render_plot(chart, model, quadfit.fit_report(model, chart), spec)
+    assert forks == []
 
 
 # How a helper's result crosses the pipe or a mapping, and where a helper
