@@ -1,18 +1,21 @@
 """One forked helper process that computes part of a run's work beside its
 parent, on a CPU the parent leaves free, for as many stages as the parent
 asks of it: the last rows of a large parse, the fit's sums in t alone, and
-the data markers of its rows in the SVG (see fitting._Run: the command
-line forks at most one, before the parse, for its run of stages).
+the data markers of the SVG after a split it chooses (see fitting._Run:
+the command line forks at most one, before the parse, for its run of
+stages).
 
 start(work) forks a child that runs work(send, receive).  send(record)
 sends one record, a bytes object of any length, to the parent; receive()
 returns the next message the parent sends with Helper.send, and waits for
-it.  The child ends through os._exit on every path, so it never runs the
-parent's clean-up, flushes its buffers or writes to stdout or stderr.  The
-parent takes the records one by one with the Helper's take(), each whole
-and in the order sent, and computes whatever did not arrive itself, by the
-same code, so a helper that fails, stops or is killed changes no output
-and no error, only the time.  The first record that does not arrive stops
+it, and receive(False) checks for it without waiting: it returns None at
+once where no byte of it has arrived, so that the child can work ahead
+between checks.  The child ends through os._exit on every path, so it
+never runs the parent's clean-up, flushes its buffers or writes to stdout
+or stderr.  The parent takes the records one by one with the Helper's
+take(), each whole and in the order sent, and computes whatever did not
+arrive itself, by the same code, so a helper that fails, stops or is
+killed changes no output and no error, only the time.  The first record that does not arrive stops
 the helper, so that every later share is computed in process.  Its stop()
 kills the child and reaps it, and keeps what the helper did: its CPU time,
 the parent's wait and the count of records that arrived whole.
@@ -25,9 +28,10 @@ only its header goes down the pipe, and take() returns a memoryview of the
 mapping, which the parent can write out without a copy.  A mapped record
 that would pass the end of the mapping fails the helper; without a mapping
 it goes down the pipe.  The parent's pipe grows to take a larger message
-in one write.  Callers import this module only where they start a helper,
-so a run that starts none loads neither it nor select, mmap loads only
-where a helper is given room, and fcntl only where the pipe grows.
+in one write; the child reads what a message lacks in one read where
+the pipe holds it.  Callers import this module only where they start a
+helper, so a run that starts none loads neither it nor select, mmap loads
+only where a helper is given room, and fcntl only where the pipe grows.
 
 A helper runs only on a CPU its parent leaves free.  start reads the
 parent's count of OS threads and the CPU it runs on in one read of
@@ -295,15 +299,25 @@ def _sender(fd: int, shared):
 
 
 def _receiver(fd: int):
-    """The child's receive(): the parent's next message, once it has all
-    arrived; EOFError where the parent has closed its end first."""
-    stream = open(fd, "rb")
+    """The child's receive(wait=True): the parent's next message, once it
+    has all arrived; where wait is false and no byte of it has arrived yet,
+    None at once.  EOFError where the parent has closed its end first."""
+    pending = bytearray()
+    poller = select.poll()
+    poller.register(fd, select.POLLIN)
 
-    def receive() -> bytes:
-        header = stream.read(_PREFIX)
-        size = int.from_bytes(header, "little")
-        message = stream.read(size)
-        if len(header) < _PREFIX or len(message) < size:
-            raise EOFError("the parent has stopped the helper")
-        return message
+    def receive(wait: bool = True):
+        if not (wait or pending or poller.poll(0)):
+            return None
+        while True:
+            end = _PREFIX + int.from_bytes(pending[:_PREFIX], "little")
+            if len(pending) >= end:
+                message = bytes(pending[_PREFIX:end])
+                del pending[:end]
+                return message
+            # What the message still lacks in one read, where the pipe holds it.
+            data = os.read(fd, max(end - len(pending), _READ_SIZE))
+            if not data:
+                raise EOFError("the parent has stopped the helper")
+            pending.extend(data)
     return receive

@@ -11,7 +11,7 @@ import sys
 from . import __version__
 from .errors import CsvError, QuadfitError
 from .fitting import DEFAULT_DEGREE, PolynomialModel, _fit, _Run, _serve_fit
-from .ingest import CsvSchema, _parse, _serve_rows
+from .ingest import CsvSchema, _parse, _rows_room, _serve_rows
 from .metrics import FitReport, _residual_report
 from .plot import _MARKER_ROOM, PlotSpec, _serve_chart, _svg_chunks, format_equation
 from .quadratic import discriminant, quadratic_roots, to_vertex_form
@@ -253,13 +253,14 @@ def run(args: Args) -> None:
     # The run forks its one helper process here, before the parse, or none
     # at all (see _forks), and the helper serves the parse, the fit and the
     # chart (see fitting._Run).  It ends itself after the last stage, and
-    # leaving the block stops it, before any error is reported.  Each row it
-    # holds may take _MARKER_ROOM bytes of its mapping.
+    # leaving the block stops it, before any error is reported.  Its mapping
+    # holds its parse's record and, with a chart, _MARKER_ROOM bytes a row.
     rows = data.count(b"\n")
     serves = ()
     if _forks(len(data), rows, args.degree, spec is not None):
         serves = (_serve_rows, _serve_fit) if spec is None else (_serve_rows, _serve_fit, _serve_chart)
-    with _Run(serves, (data, schema), rows * _MARKER_ROOM if spec else 0) as stages:
+    room = _rows_room(rows) + (rows * _MARKER_ROOM if spec else 0)
+    with _Run(serves, (data, schema), room, spec is not None) as stages:
         series = _parse(data, schema, stages)
         del data
         # The report sums the residual and ss_tot the fit leaves behind, on

@@ -14,12 +14,13 @@ and _helper, which says where a process may fork, on which CPU its helper
 runs and how long the fit waits), the helper computes those scalars on its
 own copy of t and sends each as soon as it has it, while the fitting
 process computes everything else and takes each scalar from the helper in
-place of computing it.  The fit sends the helper the xs of the rows it
-does not hold.  fit_polynomial runs in process.  From the first scalar
-that does not arrive, the fitting process computes that one and every
-later one itself, by the same code, so the helper changes no float and no
-error.  The fitting process holds at most five length-n lists at once, and
-the helper four of its own.
+place of computing it.  The helper holds every row from the end of the
+parse, and maps the xs onto t while it waits for the fit's request, which
+is the degree alone.  fit_polynomial runs in process.  From the first
+scalar that does not arrive, the fitting process computes that one and
+every later one itself, by the same code, so the helper changes no float
+and no error.  The fitting process holds at most five length-n lists at
+once, and the helper four besides the rows it holds.
 
 The fitted model keeps its coefficients in powers of t together with its
 window, and every value of it is taken in t, by one helper here.  The one
@@ -277,21 +278,20 @@ class _Run:
     one helper process (see _helper), forked as the run is made where
     serves are given: the helper runs each serve(state, send, receive) in
     turn, the first on state and each later one on what the one before
-    returned, the last rows of the series as (xs, ys) after the parse.  It
-    ends itself after the last, so that its exit overlaps this process's
-    work instead of adding to its stop.  A run is a context manager that
-    stops its helper on exit.  It is kept here, not in _helper, so that a
-    run that forks nothing loads no helper module.
+    returned, every row of the series after the parse, as (xs, ys, x
+    bounds, y bounds).  It ends itself after the last, so that its exit
+    overlaps this process's work instead of adding to its stop.  A run is a
+    context manager that stops its helper on exit.  It is kept here, not in
+    _helper, so that a run that forks nothing loads no helper module.
 
-    helper is None where none was forked, and held is how many rows the
-    helper holds, as this process knows it: set by the parse, 0 until then
-    and where the helper keeps none.  room is the bytes of the helper's
-    mapping (see _helper.start)."""
+    helper is None where none was forked; room is the bytes of the
+    helper's mapping (see _helper.start); chart is whether the run renders
+    a chart, for which the helper needs the ys too."""
 
-    __slots__ = ("helper", "held")
+    __slots__ = ("helper", "chart")
 
-    def __init__(self, serves, state, room: int = 0):
-        self.helper, self.held = None, 0
+    def __init__(self, serves, state, room: int = 0, chart: bool = False):
+        self.helper, self.chart = None, chart
         if serves:
             from ._helper import start  # loaded only where a run forks
 
@@ -324,21 +324,21 @@ def _scalars(records):
 
 
 def _serve_fit(held, send, receive):
-    """The helper's work for a fit: read _orthogonal_fit's request, the
-    degree, the window's bounds and the xs before the ones it holds, and
-    run _polynomials on all of them in t, sending each scalar as soon as it
-    is computed, as one record of its repr, which reads back as the same
+    """The helper's work for a fit: map the xs it holds onto t in the
+    window of their bounds, then read _orthogonal_fit's request, the
+    degree, and run _polynomials, sending each scalar as soon as it is
+    computed, as one record of its repr, which reads back as the same
     float.  A NaN reads back without its sign, which no comparison sees,
     and a fit that meets one raises NumericalOverflow either way."""
-    head, _, before = receive().partition(b"\n")
-    degree, x_min, x_max = head.split()
-    ts = _to_t(DomainWindow(float(x_min), float(x_max)), [*memoryview(before).cast("d"), *held[0]])
+    xs, _, x_bounds, _ = held
+    ts = _to_t(DomainWindow(*x_bounds), xs)
+    degree = int(receive())
 
     def sent(compute):
         value = compute()
         send(b"%r" % value)
         return value
-    for _ in _polynomials(ts, int(degree), sent):
+    for _ in _polynomials(ts, degree, sent):
         pass
     return held
 
@@ -353,20 +353,20 @@ def _orthogonal_fit(window: DomainWindow, series: Series,
     = 1 is written in closed form: its squared norm is n, its coefficient
     the mean deviation, and after it the residual's squared norm is ss_tot.
 
-    Where run's helper runs, this process first sends it the degree, the
-    window and the xs of the rows it does not hold, and the helper computes
-    the scalars of _polynomials that depend on t alone, mean(t), ||p_k||^2
-    and a_k, on the second processor, while this process computes t, the
-    deviations, each p_k, c_k and the residual.  Each scalar is taken from
-    the helper's records while they come; from the first that does not,
-    this process computes that scalar and every later one itself.  Both
-    compute each scalar by the same code from the same floats, so a helper
-    that fails, stops or is killed gives the same floats and the same
-    exception at the same step as no helper does.
+    Where run's helper runs, it holds every x and maps them onto t in the
+    window of their bounds; this process sends it the degree, and the
+    helper computes the scalars of _polynomials that depend on t alone,
+    mean(t), ||p_k||^2 and a_k, on the second processor, while this process
+    computes t, the deviations, each p_k, c_k and the residual.  Each
+    scalar is taken from the helper's records while they come; from the
+    first that does not, this process computes that scalar and every later
+    one itself.  Both compute each scalar by the same code from the same
+    floats, so a helper that fails, stops or is killed gives the same
+    floats and the same exception at the same step as no helper does.
 
     This process holds at most five length-n lists at once: t, the
     residual, p_{k-1}, p_k, and the residual or p_{k+1} being built.  The
-    helper holds four of its own: its copy of t, p_{k-1}, p_k and p_{k+1}.
+    helper holds four besides its rows: its t, p_{k-1}, p_k and p_{k+1}.
 
     Raises:
         RankDeficient: some ||p_k|| falls below RANK_TOLERANCE times the
@@ -375,10 +375,7 @@ def _orthogonal_fit(window: DomainWindow, series: Series,
     n = len(series)
     helper = run.running() if run else None
     if helper:
-        from _struct import pack  # loaded only where a helper runs
-        before = n - run.held
-        helper.send(b"%d %r %r\n" % (degree, window.x_min, window.x_max)
-                    + pack("%dd" % before, *series.xs[:before]))
+        helper.send(b"%d" % degree)
     ts = _to_t(window, series.xs)
     scalar = _scalars(helper.records() if helper else iter(()))
     residual, mean, ss_tot, exponent = _centred_deviations(series)

@@ -14,9 +14,11 @@ give the same values.  Where the command line's run has a helper process
 (see fitting._Run and _helper), forked before the parse while this process
 holds little more than the input's bytes, the helper splits the last 45 %
 of the plain rows and sends their values back as binary doubles, while
-the caller splits the rest, and it keeps those rows for the run's later
-stages.  parse_csv runs in process.  A helper whose record does not
-arrive changes no value or error.
+the caller splits the rest.  As soon as it has them, the caller sends the
+helper the rows it lacks, all of them where the csv reader parsed the
+input, so that the helper holds every row for the run's later stages.
+parse_csv runs in process.  A helper whose record does not arrive
+changes no value or error.
 """
 
 # csv.py only re-exports _csv's reader and Error, and imports re, and with
@@ -92,13 +94,21 @@ def parse_csv(data, schema: CsvSchema = CsvSchema()) -> Series:
 
 def _parse(data, schema: CsvSchema, run: _Run | None = None) -> Series:
     """parse_csv, with the helper of run where it has one (see
-    _plain_columns)."""
+    _split_columns).  The helper then holds every row: this process sends
+    it the rows it lacks, however they were parsed."""
     if hasattr(data, "read"):
         data = data.read()
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError(f"parse_csv needs bytes or a binary stream, got {type(data).__name__}")
     data = _without_bom(data)
-    return _checked_series(*(_plain_columns(data, schema, run) or _reader_columns(data, schema)))
+    helper = run.running() if run else None
+    if helper is None:
+        return _checked_series(*(_plain_columns(data, schema) or _reader_columns(data, schema)))
+    columns = _split_columns(data, schema, run)
+    if columns is None:
+        columns = _reader_columns(data, schema)
+        _send_rows(run, columns)
+    return _checked_series(*columns)
 
 
 def _without_bom(data):
@@ -108,7 +118,7 @@ def _without_bom(data):
     return data[3:] if data[:3] == b"\xef\xbb\xbf" else data
 
 
-def _plain_columns(data, schema: CsvSchema, run: _Run | None = None):
+def _plain_columns(data, schema: CsvSchema):
     """The schema's columns as float lists with their _bounds, split from
     the bytes, or None.
 
@@ -117,43 +127,74 @@ def _plain_columns(data, schema: CsvSchema, run: _Run | None = None):
     It accepts input whose header _plain_layout accepts and whose rows
     _plain_rows does.  The csv reader splits such input into the same
     cells, and keeps the same values.
+    """
+    layout = _plain_layout(data, schema)
+    return layout and _plain_rows(data, layout[0], len(data), *layout[2])
 
-    Where run's helper process runs (see fitting._Run), the rows are cut
-    where _plain_layout says, and the helper, which computes the same cut,
-    runs _plain_rows on the second part while this process runs it on the
-    first.  The helper sends its columns and their bounds back in one
-    record of native doubles, which this process appends to its own
-    without a conversion through text, and holds those rows for the run's
-    later stages.  Rows are accepted or declined one by one, so the two
-    parts accept what the whole does, and the bounds of the whole are those
-    of the parts (see _bounds).  Where no record of that form arrives, this
-    process stops the helper and parses those rows itself by the same code,
-    so the helper changes no value, bound or error, only the time.
+
+def _split_columns(data, schema: CsvSchema, run: _Run):
+    """_plain_columns, with the rows cut where _plain_layout says, where
+    run's helper runs (see fitting._Run).
+
+    The helper, which computes the same cut, runs _plain_rows on the
+    second part while this process runs it on the first, and sends its
+    columns and their bounds back in one record of native doubles, which
+    this process appends to its own without a conversion through text.
+    Rows are accepted or declined one by one, so the two parts accept what
+    the whole does, and the bounds of the whole are those of the parts (see
+    _bounds).  Where no record of that form arrives, this process stops the
+    helper and parses those rows itself by the same code, so the helper
+    changes no value, bound or error, only the time.  The record is taken
+    where this process declines its own rows too, so that the helper runs
+    on; the csv reader then parses every row, and the caller sends them.
+
+    Where this process keeps the helper's rows, it sends the helper its
+    own, with the bounds of all, as soon as it has the record.
     """
     layout = _plain_layout(data, schema)
     if layout is None:
         return None
     start, mid, columns = layout
     end = len(data)
-    helper = run.running() if run and mid < end else None
-    if helper is None:
-        return _plain_rows(data, start, end, *columns)
+    if mid == end:
+        rows = _plain_rows(data, start, end, *columns)
+        if rows:
+            _send_rows(run, rows)
+        return rows
     rows = _plain_rows(data, start, mid, *columns)
-    rest = _received_rows(helper.take()) if rows else None
-    if rest:
-        run.held = len(rest[0])
-    elif rest is None:
-        # Its record never came, or this process declined its own rows.
-        helper.stop()
+    rest = _received_rows(run.helper.take())
+    if rest is None:
+        # Its record never came, or came in another form.
+        run.helper.stop()
         rest = rows and _plain_rows(data, mid, end, *columns)
     if not (rows and rest):
         return None
     xs, ys, (x_min, x_max), (y_min, y_max) = rows
     more_xs, more_ys, (more_x_min, more_x_max), (more_y_min, more_y_max) = rest
+    columns = (xs, ys, (min(x_min, more_x_min), max(x_max, more_x_max)),
+               (min(y_min, more_y_min), max(y_max, more_y_max)))
+    # Before the lists grow: the helper lacks this process's rows alone.
+    _send_rows(run, columns, len(more_xs))
     xs += more_xs
     ys += more_ys
-    return (xs, ys, (min(x_min, more_x_min), max(x_max, more_x_max)),
-            (min(y_min, more_y_min), max(y_max, more_y_max)))
+    return columns
+
+
+def _send_rows(run: _Run, columns, kept: int = 0) -> None:
+    """Send run's helper, where it runs, the rows it lacks: the xs of
+    columns, an (xs, ys, x bounds, y bounds) of lists and pairs, and, where
+    the run has a chart, their ys, with the bounds of every row.  The rows
+    come first in the series, before the last `kept` rows the helper
+    parsed itself.  One message: a line of the count sent and `kept`, then
+    native doubles: the bounds, the xs and any ys."""
+    helper = run.running()
+    if helper is None:
+        return
+    from _struct import pack  # loaded only where a helper forks
+    xs, ys, x_bounds, y_bounds = columns
+    ys = ys if run.chart else ()
+    helper.send(b"%d %d\n" % (len(xs), kept)
+                + pack("%dd" % (4 + len(xs) + len(ys)), *x_bounds, *y_bounds, *xs, *ys))
 
 
 def _plain_layout(data, schema: CsvSchema):
@@ -231,23 +272,37 @@ def _plain_rows(data, start: int, stop: int, x_idx: int, y_idx: int, width: int)
 def _serve_rows(state, send, receive):
     """The helper's work for a parse: state is the run's input and schema.
     Where _plain_layout accepts the input and gives the helper rows, send
-    what _plain_rows returns for them as one record of native doubles: the
-    x and y bounds, the xs and the ys; or an empty record where they were
-    declined.  Holds those rows, or none, for the later stages."""
+    what _plain_rows returns for them as one record of native doubles, in
+    the run's mapping where it has one: the x and y bounds, the xs and the
+    ys; or an empty record where they were declined.  Then take the rows it
+    lacks from _send_rows, and return every row for the later stages: the
+    xs, the ys (empty where none were sent) and the bounds."""
     from _struct import pack  # loaded only where a helper forks
     data, schema = state
     data = _without_bom(data)
     layout = _plain_layout(data, schema)
-    if layout is None or layout[1] == len(data):
-        return (), ()  # the parse takes no record
-    _, mid, columns = layout
-    rows = _plain_rows(data, mid, len(data), *columns)
-    if rows is None:
-        send(b"")
-        return (), ()
-    xs, ys, x_bounds, y_bounds = rows
-    send(pack("%dd" % (4 + 2 * len(xs)), *x_bounds, *y_bounds, *xs, *ys))
-    return xs, ys
+    xs = ys = ()
+    if layout is not None and layout[1] < len(data):
+        _, mid, columns = layout
+        rows = _plain_rows(data, mid, len(data), *columns)
+        if rows is None:
+            send(b"")
+        else:
+            xs, ys, x_bounds, y_bounds = rows
+            send(pack("%dd" % (4 + 2 * len(xs)), *x_bounds, *y_bounds, *xs, *ys), mapped=True)
+    head, _, body = receive().partition(b"\n")
+    count, kept = map(int, head.split())
+    view = memoryview(body).cast("d")
+    more_ys = view[4 + count:]
+    xs = [*view[4:4 + count], *xs[len(xs) - kept:]]
+    ys = [*more_ys, *ys[len(ys) - kept:]] if more_ys else ()
+    return xs, ys, (view[0], view[1]), (view[2], view[3])
+
+
+def _rows_room(rows: int) -> int:
+    """The most bytes a record of _serve_rows takes, for input of at most
+    `rows` rows: 8 for each of 4 bounds and 2 values a row."""
+    return 8 * (4 + 2 * rows)
 
 
 def _received_rows(record):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import random
 import signal
@@ -78,6 +79,21 @@ def noisy_quadratic(rows: int, seed: int) -> Series:
         xs.append(round(x, 6))
         ys.append(round(y, 4))
     return Series(xs, ys)
+
+
+def exponential(rows: int, seed: int) -> Series:
+    """exp(x/2) plus N(0, 1.5^2) noise, x evenly over [1, 12], rounded as
+    noisy_quadratic's values are: a quadratic fitted to it leaves the
+    data's y range, so a chart's frame is not the data's alone."""
+    rng = random.Random(seed)
+    xs = [1.0 + 11.0 * i / (rows - 1) for i in range(rows)]
+    return Series([round(x, 6) for x in xs], [round(math.exp(x / 2) + rng.gauss(0.0, 1.5), 4) for x in xs])
+
+
+def held_rows(series: Series):
+    """What the parse leaves the run's helper holding: every row of the
+    series, with the bounds of each column."""
+    return series.xs, series.ys, series._x_bounds, series._y_bounds
 
 
 # A script prefix under which os.fork sends SIGSTOP to each child right

@@ -697,12 +697,13 @@ class TestOneHelperPerRun:
     @pytest.mark.parametrize("rows, degree, svg, records", [
         (None, 2, True, None),
         # Forked by the size in bytes, the helper sends its rows, the four
-        # scalars in t and its markers.
-        (40_000, 2, True, 6),
+        # scalars in t, the chart's split and its markers.
+        (40_000, 2, True, 7),
         # By rows * degree: its rows and 20 scalars.
         (20_000, 10, False, 21),
-        # By the chart's rows: its rows, two scalars and its markers.
-        (2 ** 14, 1, True, 4),
+        # By the chart's rows: its rows, two scalars, the split and its
+        # markers.
+        (2 ** 14, 1, True, 5),
     ], ids=["bundled", "parse-fit-chart", "fit", "chart"])
     def test_forks_per_run(self, rows, degree, svg, records, tmp_path, monkeypatch, helpers):
         wait_long(monkeypatch)
@@ -746,14 +747,14 @@ class TestOneHelperPerRun:
                                 *(() if svg else ("--no-svg",)))
         assert (code, len(helpers)) == (0, forks)
 
-    @pytest.mark.parametrize("quoted, records", [("header", 4), ("cells", 0)])
+    @pytest.mark.parametrize("quoted, records", [("header", 6), ("cells", 7)], ids=["header", "cells"])
     def test_a_quoted_input_fits_as_in_process(self, quoted, records, tmp_path, monkeypatch, helpers):
-        # 1e5 rows that are not plain, which the csv reader parses.  With
-        # quoted names in the header, neither process splits the rows, and
-        # the helper, holding none, takes every x and sends the fit's four
-        # scalars; this process formats every marker.  With quoted x cells,
-        # this process declines its own rows and stops the helper at the
-        # parse, and the fit and the chart run in process.
+        # 1e5 rows that are not plain, which the csv reader parses, and
+        # this process sends the helper every row.  With quoted names in
+        # the header, neither process splits the rows; with quoted x cells,
+        # both decline their rows, and the helper says so in an empty
+        # record.  The helper then sends the fit's four scalars, the
+        # chart's split and the markers after it.
         wait_long(monkeypatch)
         lines = noisy_csv(100_000).splitlines()
         if quoted == "header":
@@ -766,8 +767,8 @@ class TestOneHelperPerRun:
         assert [helper.arrived for helper in helpers] == [records]
 
     # The records of 40,000 rows at degree 2: the rows (0), mean(t) (1), the
-    # last scalar (4) and the markers (5).
-    @pytest.mark.parametrize("at", [0, 1, 4, 5], ids=["parse", "fit-first", "fit-last", "chart"])
+    # last scalar (4), the chart's split (5) and the markers (6).
+    @pytest.mark.parametrize("at", [0, 1, 4, 5, 6], ids=["parse", "fit-first", "fit-last", "split", "chart"])
     @pytest.mark.parametrize("fate", ["fails", "cut", "stops"])
     def test_a_helper_lost_at_any_stage_changes_nothing(self, fate, at, tmp_path, monkeypatch, helpers):
         # The helper fails at its record `at`, is cut off half way through
@@ -1010,8 +1011,8 @@ QUOTED = st.builds('"{}"'.format, FINITE)
 @example(rows=NEAR_CONSTANT_ROWS, degree=2)
 def test_any_csv_gives_the_same_outcome_through_the_helper(rows, degree):
     # The rule patched so that the run forks its helper before the parse,
-    # where it parses the last rows, or holds none where the input is not
-    # plain, and then serves the fit and the chart; it is waited for until
+    # where it parses the last rows where the input is plain, is sent the
+    # rest, and then serves the fit and the chart; it is waited for until
     # it sends or ends.  The run gives the exit code, report, error line
     # and SVG bytes of the run in process, and leaves no child process.
     text = "Month,Values\n" + "".join(f"{x},{y}\n" for x, y in rows)

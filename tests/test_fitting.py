@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import max_rel_err, normal_equations_fit, quadratic_fit_cramer
-from support import (SHARED_CPU, STOPPING_FORK, cut, failing_helpers, fit_instances, helpers_send, run_isolated,
-                     share_the_cpu, spaced_abscissae, wait_long)
+from support import (SHARED_CPU, STOPPING_FORK, cut, failing_helpers, fit_instances, held_rows, helpers_send,
+                     run_isolated, share_the_cpu, spaced_abscissae, wait_long)
 from conftest import DERIVED_COEFFS, DERIVED_XS, DERIVED_YS
 
 from quadfit import (
@@ -353,14 +353,10 @@ class TestFitMemory:
 
 
 def fit_run(series, helped=True):
-    """A run whose helper process forks now to serve a fit, holding the
-    last half of the rows, as the parse leaves them; where not helped, a
-    run that forks none."""
-    held = len(series) // 2
-    rest = len(series) - held
-    run = _Run((fitting._serve_fit,) if helped else (), (series.xs[rest:], series.ys[rest:]))
-    run.held = held
-    return run
+    """A run whose helper process forks now to serve a fit, holding every
+    row, as the parse leaves them; where not helped, a run that forks
+    none."""
+    return _Run((fitting._serve_fit,) if helped else (), held_rows(series))
 
 
 def outcome(series, degree, helped=True):
@@ -565,7 +561,7 @@ def result(run=None):
     return [c.hex() for c in fit.model.scaled], [r.hex() for r in fit.residual], fit.ss_tot.hex(), fit.exponent
 
 start = time.monotonic()
-with fitting._Run((fitting._serve_fit,), ((), ())) as run:
+with fitting._Run((fitting._serve_fit,), (series.xs, series.ys, series._x_bounds, series._y_bounds)) as run:
     got = result(run)
 seconds = time.monotonic() - start
 try:
@@ -598,7 +594,7 @@ xs = [1.0 + 11.0 * i / (n - 1) for i in range(n)]
 series = fitting.Series(xs, [(x - 6.0) ** 2 + (i * 7919) % 101 / 20.0 for i, x in enumerate(xs)])
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
-    with fitting._Run((fitting._serve_fit,), ((), ())) as run:
+    with fitting._Run((fitting._serve_fit,), (series.xs, series.ys, series._x_bounds, series._y_bounds)) as run:
         got = fitting._fit(series, 10, run).model
 print(json.dumps([[str(w.message) for w in caught], len(forks), got == fitting.fit_polynomial(series, 10)[0]]))
 """

@@ -440,6 +440,20 @@ def plain_rows(count: int, width: int = 3, end: str = "\n") -> list[str]:
     return [",".join([f"{i + 1}", f"{(i * 7919) % 101 / 8}", "n"][:width]) + end for i in range(count)]
 
 
+@pytest.mark.parametrize("chart", [False, True], ids=["no-chart", "chart"])
+def test_the_rows_sent_to_the_helper_carry_ys_only_for_a_chart(chart):
+    # The rows the helper lacks, the first two of five, with the bounds of
+    # all: the count sent and the rows it keeps, then the doubles.
+    sent = []
+    helper = type("Helper", (), {"send": lambda self, message: sent.append(message)})()
+    run = type("Run", (), {"chart": chart, "running": lambda self: helper})()
+    ingest._send_rows(run, ([1.0, 2.0], [3.0, 4.0], (1.0, 5.0), (-0.0, 6.0)), 3)
+    head, _, body = sent[0].partition(b"\n")
+    assert head == b"2 3"
+    doubles = (1.0, 5.0, -0.0, 6.0, 1.0, 2.0, *(3.0, 4.0)[:2 * chart])
+    assert body == struct.pack("%dd" % len(doubles), *doubles)
+
+
 @pytest.mark.forks
 class TestSplitParse:
     """Where the run forks its helper process before the parse, the helper
@@ -526,7 +540,7 @@ class TestSplitParse:
             values = struct.unpack("%dd" % (len(record) // 8), record)
             return struct.pack("%dd" % len(values), *(2 * v for v in values))
 
-        helpers_send(monkeypatch, lambda send: lambda record: send(doubled(record)))
+        helpers_send(monkeypatch, lambda send: lambda record, mapped=False: send(doubled(record), mapped))
         split, forks, alone = split_and_in_process(monkeypatch, data)
         assert (split != alone, forks) == (True, 1)
 

@@ -10,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracle import exact_report
-from support import SHARED_CPU, STOPPING_FORK, cut, failing_helpers, noisy_quadratic, run_isolated, share_the_cpu
+from support import (SHARED_CPU, STOPPING_FORK, cut, exponential, failing_helpers, held_rows, noisy_quadratic,
+                     run_isolated, share_the_cpu)
 from conftest import DERIVED_XS, DERIVED_YS
 
 from quadfit import (
@@ -428,28 +429,102 @@ class TestRenderPlot:
             render_plot(series, model, report, SPEC)
 
 
+# A quadratic's chart, whose curve stays within the data's y range, and an
+# exponential's, whose fitted curve leaves it.
+CHARTS = {"hit": noisy_quadratic, "miss": exponential}
+
+
+def chart(kind, rows, degree=2):
+    """The series, model and report of a `kind` chart of rows points."""
+    series = CHARTS[kind](rows, rows)
+    model, _ = fit_polynomial(series, degree)
+    return series, model, fit_report(model, series)
+
+
+def hits(series, model):
+    """Whether the render's frame is the helper's frame ahead: the curve
+    stays within the data's y range."""
+    (y_min, y_max), curve = series._y_bounds, sample_curve(model, *series._x_bounds, CURVE_SAMPLES)
+    return y_min <= min(y for _, y in curve) and max(y for _, y in curve) <= y_max
+
+
+class ScriptedHelper:
+    """A helper that runs _serve_chart in this process on every row of the
+    series when the frame is sent, having found no message on its first
+    `ahead` looks for one: the records it sends are taken in turn."""
+
+    def __init__(self, series, ahead):
+        self.held, self.ahead, self.records, self.sent = held_rows(series), ahead, [], []
+
+    def running_helper(self):
+        return self
+
+    def send(self, message):
+        looks = iter([None] * self.ahead)
+
+        def receive(wait=True):
+            return message if wait else next(looks, message)
+        plot._serve_chart(self.held, lambda record, mapped=False: self.records.append(bytes(record)), receive)
+        self.sent += self.records
+
+    def take(self):
+        return self.records.pop(0) if self.records else None
+
+
+class TestServeChart:
+    """The helper formats markers ahead under the data's own frame, keeps
+    them where the frame sent is that one, and splits the rest; run here,
+    on a scripted parent, the document is byte-identical to one rendered
+    without it."""
+
+    @pytest.mark.parametrize("kind", ["hit", "miss"])
+    @pytest.mark.parametrize("ahead", [0, 1, 7, 2 ** 14 // plot._AHEAD_BLOCK, 10 ** 6])
+    def test_markers_ahead_are_kept_where_the_frame_hits(self, kind, ahead):
+        rows = 2 ** 14 + 3
+        series, model, report = chart(kind, rows)
+        assert hits(series, model) == (kind == "hit")
+        helper = ScriptedHelper(series, ahead)
+        run = type("Run", (), {"running": helper.running_helper})()
+        pieces = list(plot._svg_chunks(series, model, report, SPEC, run))
+        done = max(rows - ahead * plot._AHEAD_BLOCK, 0) if kind == "hit" else rows
+        assert b"".join(pieces) == render_plot(series, model, report, SPEC).encode()
+        # The split, then the markers after it, in one piece.
+        split = plot._split(done, rows)
+        assert (helper.sent[0], helper.records) == (b"%d" % split, [])
+        assert len(pieces) == 3 + -(-split // _MARKER_BLOCK)
+        assert pieces[-2].count(b"<circle") == rows - split
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 2 ** 14, 10 ** 5])
+    def test_the_split_finishes_both_together(self, n):
+        # At most the rows not done ahead; and, in the split's cost model,
+        # neither process waits for the other longer than one marker takes
+        # both of them.
+        cost = plot._COPY_COST
+        for h in sorted({0, 1, n // 3, n // 2, n - 1, n}):
+            split = plot._split(h, n)
+            assert 0 <= split <= h
+            if split < h:
+                assert abs(split - ((h - split) + cost * (n - split))) <= 2 + cost
+
+
 @pytest.mark.forks
 @pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="the helper is forked where pidfds exist")
 class TestMarkerHelper:
-    """Where the run's helper process holds the last rows, it formats their
-    markers; the document is byte-identical to one rendered without."""
+    """Where the run's helper process holds every row, it formats the
+    markers after its split; the document is byte-identical to one
+    rendered without."""
 
     @staticmethod
-    def figure(rows, monkeypatch):
-        """(the document of rows noisy points fitted at degree 1, rendered
-        through a run whose helper forks now and holds the last half of the
-        rows, as the parse leaves them; the helpers that run forked; the
+    def figure(rows, monkeypatch, kind="hit"):
+        """(the document of a `kind` chart of rows points, fitted at degree
+        1, rendered through a run whose helper forks now and holds every
+        row, as the parse leaves them; the helpers that run forked; the
         same document rendered in process)."""
-        series = noisy_quadratic(rows, rows)
-        model, _ = fit_polynomial(series, 1)
-        report = fit_report(model, series)
+        series, model, report = chart(kind, rows, 1)
         share_the_cpu(monkeypatch)
         forks, fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        held = rows // 2
-        state = series.xs[rows - held:], series.ys[rows - held:]
-        with _Run((plot._serve_chart,), state, held * plot._MARKER_ROOM) as run:
-            run.held = held
+        with _Run((plot._serve_chart,), held_rows(series), rows * plot._MARKER_ROOM, True) as run:
             svg = b"".join(plot._svg_chunks(series, model, report, SPEC, run)).decode()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -462,21 +537,32 @@ class TestMarkerHelper:
         svg, forks, alone = self.figure(rows, monkeypatch)
         assert (svg == alone, forks) == (True, 1)
 
-    @pytest.mark.parametrize("lines, cut_bytes", [(None, 0), (1, 3), (_MARKER_BLOCK + 100, 0),
-                                                  (_MARKER_BLOCK + 100, 7)],
-                             ids=["nothing", "cuts-the-first-line", "mid-block", "cuts-a-line"])
-    def test_a_helper_that_stops_early_is_finished_in_process(self, lines, cut_bytes, monkeypatch, capfd):
-        # The helper sends all of its markers in one record, through a
-        # mapping.  It fails before it sends any, or once it has put them
-        # there, while it sends their length down the pipe (see cut): the
-        # length arrives cut or not at all, and this process formats them.
+    @pytest.mark.parametrize("kind", ["hit", "miss"])
+    def test_a_frame_that_hits_or_misses_the_data_alike(self, kind, monkeypatch):
+        series, model, _ = chart(kind, 2 ** 15, 1)
+        assert hits(series, model) == (kind == "hit")
+        svg, forks, alone = self.figure(2 ** 15, monkeypatch, kind)
+        assert (svg == alone, forks) == (True, 1)
+
+    @pytest.mark.parametrize("at, lines, cut_bytes", [
+        (0, None, 0), (0, 0, 0), (1, None, 0), (1, 1, 3), (1, _MARKER_BLOCK + 100, 0), (1, _MARKER_BLOCK + 100, 7),
+    ], ids=["split", "split-cut", "nothing", "cuts-the-first-line", "mid-block", "cuts-a-line"])
+    def test_a_helper_that_stops_early_is_finished_in_process(self, at, lines, cut_bytes, monkeypatch, capfd):
+        # The helper sends its split down the pipe, then the markers after
+        # it in one record, through a mapping.  It fails before it sends
+        # the split, or half way through it; or before it sends any marker,
+        # or once it has put them there, while it sends their length down
+        # the pipe (see cut): the length arrives cut or not at all, and
+        # this process formats them.
         def keep(record):
+            if at == 0:
+                return len(record) // 2
             end = 0
             for _ in range(lines):
                 end = record.index(b"\n", end) + 1
             return end - cut_bytes
 
-        failing_helpers(monkeypatch, 0, lines and cut(keep))
+        failing_helpers(monkeypatch, at, lines is not None and cut(keep))
         svg, forks, alone = self.figure(5 * _MARKER_BLOCK + 1, monkeypatch)
         assert (svg == alone, forks) == (True, 1)
         assert capfd.readouterr() == ("", "")

@@ -157,10 +157,11 @@ def test_cli_import_loads_only_what_the_pipeline_uses(tmp_path):
     # counted too.  The bundled data runs in process.  4,000 rows at degree
     # 10 reach the rule's rows * degree, and fork the helper before the
     # parse: its bounded read loads select, its reaping by os.wait4
-    # resource, and, with --svg, the mapping for the chart's markers mmap;
-    # the fit packs the xs the helper does not hold with _struct.  70,000
-    # rows reach its size in bytes, and the fit's xs are more than a pipe
-    # holds, so it grows the pipe to take them in one write with fcntl.
+    # resource, and the mapping for the parse's values and the chart's
+    # markers mmap; the parse packs the rows the helper does not hold with
+    # _struct.  70,000 rows reach its size in bytes, and those rows are
+    # more than a pipe holds, so it grows the pipe to take them in one
+    # write with fcntl.
     script = ("import sys; before = set(sys.modules); import quadfit.cli; "
               "code = quadfit.cli.main(sys.argv[1:]); "
               "print(code, sorted(set(sys.modules) - before))")
